@@ -6,12 +6,13 @@ process, running one workload's ops in a fixed order, pass after pass.
 
 Run from the repository root.  The last line of standard output is one
 JSON object: {"correct", "attempted", "failed", "metrics"}.  With
---trace 0 the metrics are the end-to-end ones (sweep_s, setup_s,
+--trace 0 the metrics are the end-to-end ones (sweep_ref, setup_s,
 peak_rss_mb); with --trace 1 a separate traced measurement gives the
 per-layer ones.  See perfbench/README.md.
 """
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -32,6 +33,8 @@ import tracing  # noqa: E402
 from workloads import BUILDERS, WHY  # noqa: E402
 
 SETUP_REPEATS = 7
+REF_ITERATIONS = 40000
+REF_SECONDS = 0.02         # the reference loop's nominal time
 GOLDEN = HERE / "golden.json"
 
 
@@ -69,10 +72,31 @@ def set_up(ctx, workdir):
     return api, BUILDERS[ctx.workload](api, ctx, workdir)
 
 
+def reference_seconds():
+    """Time a fixed pure-Python job of the kind the package's arithmetic
+    does: tuple keys, dict updates, integer products mod a prime.  Its
+    time tracks the host's speed, and no change to the package can move
+    it.  The collector is off while it runs: a collection started here
+    would walk the objects the last op left and charge them to the host."""
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        acc = {}
+        for i in range(REF_ITERATIONS):
+            key = (i % 37, i % 11, i % 5)
+            acc[key] = (acc.get(key, 0) * 31 + i) % 32003
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def run_pass(ops, failures, op_times, tracer=None):
-    """One closed-loop pass over the ops; returns (attempted, failed)."""
-    failed = 0
+    """One closed-loop pass over the ops, with the reference loop timed
+    before each op.  Returns (attempted, failed, seconds in the ops,
+    mean seconds of the reference loop)."""
+    failed, busy, ref = 0, 0.0, 0.0
     for index, (name, op) in enumerate(ops):
+        ref += reference_seconds()
         if tracer is not None:
             tracer.trace_id = index
         start = time.perf_counter()
@@ -80,28 +104,33 @@ def run_pass(ops, failures, op_times, tracer=None):
             problems = op()
         except Exception as err:  # a raised exception is a failed op
             problems = [f"raised {type(err).__name__}: {err}"]
-        op_times.setdefault(name, []).append(time.perf_counter() - start)
+        took = time.perf_counter() - start
+        op_times.setdefault(name, []).append(took)
+        busy += took
         if problems:
             failed += 1
             failures.append(f"{name}: {'; '.join(problems)}")
-    return len(ops), failed
+    return len(ops), failed, busy, ref / len(ops)
 
 
 def measure(ops, seconds, failures, op_times, tracer=None):
     """Passes within `seconds` (at least one): another pass starts only
-    when a pass of median length would still end in time."""
+    when a pass of median length would still end in time.  Returns the
+    (op seconds, reference seconds) of each pass and (attempted, failed)."""
     totals = [0, 0]
-    passes = []
+    passes, walls = [], []
     begin = time.perf_counter()
     while True:
         start = time.perf_counter()
-        done = run_pass(ops, failures, op_times, tracer)
-        passes.append(time.perf_counter() - start)
-        totals = [totals[0] + done[0], totals[1] + done[1]]
+        attempted, failed, busy, ref = run_pass(ops, failures, op_times,
+                                                tracer)
+        walls.append(time.perf_counter() - start)
+        passes.append((busy, ref))
+        totals = [totals[0] + attempted, totals[1] + failed]
         if tracer is not None:
             tracer.close_pass()
         elapsed = time.perf_counter() - begin
-        if elapsed + statistics.median(passes) > seconds:
+        if elapsed + statistics.median(walls) > seconds:
             return passes, totals
 
 
@@ -125,31 +154,43 @@ def main(argv=None):
     work = (ROOT / ".perfbench_work"
             / f"{args.workload}-{args.seed}-{os.getpid()}")
     try:
-        setups = []
+        setups, scaled = [], []
         for repeat in range(SETUP_REPEATS):
+            ref = reference_seconds()
             start = time.perf_counter()
             api, ops = set_up(ctx, work / f"setup-{repeat}")
             setups.append(time.perf_counter() - start)
+            scaled.append(setups[-1] * REF_SECONDS / ref)
         print(f"workload {args.workload}: {WHY[args.workload]}")
+        print("set-up: " + ", ".join(f"{t:.4f}" for t in setups) + " s")
         print(f"seed {args.seed}; {len(ops)} ops per pass; python "
               f"{sys.version.split()[0]}")
         failures, op_times = [], {}
         if args.trace:
-            # one untraced pass first: the overhead reference
-            reference, ref_totals = measure(ops, 0, failures, {})
+            # untraced passes for a third of the time (the overhead
+            # reference), one counting pass, then the timed traced passes
+            begin = time.perf_counter()
+            reference, ref_totals = measure(ops, args.seconds / 3,
+                                            failures, {})
             tracer = tracing.install()
-            passes, totals = measure(ops, args.seconds, failures, op_times,
-                                     tracer)
-            totals = [totals[0] + ref_totals[0], totals[1] + ref_totals[1]]
-            metrics = tracer.metrics(passes, reference[0])
-            print(f"untraced reference pass: {reference[0]:.3f} s")
+            with tracer.counters():
+                counted, count_totals = measure(ops, 0, failures, {}, tracer)
+            passes, totals = measure(
+                ops, args.seconds - (time.perf_counter() - begin), failures,
+                op_times, tracer)
+            totals = [sum(t) for t in zip(totals, ref_totals, count_totals)]
+            metrics = tracer.metrics(passes, reference)
+            print("untraced passes: "
+                  + ", ".join(f"{busy:.3f}" for busy, _ in reference) + " s")
+            print(f"counting pass: {counted[0][0]:.3f} s")
             for line in tracer.report_lines():
                 print(line)
         else:
             passes, totals = measure(ops, args.seconds, failures, op_times)
             metrics = {
-                "sweep_s": (statistics.median(passes), "s"),
-                "setup_s": (statistics.median(setups), "s"),
+                "sweep_ref": (statistics.median(
+                    busy / ref for busy, ref in passes), "ref"),
+                "setup_s": (statistics.median(scaled), "s"),
                 "peak_rss_mb": (resource.getrusage(
                     resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
             }
@@ -161,7 +202,10 @@ def main(argv=None):
             pass
 
     print(f"{'traced ' if args.trace else ''}passes: {len(passes)}, "
-          + ", ".join(f"{p:.3f}" for p in passes) + " s")
+          + ", ".join(f"{busy:.3f}" for busy, _ in passes) + " s in the ops; "
+          + "median " + f"{statistics.median(b for b, _ in passes):.3f} s")
+    print("reference loop, mean per pass: "
+          + ", ".join(f"{ref * 1000:.3f}" for _, ref in passes) + " ms")
     for name, times in op_times.items():
         print(f"  {name:<36} median {statistics.median(times):9.4f} s"
               f"  over {len(times)}")

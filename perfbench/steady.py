@@ -1,16 +1,16 @@
-"""Steadiness check: run the benchmark as BENCHMARK.json describes it, in
-sets of runs with different seeds, and report whether each end-to-end
-metric stays within its bound.
+"""Steadiness check: run every workload of BENCHMARK.json as it is
+described there, in two sets of ten runs on seeds 1 to 10, and report
+whether each end-to-end metric stays within its bound.
 
-    python3 perfbench/steady.py --runs 10 --sets 2 --out steady.json
+    python3 perfbench/steady.py --trace-runs 2 --out steady.json
 
 For each workload and end-to-end metric it reports the median of each
 set and the spread (q3 - q1) / median of its values, with the quartiles
-of statistics.quantiles(values, n=4).  A set agrees when every spread
-except that of setup_s is within the metric's bound; two sets agree when,
-in addition, no median of the second set is worse than the first's by
-more than the bound.  With --trace-runs 2 it also runs the traced
-measurement twice on one seed and checks that every per-layer count
+of statistics.quantiles(values, n=4).  The two sets agree on a metric
+when the second median differs from the first by at most the bound,
+either way, and every spread is within the bound; setup_s is held to
+both tests as well.  With --trace-runs 2 it also runs the traced
+measurement twice on seed 1 and checks that every per-layer count
 repeats exactly.  The report records the interpreter version and nproc.
 """
 
@@ -25,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT = 900
+SEEDS = range(1, 11)
+SETS = 2
 
 
 def run_once(spec, workload, seed, trace):
@@ -46,40 +48,27 @@ def spread(values):
     return (q3 - q1) / statistics.median(values)
 
 
-def worse_by(first, second, better):
-    change = (second - first) / first
-    return change if better == "lower" else -change
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated subset (default: all)")
     parser.add_argument("--trace-runs", type=int, default=0)
     parser.add_argument("--out", default=None, help="also write the report")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = ([w for w in args.workloads.split(",")] if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
     report = {
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "nproc": len(os.sched_getaffinity(0)),
         "run_seconds": spec["run_seconds"],
-        "runs_per_set": args.runs,
+        "seeds": list(SEEDS),
         "workloads": {},
     }
     agree = True
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         sets = []
-        for set_index in range(args.sets):
+        for set_index in range(SETS):
             values = {m["name"]: [] for m in spec["end_to_end"]}
-            for run in range(args.runs):
-                seed = args.first_seed + run
+            for seed in SEEDS:
                 metrics, result = run_once(spec, workload, seed, 0)
                 if not result["correct"]:
                     agree = False
@@ -96,25 +85,26 @@ def main(argv=None):
             name, bound = m["name"], m["bound"]
             medians = [statistics.median(s[name]) for s in sets]
             spreads = [spread(s[name]) for s in sets]
-            drift = (worse_by(medians[0], medians[-1], m["better"])
-                     if len(sets) > 1 else 0.0)
-            ok = drift <= bound and (name == "setup_s"
-                                     or all(s <= bound for s in spreads))
+            change = (medians[1] - medians[0]) / medians[0]
+            ok = abs(change) <= bound and all(s <= bound for s in spreads)
             agree &= ok
             rows[name] = {"bound": bound, "medians": medians,
-                          "spreads": spreads, "worse_by": drift,
+                          "spreads": spreads, "change": change,
                           "steady": all(s < bound / 3 for s in spreads),
                           "agree": ok, "values": [s[name] for s in sets]}
             print(f"{workload:<20} {name:<14} medians "
                   + " ".join(f"{v:.4g}" for v in medians)
-                  + "  spreads " + " ".join(f"{s:.3f}" for s in spreads)
+                  + f"  change {change:+.3f}  spreads "
+                  + " ".join(f"{s:.3f}" for s in spreads)
                   + f"  bound {bound}  {'agree' if ok else 'DISAGREE'}")
         report["workloads"][workload] = {"end_to_end": rows}
         if args.trace_runs:
-            traced = [run_once(spec, workload, args.first_seed, 1)[0]
+            traced = [run_once(spec, workload, SEEDS[0], 1)[0]
                       for _ in range(args.trace_runs)]
+            # all but the times and the overhead ratio must repeat exactly
             counts = [{k: v for k, v in t.items()
-                       if not (k.endswith("_s") or k.endswith(".s"))}
+                       if not (k.endswith(("_s", ".s"))
+                               or k == "trace.overhead_ratio")}
                       for t in traced]
             names = {m["name"] for m in spec["per_layer"]}
             repeat = all(c == counts[0] for c in counts)
@@ -122,13 +112,14 @@ def main(argv=None):
             agree &= repeat and complete
             report["workloads"][workload]["trace"] = {
                 "counts_repeat": repeat, "all_metrics_reported": complete,
-                "overhead_s": [t["trace.overhead_s"] for t in traced],
+                "overhead_ratio": [t["trace.overhead_ratio"]
+                                   for t in traced],
                 "traced_sweep_s": [t["trace.sweep_s"] for t in traced],
                 "runs": traced}
             print(f"{workload:<20} trace: counts repeat {repeat}, all "
                   f"per-layer metrics {complete}, overhead "
-                  + " ".join(f"{t['trace.overhead_s']:.3f}" for t in traced)
-                  + " s")
+                  + " ".join(f"{t['trace.overhead_ratio']:.3f}"
+                             for t in traced))
     report["agree"] = agree
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -2,10 +2,12 @@
 
 `install()` replaces the public names at each layer boundary with
 wrappers.  A span wrapper records (trace id, parent span, name, start,
-end); a counter wrapper only counts calls, so that the per-call cost of
-field operations and order keys does not turn into span records.  Each
-wrapper is installed in every module namespace of the package that holds
-the original, so calls from inside the package are seen too.
+end).  Each wrapper is installed in every module namespace of the
+package that holds the original, so calls from inside the package are
+seen too.  The `fields` and `orders` call counters wrap millions of
+calls a pass, so `Tracer.counters()` installs them for one counting pass
+only and then restores the originals: the passes whose times are
+reported run without them.
 
 Spans are kept in memory and folded into per-pass metrics by
 `close_pass`.  Times are inclusive durations of the outermost span of a
@@ -13,6 +15,7 @@ name (a span nested in a span of the same name is not counted twice);
 `cli.self_s` is a self time: the span's duration minus its children's.
 """
 
+import contextlib
 import statistics
 import sys
 import time
@@ -135,7 +138,7 @@ def metric_names():
                "poly.substitute_linear_terms", "linalg.nullspace_cells",
                "groebner.basis_elems", "groebner.max_basis_deg",
                "degeneration.attempts", "fields.ops", "orders.key_calls",
-               "trace.sweep_s", "trace.overhead_s"])
+               "trace.sweep_s", "trace.overhead_ratio"])
 
 
 class Tracer:
@@ -177,6 +180,23 @@ class Tracer:
             return fn(*args)
 
         return counted
+
+    @contextlib.contextmanager
+    def counters(self):
+        """Install the call counters, and restore the originals on exit."""
+        replaced = []
+        for name, targets in COUNTERS.items():
+            for module_name, path in targets:
+                done = _replace(module_name, path,
+                                lambda fn, name=name: self.counter(name, fn))
+                if not done:
+                    self.missing.append(f"{module_name}.{path}")
+                replaced += done
+        try:
+            yield
+        finally:
+            for namespace, attr, original in replaced:
+                setattr(namespace, attr, original)
 
     def close_pass(self):
         """Fold this pass's spans and counts into one metrics dict."""
@@ -227,20 +247,25 @@ class Tracer:
         spans.clear()
         self.counts.clear()
 
-    def metrics(self, pass_times, untraced_pass):
-        """Per-layer metrics: counts of the first traced pass (which every
-        pass repeats exactly), median times over the traced passes."""
-        first = self.per_pass[0]
+    def metrics(self, passes, untraced):
+        """Per-layer metrics.  The first traced pass is the counting pass:
+        counts come from it (every later pass repeats them exactly, bar
+        the call counters, which only it carries).  Times are medians
+        over the later passes, which run without the call counters.
+        `passes` and `untraced` hold (op seconds, reference seconds) per
+        pass; the overhead compares them in reference-loop units."""
+        first, timed = self.per_pass[0], self.per_pass[1:]
         out = {}
         for metric in first:
             if unit_of(metric) == "s":
-                value = statistics.median(p[metric] for p in self.per_pass)
+                value = statistics.median(p[metric] for p in timed)
             else:
                 value = first[metric]
             out[metric] = (value, unit_of(metric))
-        traced = statistics.median(pass_times)
-        out["trace.sweep_s"] = (traced, "s")
-        out["trace.overhead_s"] = (traced - untraced_pass, "s")
+        out["trace.sweep_s"] = (statistics.median(b for b, _ in passes), "s")
+        out["trace.overhead_ratio"] = (
+            statistics.median(b / r for b, r in passes)
+            / statistics.median(b / r for b, r in untraced), "ratio")
         return out
 
     def report_lines(self):
@@ -248,7 +273,8 @@ class Tracer:
         if self.missing:
             lines.append("not traced (name not found): "
                          + ", ".join(self.missing))
-        counts = [{m: v for m, v in p.items() if unit_of(m) != "s"}
+        counts = [{m: v for m, v in p.items()
+                   if unit_of(m) != "s" and m not in COUNTERS}
                   for p in self.per_pass]
         if any(c != counts[0] for c in counts):
             lines.append("WARNING: per-layer counts differ between passes")
@@ -257,28 +283,31 @@ class Tracer:
 
 def _replace(module_name, path, make):
     """Wrap one name in place; functions in every namespace holding them.
-    Returns False when the name no longer exists."""
+    Returns the (namespace, attribute, original) triples replaced, none
+    when the name no longer exists."""
     module = owner = sys.modules.get(f"extremalcurves.{module_name}")
     *outer, attr = path.split(".")
     for part in outer:
         owner = getattr(owner, part, None)
     if owner is None or attr not in vars(owner):
-        return False
+        return []
     original = vars(owner)[attr]
     if isinstance(original, classmethod):
         setattr(owner, attr, classmethod(make(original.__func__)))
-        return True
+        return [(owner, attr, original)]
     wrapped = make(original)
     if owner is not module:          # a method: the class holds the only copy
         setattr(owner, attr, wrapped)
-        return True
+        return [(owner, attr, original)]
+    replaced = []
     for mod in list(sys.modules.values()):
         name = getattr(mod, "__name__", "")
         if name == "extremalcurves" or name.startswith("extremalcurves."):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     setattr(mod, key, wrapped)
-    return True
+                    replaced.append((mod, key, original))
+    return replaced
 
 
 def install():
@@ -287,9 +316,4 @@ def install():
         if not _replace(module_name, path,
                         lambda fn, name=name: tracer.span(name, fn)):
             tracer.missing.append(f"{module_name}.{path}")
-    for name, targets in COUNTERS.items():
-        for module_name, path in targets:
-            if not _replace(module_name, path,
-                            lambda fn, name=name: tracer.counter(name, fn)):
-                tracer.missing.append(f"{module_name}.{path}")
     return tracer
