@@ -25,18 +25,17 @@ def curve_ring(field):
 
 
 class CoordinateChange:
-    """Invertible linear change of the four coordinates, with its inverse."""
+    """Invertible linear change of the four coordinates."""
 
-    __slots__ = ("field", "matrix", "inverse")
+    __slots__ = ("field", "matrix")
 
     def __init__(self, field, matrix):
         rows = [[field.coerce(v) for v in row] for row in matrix]
         if len(rows) != CURVE_ARITY or any(len(r) != CURVE_ARITY for r in rows):
             raise ValueError("a 4x4 matrix is required")
-        inverse = linalg.mat_inverse(field, rows)  # ValueError when singular
+        linalg.mat_inverse(field, rows)  # ValueError when singular
         self.field = field
         self.matrix = tuple(tuple(r) for r in rows)
-        self.inverse = tuple(tuple(r) for r in inverse)
 
     @classmethod
     def identity(cls, field):
@@ -59,14 +58,18 @@ class CoordinateChange:
     def apply(self, poly):
         return poly.substitute_linear(self.matrix)
 
-    def unapply(self, poly):
-        return poly.substitute_linear(self.inverse)
-
     def __repr__(self):
         return f"CoordinateChange({self.matrix})"
 
 
 def transform_ideal(ideal_basis, change):
+    """Image of an ideal under a coordinate change.
+
+    The identity returns the input object itself, so Groebner bases
+    already cached on it are reused.
+    """
+    if change.is_identity:
+        return ideal_basis
     return IdealBasis(ideal_basis.ring,
                       [change.apply(g) for g in ideal_basis.generators])
 

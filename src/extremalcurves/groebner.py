@@ -7,8 +7,20 @@ saturation and weight-vector initial ideals.
 The kernel works on "keyed" term lists: (order_key, exponent, coeff)
 triples sorted descending.  Every order key in this package is linear in
 the exponent, so multiplying a polynomial by a monomial shifts the keys
-componentwise and never re-sorts.
+componentwise and never re-sorts (`_shifted`).
+
+Division reduces the remainder in place, as in heap division (Monagan &
+Pearce 2009) and geobuckets (Yan 1998).  A `_Remainder` keeps the terms
+still to be handled in an exponent -> coefficient dict, and a heap of
+negated order keys yields the largest of them.  Each step pops the
+leading term, skips it if it has cancelled, and subtracts the scaled
+reducer tail in the dict, so a step costs the size of that tail rather
+than of the whole remainder.  Normal forms, exact quotients and
+S-polynomials all use it.
 """
+
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 from .fields import ContextMismatchError
 from .orders import (CAPACITY, MAX_ARITY, BlockEliminationOrder,
@@ -28,67 +40,67 @@ def _from_keyed(ring, keyed):
 
 
 def _divides(a, b):
-    for i in range(CAPACITY):
-        if a[i] > b[i]:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
-def _merge_sub(a, b, field):
-    """a - b for keyed lists sorted descending."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    sub, neg, is_zero = field.sub, field.neg, field.is_zero
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-        elif ka < kb:
-            kb_, eb, cb = b[j]
-            out.append((kb_, eb, neg(cb)))
-            j += 1
-        else:
-            c = sub(a[i][2], b[j][2])
+def _shifted(reducer, key, exp):
+    """Tail of a reducer times the monomial taking its lead to (key, exp)."""
+    lead_exp, lead_key, tail = reducer
+    sk = tuple(map(sub, key, lead_key))
+    se = tuple(map(sub, exp, lead_exp))
+    return [(tuple(map(add, sk, k)), tuple(map(add, se, e)), c)
+            for (k, e, c) in tail]
+
+
+class _Remainder:
+    """Polynomial under division: exponent -> coefficient dict and a heap.
+
+    The heap holds (negated key, exponent) once per dict entry, so pops
+    come in descending order; a cancelled term keeps a zero coefficient
+    until it is popped and skipped.
+    """
+
+    __slots__ = ("field", "coeffs", "heap")
+
+    def __init__(self, field, keyed):
+        self.field = field
+        self.coeffs = {e: c for (_, e, c) in keyed}
+        self.heap = [(tuple(map(neg, k)), e) for (k, e, _) in keyed]
+        heapify(self.heap)
+
+    def pop(self):
+        """Largest nonzero (key, exponent, coeff) term, or None."""
+        heap, coeffs, is_zero = self.heap, self.coeffs, self.field.is_zero
+        while heap:
+            nk, e = heappop(heap)
+            c = coeffs.pop(e)
             if not is_zero(c):
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    while j < nb:
-        kb_, eb, cb = b[j]
-        out.append((kb_, eb, neg(cb)))
-        j += 1
-    return out
+                return tuple(map(neg, nk)), e, c
+        return None
+
+    def subtract(self, scale, terms):
+        """Subtract scale * terms in place."""
+        coeffs, heap = self.coeffs, self.heap
+        f_sub, f_mul, f_neg = self.field.sub, self.field.mul, self.field.neg
+        for (k, e, c) in terms:
+            old = coeffs.get(e)
+            if old is None:
+                coeffs[e] = f_neg(f_mul(scale, c))
+                heappush(heap, (tuple(map(neg, k)), e))
+            else:
+                coeffs[e] = f_sub(old, f_mul(scale, c))
 
 
-def _normal_form_keyed(terms, reducers, field):
-    """Remainder of a keyed list under division by monic reducer triples."""
+def _normal_form_keyed(rem, reducers):
+    """Keyed remainder of `rem` under division by monic reducer triples."""
     out = []
-    cur = terms
-    i = 0
-    mul = field.mul
-    while i < len(cur):
-        k0, e0, c0 = cur[i]
-        hit = None
+    while (top := rem.pop()) is not None:
         for red in reducers:
-            if _divides(red[0], e0):
-                hit = red
+            if _divides(red[0], top[1]):
+                rem.subtract(top[2], _shifted(red, top[0], top[1]))
                 break
-        if hit is None:
-            out.append(cur[i])
-            i += 1
-            continue
-        lead_exp, lead_key, tail = hit
-        se = tuple(e0[t] - lead_exp[t] for t in range(CAPACITY))
-        sk = tuple(k0[t] - lead_key[t] for t in range(len(k0)))
-        scaled = [(tuple(sk[t] + k[t] for t in range(len(k0))),
-                   tuple(se[t] + e[t] for t in range(CAPACITY)),
-                   mul(c0, c)) for (k, e, c) in tail]
-        cur = _merge_sub(cur[i + 1:], scaled, field)
-        i = 0
+        else:
+            out.append(top)
     return out
 
 
@@ -102,8 +114,17 @@ def _monicize(terms, field):
 
 
 def _as_reducer(terms):
-    """(lead_exp, lead_key, tail) triple of a monic keyed list."""
+    """(lead_exp, lead_key, tail) triple of a keyed list."""
     return (terms[0][1], terms[0][0], terms[1:])
+
+
+def _spoly(a, b, key, field):
+    """S-polynomial of two monic reducer triples, as a _Remainder."""
+    lcm_exp = exp_lcm(a[0], b[0])
+    lcm_key = key(lcm_exp)
+    spoly = _Remainder(field, _shifted(a, lcm_key, lcm_exp))
+    spoly.subtract(field.one, _shifted(b, lcm_key, lcm_exp))
+    return spoly
 
 
 def _buchberger_core(keyed_inputs, order, field):
@@ -154,19 +175,8 @@ def _buchberger_core(keyed_inputs, order, field):
         i, j = min(pairs,
                    key=lambda p: (key(exp_lcm(leads[p[0]], leads[p[1]])), p))
         pairs.discard((i, j))
-        lcm_exp = exp_lcm(leads[i], leads[j])
-        lcm_key = key(lcm_exp)
-        spair = None
-        parts = []
-        for idx in (i, j):
-            lead_exp, lead_key, tail = reducers[idx]
-            sk = tuple(lcm_key[t] - lead_key[t] for t in range(len(lcm_key)))
-            se = tuple(lcm_exp[t] - lead_exp[t] for t in range(CAPACITY))
-            parts.append([(tuple(sk[t] + k[t] for t in range(len(sk))),
-                           tuple(se[t] + e[t] for t in range(CAPACITY)), c)
-                          for (k, e, c) in tail])
-        spair = _merge_sub(parts[0], parts[1], field)
-        remainder = _normal_form_keyed(spair, reducers, field)
+        remainder = _normal_form_keyed(
+            _spoly(reducers[i], reducers[j], key, field), reducers)
         if remainder:
             update(remainder)
 
@@ -191,7 +201,7 @@ def _reduce_basis(G, field):
                 continue
             others = [_as_reducer(b) for j, b in enumerate(basis)
                       if j != idx and b is not None]
-            r = _normal_form_keyed(basis[idx], others, field)
+            r = _normal_form_keyed(_Remainder(field, basis[idx]), others)
             if not r:
                 basis[idx] = None
                 changed = True
@@ -236,8 +246,8 @@ class GroebnerBasis:
     def normal_form(self, f):
         if f.ring.field != self.ring.field:
             raise ContextMismatchError("polynomial and basis fields differ")
-        keyed = _keyed(f, self.ring.order)
-        r = _normal_form_keyed(keyed, self.reducers(), self.ring.field)
+        rem = _Remainder(self.ring.field, _keyed(f, self.ring.order))
+        r = _normal_form_keyed(rem, self.reducers())
         return _from_keyed(self.ring, r).in_ring(f.ring)
 
     def contains(self, f):
@@ -295,19 +305,8 @@ def is_groebner(gb):
     n = len(reducers)
     for i in range(n):
         for j in range(i + 1, n):
-            le_i, lk_i, tail_i = reducers[i]
-            le_j, lk_j, tail_j = reducers[j]
-            lcm_exp = exp_lcm(le_i, le_j)
-            lcm_key = key(lcm_exp)
-            parts = []
-            for (le, lk, tail) in ((le_i, lk_i, tail_i), (le_j, lk_j, tail_j)):
-                sk = tuple(lcm_key[t] - lk[t] for t in range(len(lcm_key)))
-                se = tuple(lcm_exp[t] - le[t] for t in range(CAPACITY))
-                parts.append([(tuple(sk[t] + k[t] for t in range(len(sk))),
-                               tuple(se[t] + e[t] for t in range(CAPACITY)), c)
-                              for (k, e, c) in tail])
-            spair = _merge_sub(parts[0], parts[1], field)
-            if _normal_form_keyed(spair, reducers, field):
+            spair = _spoly(reducers[i], reducers[j], key, field)
+            if _normal_form_keyed(spair, reducers):
                 return False
     return True
 
@@ -468,23 +467,17 @@ def divide_exact(f, g):
     if g.ring != ring:
         raise ContextMismatchError("operands live in different rings")
     field = ring.field
-    g_keyed = _keyed(g, ring.order)
-    lead_key, lead_exp, lead_coeff = g_keyed[0]
-    cur = _keyed(f, ring.order)
+    divisor = _as_reducer(_keyed(g, ring.order))
+    lead_exp, lead_coeff = divisor[0], g.lead_coefficient
+    rem = _Remainder(field, _keyed(f, ring.order))
     quotient = {}
-    mul, div = field.mul, field.div
-    while cur:
-        k0, e0, c0 = cur[0]
+    while (top := rem.pop()) is not None:
+        k0, e0, c0 = top
         if not _divides(lead_exp, e0):
             raise ValueError("polynomial is not divisible")
-        se = tuple(e0[t] - lead_exp[t] for t in range(CAPACITY))
-        sk = tuple(k0[t] - lead_key[t] for t in range(len(k0)))
-        q = div(c0, lead_coeff)
-        quotient[se] = q
-        scaled = [(tuple(sk[t] + k[t] for t in range(len(sk))),
-                   tuple(se[t] + e[t] for t in range(CAPACITY)),
-                   mul(q, c)) for (k, e, c) in g_keyed]
-        cur = _merge_sub(cur, scaled, field)
+        q = field.div(c0, lead_coeff)
+        quotient[tuple(map(sub, e0, lead_exp))] = q
+        rem.subtract(q, _shifted(divisor, k0, e0))
     return Polynomial.from_dict(ring, quotient)
 
 

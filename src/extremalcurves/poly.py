@@ -293,6 +293,9 @@ class Polynomial:
 
         The matrix is arity x arity over the coefficient field; entry
         (i, j) is the coefficient of variable j in the image of variable i.
+        Each term expands to a product of cached powers of the images; the
+        expansions are summed into one coefficient dict that is sorted
+        once, at the end.
         """
         ring = self.ring
         n = ring.arity
@@ -315,14 +318,16 @@ class Polynomial:
                 cached[k] = image_power(i, k - 1) * images[i]
             return cached[k]
 
-        out = ring.zero()
+        acc = {}
+        add = field.add
         for e, c in self.terms:
             term = ring.constant(c)
             for i in range(n):
                 if e[i]:
                     term = term * image_power(i, e[i])
-            out = out + term
-        return out
+            for te, tc in term.terms:
+                acc[te] = add(acc[te], tc) if te in acc else tc
+        return Polynomial.from_dict(ring, acc)
 
     def coefficient_of(self, exponent):
         for e, c in self.terms:
@@ -662,8 +667,3 @@ def binary_forms_coprime(f, g):
     if len(df) <= f.degree and len(dg) <= g.degree:
         return False
     return len(_univariate_gcd(field, df, dg)) <= 1
-
-
-def binary_gcd(f, g):
-    """Gcd of the dehomogenizations, as an ascending coefficient list."""
-    return _univariate_gcd(f.field, f.dehomogenized(), g.dehomogenized())

@@ -215,3 +215,75 @@ def common_projective_root(f_form, g_form, p):
                 and g_form.field.is_zero(g_form.evaluate(z0, w0))):
             return True
     return False
+
+
+def _merge_sub(a, b, key, field):
+    """a - b for (exponent, coeff) lists sorted descending under `key`."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ka, kb = key(a[i][0]), key(b[j][0])
+        if ka > kb:
+            out.append(a[i])
+            i += 1
+        elif ka < kb:
+            out.append((b[j][0], field.neg(b[j][1])))
+            j += 1
+        else:
+            c = field.sub(a[i][1], b[j][1])
+            if not field.is_zero(c):
+                out.append((a[i][0], c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend((e, field.neg(c)) for e, c in b[j:])
+    return out
+
+
+def _divides(a, b):
+    return all(a[i] <= b[i] for i in range(CAP))
+
+
+def _times(terms, mono, scale, field):
+    return [(tuple(e[i] + mono[i] for i in range(CAP)), field.mul(scale, c))
+            for e, c in terms]
+
+
+def merge_normal_form(f_terms, divisors, key, field):
+    """Reference remainder of f under division by monic term lists.
+
+    Every list is (exponent, coeff) pairs sorted descending under `key`.
+    The leading term goes to the remainder, or is cancelled by the first
+    divisor whose lead divides it; the rest of f is then rebuilt by one
+    sorted merge.  Returns the remainder's terms in descending order.
+    """
+    out = []
+    cur = list(f_terms)
+    while cur:
+        e0, c0 = cur[0]
+        for g in divisors:
+            lead = g[0][0]
+            if _divides(lead, e0):
+                mono = tuple(e0[i] - lead[i] for i in range(CAP))
+                cur = _merge_sub(cur[1:], _times(g[1:], mono, c0, field),
+                                 key, field)
+                break
+        else:
+            out.append(cur.pop(0))
+    return out
+
+
+def merge_divide_exact(f_terms, g_terms, key, field):
+    """Reference quotient terms of f / g, or None when g does not divide f."""
+    lead, lead_coeff = g_terms[0]
+    quotient = []
+    cur = list(f_terms)
+    while cur:
+        e0, c0 = cur[0]
+        if not _divides(lead, e0):
+            return None
+        mono = tuple(e0[i] - lead[i] for i in range(CAP))
+        q = field.div(c0, lead_coeff)
+        quotient.append((mono, q))
+        cur = _merge_sub(cur, _times(g_terms, mono, q, field), key, field)
+    return quotient

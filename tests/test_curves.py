@@ -6,6 +6,7 @@ from extremalcurves import (BinaryForm, CoordinateChange, CurveIdeal,
                             hilbert, ideal, ideal_equal, link,
                             random_coordinate_change, saturate_irrelevant,
                             transform_ideal)
+from extremalcurves import groebner
 from extremalcurves.curves import line_xy, quintic_genus_two
 from extremalcurves.groebner import IdealBasis, initial_ideal
 
@@ -133,11 +134,19 @@ def test_random_change_deterministic(gf):
     assert not ideal_equal(moved1.ideal, moved3.ideal)
 
 
-def test_identity_change_is_a_fixed_point(gf):
+def test_identity_change_is_a_fixed_point(gf, monkeypatch):
     curve = fixture("twisted-cubic", gf)
     ident = CoordinateChange.identity(gf)
     assert ident.is_identity
-    assert ideal_equal(transform_ideal(curve.ideal, ident), curve.ideal)
+    cached = curve.ideal.groebner()
+
+    def no_new_basis(*args, **kwargs):
+        raise AssertionError("the cached grevlex basis was not reused")
+
+    monkeypatch.setattr(groebner, "buchberger", no_new_basis)
+    moved = transform_ideal(curve.ideal, ident)
+    assert moved is curve.ideal
+    assert moved.groebner() is cached
 
 
 def test_change_preserves_invariants_and_saturation(gf):

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from extremalcurves import (PolyRing, PrimeField, buchberger, divide_exact,
+from extremalcurves import (QQ, PolyRing, PrimeField, buchberger, divide_exact,
                             eliminate, hilbert, ideal, ideal_equal,
                             ideal_intersect, ideal_membership, ideal_quotient,
                             ideal_quotient_poly, initial_ideal, is_groebner,
                             normal_form, restrict_to_ring, saturate_irrelevant,
                             saturate_poly)
-from extremalcurves.groebner import IdealBasis
+from extremalcurves.groebner import GroebnerBasis, IdealBasis
+from extremalcurves.orders import (CAPACITY, BlockEliminationOrder,
+                                   GrevlexOrder, WeightRefinedOrder)
+from extremalcurves.poly import Polynomial
 
 import oracles
 from test_poly import random_poly
@@ -318,7 +322,6 @@ def test_saturate_poly_matches_iterated_quotient(ring):
 def test_normal_form_is_reducer_order_independent(ring):
     rng = random.Random(83)
     basis = twisted_cubic_ideal(ring).groebner()
-    from extremalcurves.groebner import GroebnerBasis
     shuffled = list(basis.elements)
     rng.shuffle(shuffled)
     permuted = GroebnerBasis(basis.ring, tuple(shuffled))
@@ -339,6 +342,69 @@ def test_divide_exact_roundtrip(ring):
     x = ring.gen(0)
     with pytest.raises(ValueError):
         divide_exact(x + ring.one(), x)
+
+
+# the division kernel against the merge-based reference reducer, in both
+# fields and in each kind of order the pipeline uses; d is the degree in
+# the (d, 2, 1, 1) weight vector
+DIVISION_FIELDS = [PrimeField(32003), QQ]
+DIVISION_ORDERS = [lambda d: GrevlexOrder(4),
+                   lambda d: WeightRefinedOrder((d, 2, 1, 1)),
+                   lambda d: BlockEliminationOrder((5, 6), 7)]
+
+
+def _polys(ring, max_terms):
+    field = ring.field
+    if field == QQ:
+        coeffs = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    else:
+        coeffs = st.integers(1, field.characteristic - 1)
+    exps = st.tuples(*[st.integers(0, 2)] * ring.arity).map(
+        lambda e: e + (0,) * (CAPACITY - ring.arity))
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms).map(
+        lambda acc: Polynomial.from_dict(ring, acc))
+
+
+def _division_ring(field, make_order, data):
+    order = make_order(data.draw(st.integers(3, 12)))
+    return PolyRing(field, order.arity, order)
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=["gf", "qq"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_normal_form_matches_merge_reference(field, make_order, data):
+    ring = _division_ring(field, make_order, data)
+    # any monic divisor list defines a division; it need not be a basis
+    divisors = [g.monic() for g in
+                data.draw(st.lists(_polys(ring, 4), min_size=1, max_size=4))]
+    f = data.draw(_polys(ring, 10))
+    expected = oracles.merge_normal_form(
+        f.terms, [g.terms for g in divisors], ring.order.key, field)
+    remainder = GroebnerBasis(ring, tuple(divisors)).normal_form(f)
+    assert remainder.terms == tuple(expected)
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=["gf", "qq"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_divide_exact_matches_merge_reference(field, make_order, data):
+    ring = _division_ring(field, make_order, data)
+    g = data.draw(_polys(ring, 4))
+    f = data.draw(_polys(ring, 4)) * g
+    if data.draw(st.booleans()):
+        f = f + data.draw(_polys(ring, 2))
+    expected = oracles.merge_divide_exact(f.terms, g.terms, ring.order.key,
+                                          field)
+    if expected is None:
+        with pytest.raises(ValueError):
+            divide_exact(f, g)
+    else:
+        assert divide_exact(f, g).terms == tuple(expected)
 
 
 def test_ideal_equality_is_presentation_independent(ring):

@@ -104,6 +104,38 @@ def test_substitute_roundtrip_random_matrix(ring):
         assert g.substitute_linear(m_inv) == f
 
 
+def _evaluate(f, point):
+    field = f.ring.field
+    total = field.zero
+    for e, c in f.terms:
+        for v, k in zip(point, e):
+            for _ in range(k):
+                c = field.mul(c, v)
+        total = field.add(total, c)
+    return total
+
+
+@pytest.mark.parametrize("field", [PrimeField(), QQ], ids=["gf", "qq"])
+def test_substitute_linear_matches_evaluation(field):
+    from extremalcurves import linalg
+    ring = curve_ring(field)
+    rng = random.Random(17)
+    for _ in range(4):
+        while True:
+            m = [[field.coerce(rng.randint(-9, 9)) for _ in range(4)]
+                 for _ in range(4)]
+            if linalg.mat_is_invertible(field, m):
+                break
+        f = random_poly(ring, rng, rng.randint(1, 5), terms=12,
+                        homogeneous=False)
+        g = f.substitute_linear(m)
+        for _ in range(3):
+            p = [field.coerce(rng.randint(-20, 20)) for _ in range(4)]
+            mp = [sum((field.mul(m[i][j], p[j]) for j in range(4)),
+                      field.zero) for i in range(4)]
+            assert _evaluate(g, p) == _evaluate(f, mp)
+
+
 def test_substitute_singular_matrix_rejected(ring):
     x = ring.gen(0)
     zero = ring.field.zero
