@@ -7,31 +7,30 @@ with its extremal certificates.
 """
 
 from .fields import (QQ, DEFAULT_MODULUS, ContextMismatchError, PrimeField,
-                     RationalField, field_of_characteristic, scalar_arith,
-                     scalar_inverse)
+                     RationalField, field_of_characteristic)
 from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder, compare_monomials)
 from .poly import (BinaryForm, ParseError, PolyRing, Polynomial,
-                   binary_forms_coprime, parse_polynomial, poly_arith,
+                   binary_forms_coprime, parse_polynomial,
                    polynomial_to_string)
 from .groebner import (GroebnerBasis, IdealBasis, buchberger, divide_exact,
                        eliminate, ideal, ideal_equal, ideal_intersect,
-                       ideal_membership, ideal_quotient, ideal_quotient_poly,
-                       ideal_sum, initial_ideal, is_groebner, normal_form,
+                       ideal_quotient, ideal_quotient_poly, ideal_sum,
+                       initial_ideal, is_groebner, normal_form,
                        restrict_to_ring, saturate_irrelevant, saturate_poly,
                        saturate_variable)
 from .hilbert import HilbertData, curve_degree_genus, graded_dimension, hilbert
-from .curves import (CoordinateChange, CurveIdeal, complete_intersection,
-                     curve_ring, extremal_curve, fixture, fixture_names,
-                     from_parametrization, link, random_coordinate_change,
-                     transform_ideal)
+from .curves import (CoordinateChange, CurveIdeal, Invariants,
+                     complete_intersection, curve_ring, extremal_curve,
+                     fixture, fixture_names, from_parametrization, link,
+                     random_coordinate_change, transform_ideal)
 from .degeneration import (DegenerationError, ExtremalCertificate,
-                           MonoidSurface, MonoidSurfaceError, RhoBound,
+                           MonoidSurface, MonoidSurfaceError,
                            SpecializationError, SpecializationReport,
                            StarProbeReport, check_disjoint_line,
                            condition_star_probe, emit_family,
                            find_monoid_surface, monoid_template,
-                           pipeline_weights, rao_dims_extremal, rho,
-                           rho_table, specialize, verify_extremal_shape)
+                           pipeline_weights, rao_dims_extremal, specialize,
+                           verify_extremal_shape)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Subcommands: analyze, specialize, verify-extremal, rho, demo.  Exit codes:
-0 success, 2 trivial/boundary branch, 3 pipeline failure after retries,
-4 invalid input.  All randomness flows from --seed; there is no wall-clock
-entropy anywhere.
+Subcommands: analyze, specialize, verify-extremal, rho, demo, probe.
+Exit codes: 0 success, 2 trivial/boundary branch, 3 pipeline failure after
+retries, 4 invalid input.  All randomness flows from --seed; there is no
+wall-clock entropy anywhere.
 """
 
 import argparse
@@ -14,9 +14,9 @@ from .fields import DEFAULT_MODULUS, field_of_characteristic
 from .poly import ParseError, parse_polynomial
 from .groebner import IdealBasis, ideal_equal, saturate_irrelevant
 from .hilbert import hilbert
-from .curves import CurveIdeal, curve_ring, fixture
+from .curves import CurveIdeal, Invariants, curve_ring, fixture
 from .degeneration import (SpecializationError, condition_star_probe,
-                           rho_table, specialize, verify_extremal_shape)
+                           specialize, verify_extremal_shape)
 
 EXIT_OK = 0
 EXIT_BOUNDARY = 2
@@ -93,12 +93,13 @@ def load_ideal_file(path, char_override=None):
 def report_to_dict(report):
     """JSON-ready dictionary for a specialization report."""
     cert = report.certificate
+    inv = report.invariants
     return {
-        "d": report.d,
-        "g": report.g,
-        "a": report.a,
-        "l": report.l,
-        "nu": report.nu,
+        "d": inv.d,
+        "g": inv.g,
+        "a": inv.a,
+        "l": inv.l,
+        "nu": inv.nu,
         "branch": report.branch,
         "omega": list(report.omega),
         "seed": report.seed,
@@ -115,9 +116,12 @@ def report_to_dict(report):
     }
 
 
+def _invariants_line(inv):
+    return f"d={inv.d} g={inv.g} a={inv.a} l={inv.l} nu={inv.nu}"
+
+
 def _print_report(report, out):
-    print(f"d={report.d} g={report.g} a={report.a} l={report.l} "
-          f"nu={report.nu}", file=out)
+    print(_invariants_line(report.invariants), file=out)
     print(f"branch: {report.branch}   retries: {report.retries}   "
           f"omega: {report.omega}", file=out)
     if report.surface is not None:
@@ -148,17 +152,14 @@ def cmd_analyze(args, out=None):
         print(f"error: scheme has dimension {hd.dimension}, not a curve",
               file=out)
         return EXIT_INVALID
-    d, g = hd.degree, hd.genus
+    inv = Invariants(hd.degree, hd.genus)
     saturated = ideal_equal(basis, saturate_irrelevant(basis))
-    if g == (d - 1) * (d - 2) // 2:
-        print(f"d={d} g={g} (plane curve)"
+    if inv.g == inv.plane_bound:
+        print(f"d={inv.d} g={inv.g} (plane curve)"
               f"  dimension=1 saturated={'yes' if saturated else 'no'}",
               file=out)
         return EXIT_OK
-    a = (d - 2) * (d - 3) // 2 - g
-    l = d - 2
-    nu = a + l
-    print(f"d={d} g={g} a={a} l={l} nu={nu} dimension=1 "
+    print(f"{_invariants_line(inv)} dimension=1 "
           f"saturated={'yes' if saturated else 'no'}", file=out)
     return EXIT_OK
 
@@ -209,13 +210,13 @@ def cmd_rho(args, out=None):
         except ValueError:
             print(f"error: malformed range {args.range!r}", file=out)
             return EXIT_INVALID
+    inv = Invariants(args.d, args.g)
     try:
-        values = rho_table(args.d, args.g, lo, hi)
+        values = inv.rho_table(lo, hi)
     except ValueError as err:
         print(f"error: {err}", file=out)
         return EXIT_INVALID
-    a = (args.d - 2) * (args.d - 3) // 2 - args.g
-    start = lo if lo is not None else 1 - a
+    start = lo if lo is not None else 1 - inv.a
     for offset, value in enumerate(values):
         print(f"{start + offset:>4}  {value}", file=out)
     return EXIT_OK
@@ -231,8 +232,7 @@ def cmd_demo(args, out=None):
         print(f"error: {err}", file=out)
         return EXIT_INVALID
     print(f"fixture: {args.name}", file=out)
-    print(f"d={curve.degree} g={curve.genus} a={curve.a} l={curve.l} "
-          f"nu={curve.nu}", file=out)
+    print(_invariants_line(curve.invariants), file=out)
     print("generators:", file=out)
     for g in curve.ideal.groebner().elements:
         print(f"  {g}", file=out)

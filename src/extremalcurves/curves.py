@@ -7,10 +7,10 @@ pipeline certifies its output and trusts its input to be a curve.
 """
 
 import random
+from dataclasses import dataclass
 
 from .fields import ContextMismatchError
-from .poly import (BinaryForm, PolyRing, binary_forms_coprime,
-                   _univariate_gcd)
+from .poly import BinaryForm, PolyRing, binary_forms_coprime
 from .groebner import (IdealBasis, eliminate, ideal_quotient,
                        restrict_to_ring, saturate_irrelevant)
 from .hilbert import hilbert
@@ -74,14 +74,99 @@ def transform_ideal(ideal_basis, change):
                       [change.apply(g) for g in ideal_basis.generators])
 
 
-class CurveIdeal:
-    """Saturated homogeneous ideal of a curve with cached invariants.
+@dataclass(frozen=True)
+class Invariants:
+    """The numbers the degeneration pipeline keys on for degree d, genus g.
 
-    Besides degree d and arithmetic genus g, the derived quantities
-    a = (d-2)(d-3)/2 - g (the maximal Rao dimension), l = d - 2 and
-    nu = (d-1)(d-2)/2 - g = a + l recur throughout the degeneration
-    pipeline and are exposed as properties.
+    a = (d-2)(d-3)/2 - g is the maximal Rao dimension, l = d - 2 and
+    nu = (d-1)(d-2)/2 - g = a + l; the monoid surface has degree nu + 1.
+    Genus (d-1)(d-2)/2 is the plane bound and (d-2)(d-3)/2 the non-planar
+    (ACM) maximum.
     """
+
+    d: int
+    g: int
+
+    @property
+    def plane_bound(self):
+        return (self.d - 1) * (self.d - 2) // 2
+
+    @property
+    def acm_bound(self):
+        return (self.d - 2) * (self.d - 3) // 2
+
+    @property
+    def a(self):
+        return self.acm_bound - self.g
+
+    @property
+    def l(self):
+        return self.d - 2
+
+    @property
+    def nu(self):
+        return self.plane_bound - self.g
+
+    @property
+    def branch(self):
+        """How `specialize` treats the curve: "plane", "ACM-boundary" or
+        "general".  Any other genus above the non-planar maximum raises."""
+        if self.g == self.plane_bound:
+            return "plane"
+        if self.g > self.acm_bound:
+            raise ValueError(
+                f"no non-planar curve has degree {self.d} and genus {self.g}; "
+                "the input ideal is not a curve of the stated kind")
+        if self.g == self.acm_bound:
+            return "ACM-boundary"
+        return "general"
+
+    def require_bound(self):
+        """Raise ValueError unless the sharp Rao bound is defined."""
+        if self.d < 2:
+            raise ValueError("the bound requires degree at least 2")
+        if self.g > self.acm_bound:
+            raise ValueError(
+                f"genus {self.g} exceeds the non-planar maximum "
+                f"{self.acm_bound} for degree {self.d}")
+
+    def require_extremal(self):
+        """Raise ValueError unless extremal curves exist: d >= 2, a >= 1."""
+        if self.d < 2:
+            raise ValueError("extremal curves need degree at least 2")
+        if self.a <= 0:
+            raise ValueError(
+                "genus must lie strictly below (d-2)(d-3)/2; at the boundary "
+                "use the plane or complete-intersection constructors")
+
+    def rho(self, n):
+        """Sharp upper bound for the Rao function of a non-planar curve:
+        a trapezoid with plateau a over [0, l]."""
+        self.require_bound()
+        a, l = self.a, self.l
+        if n <= -a:
+            return 0
+        if n <= 0:
+            return n + a
+        if n <= l:
+            return a
+        if n <= a + l:
+            return a + l - n
+        return 0
+
+    def rho_table(self, lo=None, hi=None):
+        """Values of the bound over an integer range; default [1-a, a+l]."""
+        self.require_bound()
+        if lo is None:
+            lo = 1 - self.a
+        if hi is None:
+            hi = self.nu
+        return tuple(self.rho(n) for n in range(lo, hi + 1))
+
+
+class CurveIdeal:
+    """Saturated homogeneous ideal of a curve with its degree d and
+    arithmetic genus g; `invariants` derives a, l and nu from them."""
 
     __slots__ = ("ideal", "degree", "genus")
 
@@ -117,24 +202,8 @@ class CurveIdeal:
         return self.ideal.ring.field
 
     @property
-    def a(self):
-        return (self.degree - 2) * (self.degree - 3) // 2 - self.genus
-
-    @property
-    def l(self):
-        return self.degree - 2
-
-    @property
-    def nu(self):
-        return (self.degree - 1) * (self.degree - 2) // 2 - self.genus
-
-    @property
-    def is_planar_genus(self):
-        return self.genus == (self.degree - 1) * (self.degree - 2) // 2
-
-    @property
-    def is_acm_boundary_genus(self):
-        return self.genus == (self.degree - 2) * (self.degree - 3) // 2
+    def invariants(self):
+        return Invariants(self.degree, self.genus)
 
     def __repr__(self):
         return (f"CurveIdeal(d={self.degree}, g={self.genus}, "
@@ -144,21 +213,15 @@ class CurveIdeal:
 def extremal_curve(field, d, g, f_form, g_form):
     """The degree-d genus-g curve supported on x = y = 0 cut out by
     x^2, x*y, y^d and x*G - y^(d-1)*F for coprime binary forms F, G."""
-    if d < 2:
-        raise ValueError("extremal curves need degree at least 2")
-    acm_bound = (d - 2) * (d - 3) // 2
-    if g >= acm_bound:
-        raise ValueError(
-            "genus must lie strictly below (d-2)(d-3)/2; at the boundary "
-            "use the plane or complete-intersection constructors")
-    a = acm_bound - g
-    l = d - 2
+    inv = Invariants(d, g)
+    inv.require_extremal()
+    a, nu = inv.a, inv.nu
     if f_form.field != field or g_form.field != field:
         raise ContextMismatchError("forms live over a different field")
     if f_form.degree != a:
         raise ValueError(f"first form must have degree {a}")
-    if g_form.degree != a + l:
-        raise ValueError(f"second form must have degree {a + l}")
+    if g_form.degree != nu:
+        raise ValueError(f"second form must have degree {nu}")
     if f_form.is_zero or g_form.is_zero:
         raise ValueError("zero form supplied")
     if not binary_forms_coprime(f_form, g_form):
@@ -171,18 +234,6 @@ def extremal_curve(field, d, g, f_form, g_form):
     if (curve.degree, curve.genus) != (d, g):
         raise AssertionError("extremal constructor produced wrong invariants")
     return curve
-
-
-def _forms_have_common_zero(field, forms):
-    """Best-effort common-zero test of a family of binary forms."""
-    # a common zero away from (1, 0) shows up in the gcd of dehomogenizations,
-    # a common zero at (1, 0) means every form is divisible by the second slot
-    gcd = forms[0].dehomogenized()
-    for f in forms[1:]:
-        gcd = _univariate_gcd(field, gcd, f.dehomogenized())
-    if len(gcd) > 1:
-        return True
-    return all(len(f.dehomogenized()) <= f.degree for f in forms)
 
 
 def from_parametrization(field, forms):
@@ -199,7 +250,7 @@ def from_parametrization(field, forms):
         raise ValueError("constant parametrizations are degenerate")
     if any(f.is_zero for f in forms):
         raise ValueError("degenerate parametrization: a component is zero")
-    if _forms_have_common_zero(field, forms):
+    if not binary_forms_coprime(*forms):
         raise ValueError("degenerate parametrization: common zero")
     # slots 5, 6 are the parameter variables; eliminate them from the graph
     big = PolyRing(field, 7)
@@ -332,10 +383,10 @@ def fixture(name, field):
             d, g = int(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"malformed fixture name {name!r}") from None
-        a = (d - 2) * (d - 3) // 2 - g
-        l = d - 2
-        f_form = BinaryForm.monomial(field, a, 0)        # z^a
-        g_form = BinaryForm.monomial(field, a + l, a + l)  # w^(a+l)
+        inv = Invariants(d, g)
+        inv.require_extremal()
+        f_form = BinaryForm.monomial(field, inv.a, 0)        # z^a
+        g_form = BinaryForm.monomial(field, inv.nu, inv.nu)  # w^(a+l)
         return extremal_curve(field, d, g, f_form, g_form)
     raise ValueError(
         f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")

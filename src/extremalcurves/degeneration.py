@@ -16,7 +16,7 @@ from .poly import BinaryForm, Polynomial, binary_forms_coprime
 from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
                        ideal_sum, initial_ideal, saturate_irrelevant)
 from .hilbert import hilbert
-from .curves import (CURVE_ARITY, CoordinateChange, CurveIdeal,
+from .curves import (CURVE_ARITY, CoordinateChange, CurveIdeal, Invariants,
                      transform_ideal)
 from . import linalg
 
@@ -43,65 +43,8 @@ class SpecializationError(DegenerationError):
 
 
 # ---------------------------------------------------------------------------
-# the sharp Rao bound
+# Rao dimensions of extremal curves
 # ---------------------------------------------------------------------------
-
-def _bound_parameters(d, g):
-    if d < 2:
-        raise ValueError("the bound requires degree at least 2")
-    acm_bound = (d - 2) * (d - 3) // 2
-    if g > acm_bound:
-        raise ValueError(
-            f"genus {g} exceeds the non-planar maximum {acm_bound} for degree {d}")
-    return acm_bound - g, d - 2
-
-
-def rho(d, g, n):
-    """Sharp upper bound for the Rao function of a non-planar curve:
-    a trapezoid with plateau a = (d-2)(d-3)/2 - g over [0, d-2]."""
-    a, l = _bound_parameters(d, g)
-    if n <= -a:
-        return 0
-    if n <= 0:
-        return n + a
-    if n <= l:
-        return a
-    if n <= a + l:
-        return a + l - n
-    return 0
-
-
-def rho_table(d, g, lo=None, hi=None):
-    """Values of the bound over an integer range; default [1-a, a+l]."""
-    a, l = _bound_parameters(d, g)
-    if lo is None:
-        lo = 1 - a
-    if hi is None:
-        hi = a + l
-    return tuple(rho(d, g, n) for n in range(lo, hi + 1))
-
-
-@dataclass(frozen=True)
-class RhoBound:
-    """The bound profile for one (d, g), with its evaluation table."""
-
-    d: int
-    g: int
-
-    @property
-    def a(self):
-        return _bound_parameters(self.d, self.g)[0]
-
-    @property
-    def l(self):
-        return _bound_parameters(self.d, self.g)[1]
-
-    def __call__(self, n):
-        return rho(self.d, self.g, n)
-
-    def table(self, lo=None, hi=None):
-        return rho_table(self.d, self.g, lo, hi)
-
 
 def _quotient_series_dims(a, b):
     """Graded dimensions of k[z,w]/(F,G) for coprime forms of degrees a, b,
@@ -310,11 +253,12 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
 
 def find_monoid_surface(curve, rng=None):
     """Monoid surface through a curve; requires disjointness from z = w = 0."""
-    _bound_parameters(curve.degree, curve.genus)
+    inv = curve.invariants
+    inv.require_bound()
     if not check_disjoint_line(curve):
         raise ValueError(
             "the curve meets the line z = w = 0; change coordinates first")
-    return _find_monoid_surface(curve.ideal, curve.degree, curve.nu, rng)
+    return _find_monoid_surface(curve.ideal, inv.d, inv.nu, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +269,7 @@ def find_monoid_surface(curve, rng=None):
 class ExtremalCertificate:
     """Outcome of the four-generator shape test with the Rao/bound tables."""
 
-    d: int
-    g: int
+    invariants: Invariants
     extremal: bool
     failure: object = None          # first failing clause, or None
     f_form: object = None           # BinaryForm of degree a
@@ -336,17 +279,9 @@ class ExtremalCertificate:
     rao: tuple = ()
     rho: tuple = ()
 
-    @property
-    def a(self):
-        return (self.d - 2) * (self.d - 3) // 2 - self.g
 
-    @property
-    def l(self):
-        return self.d - 2
-
-
-def _fail(d, g, clause):
-    return ExtremalCertificate(d=d, g=g, extremal=False, failure=clause)
+def _fail(inv, clause):
+    return ExtremalCertificate(invariants=inv, extremal=False, failure=clause)
 
 
 def verify_extremal_shape(ideal_basis, d, g):
@@ -355,24 +290,24 @@ def verify_extremal_shape(ideal_basis, d, g):
     the sharp bound at every twist."""
     ring = ideal_basis.ring
     field = ring.field
-    if d < 2 or g >= (d - 2) * (d - 3) // 2:
-        return _fail(d, g, "invariants")
-    a, l = _bound_parameters(d, g)
-    nu = a + l
+    inv = Invariants(d, g)
+    if d < 2 or inv.a <= 0:
+        return _fail(inv, "invariants")
+    a, nu = inv.a, inv.nu
     x, y = ring.gen(0), ring.gen(1)
     monomial_gens = (x * x, x * y, y ** d)
     gb = ideal_basis.groebner(WeightRefinedOrder(pipeline_weights(d), CURVE_ARITY))
     for m in monomial_gens:
         if not gb.contains(m):
-            return _fail(d, g, "membership")
+            return _fail(inv, "membership")
     elements = list(gb.elements)
     others = [e for e in elements
               if e.terms not in {m.terms for m in monomial_gens}]
     if len(elements) != 4 or len(others) != 1:
-        return _fail(d, g, "shape")
+        return _fail(inv, "shape")
     mixed = others[0]
     if mixed.degree != nu + 1 or not mixed.is_homogeneous:
-        return _fail(d, g, "shape")
+        return _fail(inv, "shape")
     g_coeffs = [field.zero] * (nu + 1)
     f_coeffs = [field.zero] * (a + 1)
     for e, c in mixed.terms:
@@ -382,24 +317,24 @@ def verify_extremal_shape(ideal_basis, d, g):
         elif e[0] == 0 and e[1] == d - 1 and zw == a:
             f_coeffs[e[3]] = field.neg(c)
         else:
-            return _fail(d, g, "shape")
+            return _fail(inv, "shape")
     g_form = BinaryForm(field, g_coeffs)
     f_form = BinaryForm(field, f_coeffs)
     if g_form.is_zero or f_form.is_zero:
-        return _fail(d, g, "shape")
+        return _fail(inv, "shape")
     if not binary_forms_coprime(f_form, g_form):
-        return _fail(d, g, "coprimality")
+        return _fail(inv, "coprimality")
     rebuilt_gens = monomial_gens + (
         x * g_form.to_polynomial(ring) - y ** (d - 1) * f_form.to_polynomial(ring),)
     rebuilt = IdealBasis(ring, rebuilt_gens)
     if not ideal_equal(ideal_basis, rebuilt):
-        return _fail(d, g, "ideal-equality")
-    rao = rao_dims_extremal(f_form, g_form, a, l)
-    bound = rho_table(d, g)
+        return _fail(inv, "ideal-equality")
+    rao = rao_dims_extremal(f_form, g_form, a, inv.l)
+    bound = inv.rho_table()
     if rao != bound:
-        return _fail(d, g, "rao-table")
+        return _fail(inv, "rao-table")
     return ExtremalCertificate(
-        d=d, g=g, extremal=True, f_form=f_form, g_form=g_form,
+        invariants=inv, extremal=True, f_form=f_form, g_form=g_form,
         generators=rebuilt.generators, n_start=1 - a, rao=rao, rho=bound)
 
 
@@ -442,8 +377,7 @@ def emit_family(curve_or_ideal, weights):
 class SpecializationReport:
     """Full record of one specialization run."""
 
-    d: int
-    g: int
+    invariants: Invariants
     branch: str                      # "plane" | "ACM-boundary" | "general"
     omega: tuple
     seed: int
@@ -460,37 +394,21 @@ class SpecializationReport:
     rho: tuple = ()
     diagnostics: tuple = ()
 
-    @property
-    def a(self):
-        return (self.d - 2) * (self.d - 3) // 2 - self.g
-
-    @property
-    def l(self):
-        return self.d - 2
-
-    @property
-    def nu(self):
-        return (self.d - 1) * (self.d - 2) // 2 - self.g
-
 
 def _attempt_rng(seed, attempt):
     # string seeding is stable across runs and platforms
     return random.Random(f"{seed}:{attempt}")
 
 
-def _boundary_report(curve, branch, seed):
-    d, g = curve.degree, curve.genus
-    a = (d - 2) * (d - 3) // 2 - g
-    l = d - 2
-    if a == 0:
-        n_start = 1 - a
-        zeros = tuple(0 for _ in range(n_start, a + l + 1))
+def _boundary_report(curve, inv, seed):
+    if inv.a == 0:      # the Rao function vanishes on [1 - a, a + l]
+        n_start, zeros = 1, (0,) * inv.l
     else:
         n_start, zeros = None, ()
     family = tuple(str(g_) for g_ in curve.ideal.generators)
     return SpecializationReport(
-        d=d, g=g, branch=branch, omega=pipeline_weights(d), seed=seed,
-        retries=0, change=CoordinateChange.identity(curve.field),
+        invariants=inv, branch=inv.branch, omega=pipeline_weights(inv.d),
+        seed=seed, retries=0, change=CoordinateChange.identity(curve.field),
         transformed=curve.ideal, surface=None, limit=curve.ideal,
         certificate=None, family=family, extremal=True,
         n_start=n_start, rao=zeros, rho=zeros)
@@ -504,21 +422,13 @@ def specialize(curve, seed=0, max_retries=5):
     are their own limit with zero retries) and each retry draws a fresh
     seeded random coordinate change.
     """
-    d, g = curve.degree, curve.genus
-    plane_bound = (d - 1) * (d - 2) // 2
-    acm_bound = (d - 2) * (d - 3) // 2
-    if g == plane_bound:
-        return _boundary_report(curve, "plane", seed)
-    if g > acm_bound:
-        raise ValueError(
-            f"no non-planar curve has degree {d} and genus {g}; "
-            "the input ideal is not a curve of the stated kind")
-    if g == acm_bound:
-        return _boundary_report(curve, "ACM-boundary", seed)
+    inv = curve.invariants
+    if inv.branch != "general":
+        return _boundary_report(curve, inv, seed)
 
+    d, g, nu = inv.d, inv.g, inv.nu
     omega = pipeline_weights(d)
     field = curve.field
-    nu = curve.nu
     diagnostics = []
     for attempt in range(max_retries + 1):
         rng = _attempt_rng(seed, attempt)
@@ -543,7 +453,7 @@ def specialize(curve, seed=0, max_retries=5):
         if certificate.extremal:
             family = tuple(emit_family(moved, omega))
             return SpecializationReport(
-                d=d, g=g, branch="general", omega=omega, seed=seed,
+                invariants=inv, branch="general", omega=omega, seed=seed,
                 retries=attempt, change=change, transformed=moved,
                 surface=surface, limit=limit, certificate=certificate,
                 family=family, extremal=True, n_start=certificate.n_start,
@@ -585,12 +495,13 @@ def condition_star_probe(curve):
     """
     ideal_basis = curve.ideal
     ring = ideal_basis.ring
+    nu = curve.invariants.nu
     j1 = saturate_irrelevant(initial_ideal(ideal_basis, (1, 0, 0, 0)))
     x = ring.gen(0)
     if not j1.contains(x * x):
         return StarProbeReport(
             initial_limit=j1, double_plane=False, z_ideal=None,
-            z_degree=None, expected=curve.nu, ok=False,
+            z_degree=None, expected=nu, ok=False,
             note="projection limit is not contained in the double plane: "
                  "some line through (1,0,0,0) meets the curve with degree "
                  ">= 3, or the curve passes through the point")
@@ -599,12 +510,12 @@ def condition_star_probe(curve):
     if hd.dimension != 0:
         return StarProbeReport(
             initial_limit=j1, double_plane=True, z_ideal=z_ideal,
-            z_degree=None, expected=curve.nu, ok=False,
+            z_degree=None, expected=nu, ok=False,
             note=f"residual scheme has dimension {hd.dimension}, expected 0")
     degree = hd.degree
-    ok = degree == curve.nu
+    ok = degree == nu
     note = "" if ok else (
-        f"residual scheme has length {degree}, expected {curve.nu}")
+        f"residual scheme has length {degree}, expected {nu}")
     return StarProbeReport(
         initial_limit=j1, double_plane=True, z_ideal=z_ideal,
-        z_degree=degree, expected=curve.nu, ok=ok, note=note)
+        z_degree=degree, expected=nu, ok=ok, note=note)

@@ -199,18 +199,3 @@ def field_of_characteristic(c):
     """Field for a CLI-style characteristic argument: 0 gives QQ, p gives GF(p)."""
     return QQ if c == 0 else PrimeField(c)
 
-
-def scalar_arith(field, a, b, op):
-    """Apply one of add|sub|mul to two elements of the given field."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    raise ValueError(f"unknown scalar operation {op!r}")
-
-
-def scalar_inverse(field, a):
-    """Multiplicative inverse of a nonzero field element."""
-    return field.inv(a)

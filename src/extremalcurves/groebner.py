@@ -386,10 +386,6 @@ def normal_form(f, basis):
     return basis.normal_form(f)
 
 
-def ideal_membership(f, ideal_basis):
-    return ideal_basis.groebner().contains(f)
-
-
 def ideal_equal(a, b):
     """Canonical comparison via reduced grevlex bases."""
     _check_rings(a, b)

@@ -11,22 +11,6 @@ def mat_identity(field, n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(field, a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = field.zero
-            for t in range(k):
-                acc = field.add(acc, field.mul(ai[t], b[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def rref(field, rows, ncols):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     rows = [list(r) for r in rows]

@@ -257,14 +257,6 @@ class Polynomial:
         kept = tuple(t for t, d in zip(self.terms, wdegs) if d == top)
         return Polynomial(self.ring, kept)
 
-    def reorder(self, order):
-        ring = self.ring.with_order(order)
-        if ring is self.ring:
-            return self
-        key = order.key
-        terms = sorted(self.terms, key=lambda t: key(t[0]), reverse=True)
-        return Polynomial(ring, tuple(terms))
-
     def in_ring(self, ring):
         """Reinterpret in a compatible ring (same field, enough arity)."""
         if ring.field != self.ring.field:
@@ -351,17 +343,6 @@ def _weights_for_ring(ring, weights):
     if not any(w):
         raise ValueError("weight vector must not be zero")
     return w
-
-
-def poly_arith(f, g, op):
-    """Named dispatch mirror of the +, -, * operators."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown polynomial operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +514,10 @@ class BinaryForm:
 
     @classmethod
     def monomial(cls, field, degree, w_power, coeff=1):
+        if degree < 0:
+            raise ValueError(f"form degree {degree} is negative")
+        if not 0 <= w_power <= degree:
+            raise ValueError(f"w power {w_power} lies outside [0, {degree}]")
         coeffs = [field.zero] * (degree + 1)
         coeffs[w_power] = field.coerce(coeff)
         return cls(field, coeffs)
@@ -648,22 +633,26 @@ def _univariate_gcd(field, a, b):
     return a
 
 
-def binary_forms_coprime(f, g):
-    """True when two nonzero binary forms share no projective zero.
+def binary_forms_coprime(f, g, *more):
+    """True when two or more nonzero binary forms share no projective zero.
 
     Checks the gcd of the dehomogenizations and the common root at the
-    point where the second variable vanishes; equivalent to a nonzero
-    Sylvester resultant.
+    point where the second variable vanishes; for two forms this is
+    equivalent to a nonzero Sylvester resultant.
     """
-    if not isinstance(f, BinaryForm) or not isinstance(g, BinaryForm):
+    forms = (f, g) + more
+    if not all(isinstance(h, BinaryForm) for h in forms):
         raise TypeError("binary forms expected")
-    if f.field != g.field:
-        raise ContextMismatchError("forms live over different fields")
-    if f.is_zero or g.is_zero:
-        raise ValueError("coprimality is undefined for the zero form")
     field = f.field
-    df, dg = f.dehomogenized(), g.dehomogenized()
-    # both divisible by the second variable: common zero at (1, 0)
-    if len(df) <= f.degree and len(dg) <= g.degree:
+    if any(h.field != field for h in forms):
+        raise ContextMismatchError("forms live over different fields")
+    if any(h.is_zero for h in forms):
+        raise ValueError("coprimality is undefined for the zero form")
+    dehomogenized = [h.dehomogenized() for h in forms]
+    # all divisible by the second variable: common zero at (1, 0)
+    if all(len(dh) <= h.degree for dh, h in zip(dehomogenized, forms)):
         return False
-    return len(_univariate_gcd(field, df, dg)) <= 1
+    gcd = dehomogenized[0]
+    for dh in dehomogenized[1:]:
+        gcd = _univariate_gcd(field, gcd, dh)
+    return len(gcd) <= 1

@@ -110,6 +110,12 @@ def test_rho_tables():
 def test_rho_invalid_input():
     code, _ = run_cli(["rho", "4", "2"])
     assert code == EXIT_INVALID
+    code, out = run_cli(["rho", "4", "5"])
+    assert code == EXIT_INVALID
+    assert out == "error: genus 5 exceeds the non-planar maximum 1 for degree 4\n"
+    code, out = run_cli(["rho", "1", "0"])
+    assert code == EXIT_INVALID
+    assert out == "error: the bound requires degree at least 2\n"
 
 
 def test_demo_extremal_prints_four_generator_ideal():
@@ -117,6 +123,13 @@ def test_demo_extremal_prints_four_generator_ideal():
     assert code == EXIT_OK
     assert "x^2" in out and "x*y" in out and "y^4" in out
     assert "y^3*z - x*w^3" in out
+
+
+def test_demo_extremal_outside_range_is_invalid():
+    for name in ("extremal:4:2", "extremal:3:1", "extremal:4:1"):
+        code, out = run_cli(["demo", name])
+        assert code == EXIT_INVALID
+        assert "genus must lie strictly below" in out
 
 
 def test_demo_unknown_fixture_lists_names():

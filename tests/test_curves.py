@@ -17,7 +17,8 @@ def test_extremal_four_generator_ideal(gf, ring):
                            BinaryForm.monomial(gf, 3, 3))
     expected = ideal(x * x, x * y, y ** 4, x * w ** 3 - y ** 3 * z)
     assert ideal_equal(curve.ideal, expected)
-    assert (curve.degree, curve.genus, curve.a, curve.l, curve.nu) == (4, 0, 1, 2, 3)
+    inv = curve.invariants
+    assert (curve.degree, curve.genus, inv.a, inv.l, inv.nu) == (4, 0, 1, 2, 3)
 
 
 def test_extremal_five_one(gf):
@@ -72,6 +73,9 @@ def test_degenerate_parametrization_rejected(gf):
     # all four share the zero (0 : 1)
     with pytest.raises(ValueError):
         from_parametrization(gf, (s2, s2, su, su))
+    # all four share the zero (1 : 0)
+    with pytest.raises(ValueError, match="common zero"):
+        from_parametrization(gf, (u2, u2, su, su))
 
 
 def test_complete_intersection_elliptic_quartic(gf):
@@ -84,7 +88,7 @@ def test_complete_intersection_plane_quartic(gf, ring):
     quartic = y ** 4 + z ** 4 + w ** 4 + y * z * w * w
     curve = complete_intersection(x, quartic)
     assert (curve.degree, curve.genus) == (4, 3)
-    assert curve.is_planar_genus
+    assert curve.invariants.branch == "plane"
 
 
 def test_complete_intersection_common_factor_rejected(gf, ring):
@@ -161,7 +165,8 @@ def test_curve_invariant_identity(gf):
     for name in ("twisted-cubic", "rational-quartic", "elliptic-quartic",
                  "quintic-g2", "extremal:4:0", "extremal:5:1"):
         curve = fixture(name, gf)
-        assert curve.nu == curve.a + curve.l
+        inv = curve.invariants
+        assert inv.nu == inv.a + inv.l
 
 
 def test_fixture_table(gf):

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from extremalcurves import (BinaryForm, CurveIdeal, RhoBound,
+from extremalcurves import (BinaryForm, CurveIdeal, Invariants,
                             SpecializationError, check_disjoint_line,
                             complete_intersection, condition_star_probe,
                             curve_ring, emit_family, extremal_curve,
                             find_monoid_surface, fixture, ideal,
                             ideal_equal, ideal_intersect, initial_ideal,
                             monoid_template, parse_polynomial,
-                            rao_dims_extremal, rho, rho_table, specialize,
+                            rao_dims_extremal, specialize,
                             verify_extremal_shape)
 from extremalcurves.curves import line_xy
 from extremalcurves.groebner import GrevlexOrder, IdealBasis
@@ -35,33 +35,63 @@ def genus_grid():
 # ----------------------------------------------------------------- rho bound
 
 def test_rho_tables_from_piecewise_definition():
-    assert [rho(4, 0, n) for n in range(-1, 4)] == [0, 1, 1, 1, 0]
-    assert [rho(5, 1, n) for n in range(-1, 6)] == [1, 2, 2, 2, 2, 1, 0]
+    rho_40, rho_51 = Invariants(4, 0).rho, Invariants(5, 1).rho
+    assert [rho_40(n) for n in range(-1, 4)] == [0, 1, 1, 1, 0]
+    assert [rho_51(n) for n in range(-1, 6)] == [1, 2, 2, 2, 2, 1, 0]
     # a = 0 collapses the whole profile
-    assert all(rho(5, 3, n) == 0 for n in range(-4, 8))
+    assert all(Invariants(5, 3).rho(n) == 0 for n in range(-4, 8))
 
 
 def test_rho_branch_consistency():
     for d, g in genus_grid():
         a = (d - 2) * (d - 3) // 2 - g
         l = d - 2
-        assert rho(d, g, -a) == 0 and rho(d, g, -a) == -a + a
-        assert rho(d, g, 0) == a
-        assert rho(d, g, l) == a
-        assert rho(d, g, a + l) == 0
-        values = rho_table(d, g, -a - 2, a + l + 2)
+        inv = Invariants(d, g)
+        assert (inv.a, inv.l) == (a, l)
+        assert inv.rho(-a) == 0 and inv.rho(-a) == -a + a
+        assert inv.rho(0) == a
+        assert inv.rho(l) == a
+        assert inv.rho(a + l) == 0
+        values = inv.rho_table(-a - 2, a + l + 2)
         assert all(v >= 0 for v in values)
         assert max(values) == a
-        bound = RhoBound(d, g)
-        assert bound.table() == rho_table(d, g)
-        assert bound(1) == rho(d, g, 1)
+        assert inv.rho_table() == values[3:-2]
+        assert inv.rho_table()[0] == inv.rho(1 - a)
 
 
 def test_rho_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        rho(1, 0, 0)
-    with pytest.raises(ValueError):
-        rho(4, 2, 0)  # above the non-planar maximum
+    with pytest.raises(ValueError, match="degree at least 2"):
+        Invariants(1, 0).rho(0)
+    with pytest.raises(ValueError, match="exceeds the non-planar maximum 1"):
+        Invariants(4, 2).rho(0)  # above the non-planar maximum
+    with pytest.raises(ValueError, match="exceeds the non-planar maximum 1"):
+        Invariants(4, 2).rho_table()
+
+
+def _boundary_genera():
+    for d in range(2, 8):
+        yield d, (d - 1) * (d - 2) // 2     # plane
+        if d >= 3:
+            yield d, (d - 2) * (d - 3) // 2  # ACM boundary
+
+
+@pytest.mark.parametrize("d, g", list(genus_grid()) + list(_boundary_genera()))
+def test_invariants_against_formulas(d, g):
+    inv = Invariants(d, g)
+    assert inv.nu == inv.a + inv.l
+    # reference dispatch, written out from the two genus bounds
+    if g == (d - 1) * (d - 2) // 2:
+        branch = "plane"
+    elif g == (d - 2) * (d - 3) // 2:
+        branch = "ACM-boundary"
+    else:
+        branch = "general"
+    assert inv.branch == branch
+    if branch == "plane":
+        return      # plane genera lie above the non-planar maximum
+    a, l = inv.a, inv.l
+    assert inv.rho_table() == tuple(max(0, min(a, n + a, a + l - n))
+                                    for n in range(1 - a, a + l + 1))
 
 
 # ------------------------------------------------------------- rao dimensions
@@ -140,7 +170,7 @@ def test_rao_rho_identity_on_grid(gf):
         l = d - 2
         f, gg = random_coprime_pair(gf, a, l, rng)
         assert rao_dims_extremal(f, gg, a, l, -a - 1, a + l + 1) == \
-            rho_table(d, g, -a - 1, a + l + 1)
+            Invariants(d, g).rho_table(-a - 1, a + l + 1)
 
 
 # --------------------------------------------------------------- disjointness
@@ -182,7 +212,7 @@ def test_monoid_surface_on_moved_quartic(gf):
     moved, _ = random_coordinate_change(curve, seed=12)
     assert check_disjoint_line(moved)
     surface = find_monoid_surface(moved, rng=random.Random(0))
-    assert surface.equation.degree == curve.nu + 1
+    assert surface.equation.degree == curve.invariants.nu + 1
     assert moved.ideal.contains(surface.equation)
     assert not surface.g_form.is_zero
     w_vec = (4, 2, 1, 1)
@@ -340,7 +370,8 @@ def test_specialize_exhausts_retries_when_forced(gf):
 def test_specialize_rejects_impossible_genus(gf):
     quartic = fixture("rational-quartic", gf)
     fake = CurveIdeal.trusted(quartic.ideal, 4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="no non-planar curve has degree 4 and genus 2"):
         specialize(fake, seed=0)
 
 
@@ -351,7 +382,7 @@ def test_specialize_flatness_witness(gf):
     init = initial_ideal(moved, report.omega)
     lead_moved = moved.groebner(GrevlexOrder(4)).lead_exponents()
     lead_init = init.groebner(GrevlexOrder(4)).lead_exponents()
-    for n in range(2 * (curve.nu + 1) + 1):
+    for n in range(2 * (curve.invariants.nu + 1) + 1):
         assert oracles.standard_monomial_count(lead_moved, 4, n) == \
             oracles.standard_monomial_count(lead_init, 4, n)
 
@@ -382,7 +413,7 @@ def test_specialize_degree_eight_complete_intersection(gf, ring):
     assert (ci.degree, ci.genus) == (8, 9)
     report = specialize(ci, seed=1)
     assert report.extremal and report.rao == report.rho
-    assert max(report.rao) == ci.a == 6
+    assert max(report.rao) == ci.invariants.a == 6
 
 
 def test_specialize_disconnected_reduced_curve(gf, ring):
@@ -514,7 +545,7 @@ def test_probe_twisted_cubic_general_coordinates(gf):
     moved, _ = random_coordinate_change(curve, seed=5)
     probe = condition_star_probe(moved)
     assert probe.double_plane
-    assert probe.z_degree == 1 == moved.nu
+    assert probe.z_degree == 1 == moved.invariants.nu
     assert probe.ok
 
 
@@ -538,4 +569,4 @@ def test_probe_consistent_with_successful_run(gf):
     moved = CurveIdeal.trusted(report.transformed, curve.degree, curve.genus)
     probe = condition_star_probe(moved)
     assert probe.double_plane and probe.ok
-    assert probe.z_degree == curve.nu == 4
+    assert probe.z_degree == curve.invariants.nu == 4

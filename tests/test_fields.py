@@ -3,38 +3,39 @@ from fractions import Fraction
 
 import pytest
 
-from extremalcurves import (QQ, PrimeField,
-                            field_of_characteristic, scalar_arith,
-                            scalar_inverse)
+from extremalcurves import QQ, PrimeField, field_of_characteristic
 
 
 def test_scalar_arith_small_integers():
     gf = PrimeField(32003)
-    assert scalar_arith(gf, 5, 7, "add") == 12
+    assert gf.add(5, 7) == 12
+    assert gf.sub(5, 7) == 32001
+    assert gf.mul(5, 7) == 35
 
 
 def test_scalar_arith_fractions():
-    assert scalar_arith(QQ, Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert QQ.sub(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
+    assert QQ.mul(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
 
 
 def test_scalar_arith_modular_product_matches_bigint_oracle():
     gf = PrimeField(32003)
     expected = (16001 * 2) % 32003
-    assert scalar_arith(gf, 16001, 2, "mul") == expected
-
-
-def test_scalar_arith_unknown_op():
-    with pytest.raises(ValueError):
-        scalar_arith(QQ, Fraction(1), Fraction(1), "pow")
+    assert gf.mul(16001, 2) == expected
+    rng = random.Random(11)
+    for _ in range(100):
+        a, b = rng.randrange(32003), rng.randrange(32003)
+        assert gf.mul(a, b) == (a * b) % 32003
 
 
 def test_scalar_inverse_examples():
     gf = PrimeField(32003)
-    assert scalar_inverse(gf, 2) == 16002
+    assert gf.inv(2) == 16002
     assert gf.mul(2, 16002) == 1
-    assert scalar_inverse(gf, 1) == 1
-    assert scalar_inverse(QQ, Fraction(1)) == 1
-    assert scalar_inverse(QQ, Fraction(3, 4)) == Fraction(4, 3)
+    assert gf.inv(1) == 1
+    assert QQ.inv(Fraction(1)) == 1
+    assert QQ.inv(Fraction(3, 4)) == Fraction(4, 3)
 
 
 def test_inverse_of_zero_raises():

@@ -5,7 +5,7 @@ import pytest
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
                             PrimeField, binary_forms_coprime, curve_ring,
-                            parse_polynomial, poly_arith)
+                            parse_polynomial)
 from extremalcurves.orders import monomial_exponents
 
 import oracles
@@ -30,7 +30,7 @@ def test_product_difference_of_squares(ring):
 def test_additive_identity(ring):
     x, y, z, w = ring.gens()
     f = x * w - y * z
-    assert poly_arith(f, ring.zero(), "add") == f
+    assert f + ring.zero() == f
 
 
 def test_square_of_linear_form_multinomial(ring):
@@ -238,6 +238,26 @@ def test_binary_zero_form_rejected(gf):
     z_form = BinaryForm.monomial(gf, 1, 0)
     with pytest.raises(ValueError):
         binary_forms_coprime(z_form, BinaryForm.zero(gf, 2))
+
+
+def test_binary_coprime_several_forms(gf):
+    zw, z2, w2 = (BinaryForm(gf, c) for c in ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    z_zw, w_zw = BinaryForm(gf, (1, 1, 0)), BinaryForm(gf, (0, 1, 1))
+    # pairwise common zeros, but none shared by all three
+    assert not binary_forms_coprime(zw, z_zw)
+    assert binary_forms_coprime(zw, z_zw, w_zw)
+    assert not binary_forms_coprime(zw, z2, z_zw)   # all vanish at (0 : 1)
+    assert not binary_forms_coprime(zw, w2, w_zw)   # all vanish at (1 : 0)
+
+
+def test_binary_monomial_range_checked(gf):
+    assert BinaryForm.monomial(gf, 3, 3).coeffs == (0, 0, 0, 1)
+    with pytest.raises(ValueError):
+        BinaryForm.monomial(gf, 3, -1)
+    with pytest.raises(ValueError):
+        BinaryForm.monomial(gf, 3, 4)
+    with pytest.raises(ValueError):
+        BinaryForm.monomial(gf, -1, 0)
 
 
 def test_binary_form_polynomial_roundtrip(ring):
