@@ -155,8 +155,11 @@ class Invariants:
         return 0
 
     def rho_table(self, lo=None, hi=None):
-        """Values of the bound over an integer range; default [1-a, a+l]."""
+        """Values of the bound over an integer range; default [1-a, a+l].
+        Raises ValueError on a reversed range lo > hi."""
         self.require_bound()
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"range {lo}..{hi} is reversed; need lo <= hi")
         if lo is None:
             lo = 1 - self.a
         if hi is None:

@@ -195,19 +195,16 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
     field = ring.field
     gb = ideal_basis.groebner()
     columns = monoid_template(d, nu)
-    reduced_columns = []
+    rows = []                       # one sparse row per normal-form monomial
     row_index = {}
-    for exp, _tag in columns:
-        nf = gb.normal_form(ring.monomial(exp))
-        reduced_columns.append(nf)
-        for e, _c in nf.terms:
-            if e not in row_index:
-                row_index[e] = len(row_index)
+    for col, (exp, _tag) in enumerate(columns):
+        for e, c in gb.normal_form(ring.monomial(exp)).terms:
+            r = row_index.get(e)
+            if r is None:
+                r = row_index[e] = len(rows)
+                rows.append({})
+            rows[r][col] = c
     ncols = len(columns)
-    rows = [[field.zero] * ncols for _ in range(len(row_index))]
-    for col, nf in enumerate(reduced_columns):
-        for e, c in nf.terms:
-            rows[row_index[e]][col] = c
     kernel = linalg.nullspace(field, rows, ncols)
     if not kernel:
         raise MonoidSurfaceError(

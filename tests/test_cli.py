@@ -118,6 +118,15 @@ def test_rho_invalid_input():
     assert out == "error: the bound requires degree at least 2\n"
 
 
+def test_rho_reversed_range_is_invalid():
+    code, out = run_cli(["rho", "5", "1", "--range=5..1"])
+    assert code == EXIT_INVALID
+    assert out == "error: range 5..1 is reversed; need lo <= hi\n"
+    code, out = run_cli(["rho", "5", "1", "--range=1..1"])
+    assert code == EXIT_OK
+    assert out.split() == ["1", "2"]
+
+
 def test_demo_extremal_prints_four_generator_ideal():
     code, out = run_cli(["demo", "extremal:4:0"])
     assert code == EXIT_OK

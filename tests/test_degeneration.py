@@ -68,6 +68,14 @@ def test_rho_rejects_out_of_range():
         Invariants(4, 2).rho_table()
 
 
+def test_rho_table_rejects_reversed_range():
+    inv = Invariants(5, 1)
+    with pytest.raises(ValueError, match="range 5..1 is reversed"):
+        inv.rho_table(5, 1)
+    assert inv.rho_table(1, 1) == (inv.rho(1),)
+    assert Invariants(2, 0).rho_table() == ()   # default [1-a, nu] = [1, 0]
+
+
 def _boundary_genera():
     for d in range(2, 8):
         yield d, (d - 1) * (d - 2) // 2     # plane
