@@ -90,17 +90,32 @@ def load_ideal_file(path, char_override=None):
     return basis
 
 
+def _rao_rows(report):
+    """(n_start, rao, rho) of a report: the certificate's on the general
+    branch; at a = 0 the Rao function and its bound vanish on [1, l];
+    none on the plane branch."""
+    cert = report.certificate
+    if cert is not None:
+        return cert.n_start, cert.rao, cert.rho
+    inv = report.invariants
+    if inv.a == 0:
+        zeros = inv.rho_table()
+        return 1, zeros, zeros
+    return None, (), ()
+
+
 def report_to_dict(report):
     """JSON-ready dictionary for a specialization report."""
     cert = report.certificate
     inv = report.invariants
+    n_start, rao, rho = _rao_rows(report)
     return {
         "d": inv.d,
         "g": inv.g,
         "a": inv.a,
         "l": inv.l,
         "nu": inv.nu,
-        "branch": report.branch,
+        "branch": inv.branch,
         "omega": list(report.omega),
         "seed": report.seed,
         "retries": report.retries,
@@ -108,9 +123,9 @@ def report_to_dict(report):
         "limit_ideal": [str(g) for g in report.limit.groebner().elements],
         "F": str(cert.f_form) if cert else None,
         "G": str(cert.g_form) if cert else None,
-        "n_start": report.n_start,
-        "rao": list(report.rao),
-        "rho": list(report.rho),
+        "n_start": n_start,
+        "rao": list(rao),
+        "rho": list(rho),
         "extremal": report.extremal,
         "family": list(report.family),
     }
@@ -121,8 +136,9 @@ def _invariants_line(inv):
 
 
 def _print_report(report, out):
-    print(_invariants_line(report.invariants), file=out)
-    print(f"branch: {report.branch}   retries: {report.retries}   "
+    inv = report.invariants
+    print(_invariants_line(inv), file=out)
+    print(f"branch: {inv.branch}   retries: {report.retries}   "
           f"omega: {report.omega}", file=out)
     if report.surface is not None:
         print(f"surface: {report.surface.equation}", file=out)
@@ -133,11 +149,12 @@ def _print_report(report, out):
     if cert is not None:
         print(f"F = {cert.f_form}", file=out)
         print(f"G = {cert.g_form}", file=out)
-    if report.n_start is not None:
-        rng = range(report.n_start, report.n_start + len(report.rao))
+    n_start, rao, rho = _rao_rows(report)
+    if n_start is not None:
+        rng = range(n_start, n_start + len(rao))
         print("   n: " + " ".join(f"{n:>3}" for n in rng), file=out)
-        print(" rao: " + " ".join(f"{v:>3}" for v in report.rao), file=out)
-        print(" rho: " + " ".join(f"{v:>3}" for v in report.rho), file=out)
+        print(" rao: " + " ".join(f"{v:>3}" for v in rao), file=out)
+        print(" rho: " + " ".join(f"{v:>3}" for v in rho), file=out)
     print(f"extremal: {'true' if report.extremal else 'false'}", file=out)
     print("family:", file=out)
     for line in report.family:
@@ -175,7 +192,7 @@ def _run_specialize(curve, args, out):
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return EXIT_OK if report.branch == "general" else EXIT_BOUNDARY
+    return EXIT_OK if report.invariants.branch == "general" else EXIT_BOUNDARY
 
 
 def cmd_specialize(args, out=None):

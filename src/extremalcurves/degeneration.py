@@ -374,8 +374,7 @@ def emit_family(curve_or_ideal, weights):
 class SpecializationReport:
     """Full record of one specialization run."""
 
-    invariants: Invariants
-    branch: str                      # "plane" | "ACM-boundary" | "general"
+    invariants: Invariants           # .branch says how the curve was treated
     omega: tuple
     seed: int
     retries: int
@@ -386,9 +385,6 @@ class SpecializationReport:
     certificate: object              # ExtremalCertificate or None on boundary
     family: tuple                    # generator strings in x, y, z, w, t
     extremal: bool
-    n_start: object = None
-    rao: tuple = ()
-    rho: tuple = ()
     diagnostics: tuple = ()
 
 
@@ -398,17 +394,12 @@ def _attempt_rng(seed, attempt):
 
 
 def _boundary_report(curve, inv, seed):
-    if inv.a == 0:      # the Rao function vanishes on [1 - a, a + l]
-        n_start, zeros = 1, (0,) * inv.l
-    else:
-        n_start, zeros = None, ()
     family = tuple(str(g_) for g_ in curve.ideal.generators)
     return SpecializationReport(
-        invariants=inv, branch=inv.branch, omega=pipeline_weights(inv.d),
+        invariants=inv, omega=pipeline_weights(inv.d),
         seed=seed, retries=0, change=CoordinateChange.identity(curve.field),
         transformed=curve.ideal, surface=None, limit=curve.ideal,
-        certificate=None, family=family, extremal=True,
-        n_start=n_start, rao=zeros, rho=zeros)
+        certificate=None, family=family, extremal=True)
 
 
 def specialize(curve, seed=0, max_retries=5):
@@ -450,11 +441,10 @@ def specialize(curve, seed=0, max_retries=5):
         if certificate.extremal:
             family = tuple(emit_family(moved, omega))
             return SpecializationReport(
-                invariants=inv, branch="general", omega=omega, seed=seed,
+                invariants=inv, omega=omega, seed=seed,
                 retries=attempt, change=change, transformed=moved,
                 surface=surface, limit=limit, certificate=certificate,
-                family=family, extremal=True, n_start=certificate.n_start,
-                rao=certificate.rao, rho=certificate.rho,
+                family=family, extremal=True,
                 diagnostics=tuple(diagnostics))
         diagnostics.append((attempt, "shape",
                             f"limit failed the {certificate.failure} check"))

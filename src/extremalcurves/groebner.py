@@ -4,99 +4,126 @@ Normal forms, reduced Groebner bases (with Gebauer-Moeller pair pruning
 and normal-strategy selection), elimination, quotient, intersection,
 saturation and weight-vector initial ideals.
 
-The kernel works on "keyed" term lists: (order_key, exponent, coeff)
-triples sorted descending.  Every order key in this package is linear in
-the exponent, so multiplying a polynomial by a monomial shifts the keys
-componentwise and never re-sorts (`_shifted`).
+The kernel works on "keyed" term lists: (key, exponent, coeff) triples
+sorted descending, where the exponent is packed into one int
+(`orders.pack_exponent`, SLOT_BITS bits per slot with a guard bit on
+top) and the key is the order's key tuple encoded as one int that is
+linear in the exponent (`orders.int_key_weights`).  Multiplying by a
+monomial therefore adds one int to every key and one to every exponent
+and never re-sorts (`_shifted`); a divides b exactly when
+((b | GUARD) - a) & GUARD == GUARD, since each slot's guard bit survives
+the subtraction only if that slot does not borrow.  Tuples appear only at
+the edges: `_keyed` packs a Polynomial, `_from_keyed` and `divide_exact`
+unpack.
+
+No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents,
+and `_shifted` checks the slotwise maximum of a reducer's tail against
+each shift, because under the block orders of `eliminate` a tail term
+can exceed its lead in some variable.  Either way a ValueError names the
+limit; nothing wraps into the next slot.
 
 Division reduces the remainder in place, as in heap division (Monagan &
 Pearce 2009) and geobuckets (Yan 1998).  A `_Remainder` keeps the terms
-still to be handled in an exponent -> coefficient dict, and a heap of
-negated order keys yields the largest of them.  Each step pops the
-leading term, skips it if it has cancelled, and subtracts the scaled
-reducer tail in the dict, so a step costs the size of that tail rather
-than of the whole remainder.  Normal forms, exact quotients and
-S-polynomials all use it.
+still to be handled in key -> coefficient and key -> exponent dicts (a
+key determines its exponent), and a heap of negated keys yields the
+largest of them.  Each step pops the leading term, skips it if it has
+cancelled, and subtracts the scaled reducer tail in the dict, so a step
+costs the size of that tail rather than of the whole remainder.  Normal
+forms, exact quotients and S-polynomials all use it.
 """
 
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from operator import mul
 
 from .fields import ContextMismatchError
-from .orders import (CAPACITY, MAX_ARITY, BlockEliminationOrder,
-                     GrevlexOrder, WeightRefinedOrder, exp_lcm, exp_mul)
+from .orders import (CAPACITY, GUARD, MAX_ARITY, BlockEliminationOrder,
+                     GrevlexOrder, WeightRefinedOrder, exponent_limit_error,
+                     int_key_weights, pack_exponent, packed_lcm,
+                     unpack_exponent)
 from .poly import Polynomial, _weights_for_ring
 
-
 def _keyed(poly, order):
-    key = order.key
-    lst = [(key(e), e, c) for (e, c) in poly.terms]
-    lst.sort(key=lambda t: t[0], reverse=True)
+    weights = int_key_weights(order)
+    lst = [(sum(map(mul, weights, e)), pack_exponent(e), c)
+           for (e, c) in poly.terms]
+    lst.sort(reverse=True)      # keys are distinct, so only they compare
     return lst
 
 
 def _from_keyed(ring, keyed):
-    return Polynomial(ring, tuple((e, c) for (_, e, c) in keyed))
+    return Polynomial(ring, tuple((unpack_exponent(e), c)
+                                  for (_, e, c) in keyed))
+
+
+def _packed_key(weights, p):
+    return sum(map(mul, weights, unpack_exponent(p)))
 
 
 def _divides(a, b):
-    return all(map(le, a, b))
+    return ((b | GUARD) - a) & GUARD == GUARD
 
 
 def _shifted(reducer, key, exp):
     """Tail of a reducer times the monomial taking its lead to (key, exp)."""
-    lead_exp, lead_key, tail = reducer
-    sk = tuple(map(sub, key, lead_key))
-    se = tuple(map(sub, exp, lead_exp))
-    return [(tuple(map(add, sk, k)), tuple(map(add, se, e)), c)
-            for (k, e, c) in tail]
+    lead_exp, lead_key, tail, tail_lcm = reducer
+    se = exp - lead_exp
+    if (tail_lcm + se) & GUARD:
+        raise exponent_limit_error(max(unpack_exponent(tail_lcm + se)))
+    sk = key - lead_key
+    return [(k + sk, e + se, c) for (k, e, c) in tail]
 
 
 class _Remainder:
-    """Polynomial under division: exponent -> coefficient dict and a heap.
+    """Polynomial under division: key -> coefficient, key -> exponent and
+    a heap of negated keys.
 
-    The heap holds (negated key, exponent) once per dict entry, so pops
-    come in descending order; a cancelled term keeps a zero coefficient
-    until it is popped and skipped.
+    The heap holds each dict key once, so pops come in descending order;
+    a cancelled term keeps a zero coefficient until it is popped and
+    skipped.
     """
 
-    __slots__ = ("field", "coeffs", "heap")
+    __slots__ = ("field", "coeffs", "exps", "heap")
 
     def __init__(self, field, keyed):
         self.field = field
-        self.coeffs = {e: c for (_, e, c) in keyed}
-        self.heap = [(tuple(map(neg, k)), e) for (k, e, _) in keyed]
+        self.coeffs = {k: c for (k, _, c) in keyed}
+        self.exps = {k: e for (k, e, _) in keyed}
+        self.heap = [-k for (k, _, _) in keyed]
         heapify(self.heap)
 
     def pop(self):
         """Largest nonzero (key, exponent, coeff) term, or None."""
-        heap, coeffs, is_zero = self.heap, self.coeffs, self.field.is_zero
+        heap, coeffs, exps = self.heap, self.coeffs, self.exps
+        is_zero = self.field.is_zero
         while heap:
-            nk, e = heappop(heap)
-            c = coeffs.pop(e)
+            k = -heappop(heap)
+            c = coeffs.pop(k)
+            e = exps.pop(k)
             if not is_zero(c):
-                return tuple(map(neg, nk)), e, c
+                return k, e, c
         return None
 
     def subtract(self, scale, terms):
         """Subtract scale * terms in place."""
-        coeffs, heap = self.coeffs, self.heap
+        coeffs, exps, heap = self.coeffs, self.exps, self.heap
         f_sub, f_mul, f_neg = self.field.sub, self.field.mul, self.field.neg
         for (k, e, c) in terms:
-            old = coeffs.get(e)
+            old = coeffs.get(k)
             if old is None:
-                coeffs[e] = f_neg(f_mul(scale, c))
-                heappush(heap, (tuple(map(neg, k)), e))
+                coeffs[k] = f_neg(f_mul(scale, c))
+                exps[k] = e
+                heappush(heap, -k)
             else:
-                coeffs[e] = f_sub(old, f_mul(scale, c))
+                coeffs[k] = f_sub(old, f_mul(scale, c))
 
 
 def _normal_form_keyed(rem, reducers):
-    """Keyed remainder of `rem` under division by monic reducer triples."""
+    """Keyed remainder of `rem` under division by monic reducers."""
     out = []
     while (top := rem.pop()) is not None:
+        guarded = top[1] | GUARD    # `_divides`, with b | GUARD hoisted
         for red in reducers:
-            if _divides(red[0], top[1]):
+            if (guarded - red[0]) & GUARD == GUARD:
                 rem.subtract(top[2], _shifted(red, top[0], top[1]))
                 break
         else:
@@ -109,31 +136,39 @@ def _monicize(terms, field):
     if c == field.one:
         return terms
     inv = field.inv(c)
-    mul = field.mul
-    return [(k, e, mul(inv, v)) for (k, e, v) in terms]
+    f_mul = field.mul
+    return [(k, e, f_mul(inv, v)) for (k, e, v) in terms]
 
 
 def _as_reducer(terms):
-    """(lead_exp, lead_key, tail) triple of a keyed list."""
-    return (terms[0][1], terms[0][0], terms[1:])
+    """(lead_exp, lead_key, tail, tail_lcm) of a keyed list; tail_lcm is
+    the slotwise maximum of the tail's exponents, for `_shifted`."""
+    tail = terms[1:]
+    tail_lcm = 0
+    for (_, e, _) in tail:
+        tail_lcm = packed_lcm(tail_lcm, e)
+    return (terms[0][1], terms[0][0], tail, tail_lcm)
 
 
-def _spoly(a, b, key, field):
-    """S-polynomial of two monic reducer triples, as a _Remainder."""
-    lcm_exp = exp_lcm(a[0], b[0])
-    lcm_key = key(lcm_exp)
+def _spoly(a, b, lcm_key, lcm_exp, field):
+    """S-polynomial of two monic reducers with the given lead lcm, as a
+    _Remainder."""
     spoly = _Remainder(field, _shifted(a, lcm_key, lcm_exp))
     spoly.subtract(field.one, _shifted(b, lcm_key, lcm_exp))
     return spoly
 
 
 def _buchberger_core(keyed_inputs, order, field):
-    """Groebner basis of monic keyed inputs; Gebauer-Moeller pair updates."""
+    """Groebner basis of monic keyed inputs; Gebauer-Moeller pair updates.
+
+    A pair is (key of the lcm, i, j, lcm), so the smallest tuple is the
+    normal-strategy choice with a deterministic index tie-break.
+    """
     G = []          # monic keyed term lists
-    reducers = []   # parallel reducer triples
-    leads = []      # lead exponents
+    reducers = []   # parallel reducers
+    leads = []      # packed lead exponents
     pairs = set()
-    key = order.key
+    weights = int_key_weights(order)
 
     def update(new_terms):
         # Gebauer-Moeller: prune old pairs, build minimal new ones
@@ -142,25 +177,25 @@ def _buchberger_core(keyed_inputs, order, field):
         lm_new = new_terms[0][1]
         m = len(G)
         kept = set()
-        for (i, j) in pairs:
-            lij = exp_lcm(leads[i], leads[j])
+        for pair in pairs:
+            _, i, j, lij = pair
             if (not _divides(lm_new, lij)
-                    or exp_lcm(leads[i], lm_new) == lij
-                    or exp_lcm(leads[j], lm_new) == lij):
-                kept.add((i, j))
+                    or packed_lcm(leads[i], lm_new) == lij
+                    or packed_lcm(leads[j], lm_new) == lij):
+                kept.add(pair)
         groups = {}
         for i in range(m):
-            groups.setdefault(exp_lcm(leads[i], lm_new), []).append(i)
+            groups.setdefault(packed_lcm(leads[i], lm_new), []).append(i)
         minimal = []
-        for lcm_exp in sorted(groups, key=key):
-            if all(not _divides(prev, lcm_exp) for prev in minimal):
-                minimal.append(lcm_exp)
-        for lcm_exp in minimal:
+        for lcm_key, lcm_exp in sorted((_packed_key(weights, lcm), lcm)
+                                       for lcm in groups):
+            if all(not _divides(prev, lcm_exp) for _, prev in minimal):
+                minimal.append((lcm_key, lcm_exp))
+        for lcm_key, lcm_exp in minimal:
             members = groups[lcm_exp]
-            if any(exp_lcm(leads[i], lm_new) == exp_mul(leads[i], lm_new)
-                   for i in members):
+            if any(lcm_exp == leads[i] + lm_new for i in members):
                 continue  # coprime leads: S-polynomial reduces to zero
-            kept.add((min(members), m))
+            kept.add((lcm_key, min(members), m, lcm_exp))
         pairs = kept
         G.append(new_terms)
         reducers.append(_as_reducer(new_terms))
@@ -171,12 +206,12 @@ def _buchberger_core(keyed_inputs, order, field):
             update(terms)
 
     while pairs:
-        # normal strategy with a deterministic index tie-break
-        i, j = min(pairs,
-                   key=lambda p: (key(exp_lcm(leads[p[0]], leads[p[1]])), p))
-        pairs.discard((i, j))
+        pair = min(pairs)
+        pairs.discard(pair)
+        lcm_key, i, j, lcm_exp = pair
         remainder = _normal_form_keyed(
-            _spoly(reducers[i], reducers[j], key, field), reducers)
+            _spoly(reducers[i], reducers[j], lcm_key, lcm_exp, field),
+            reducers)
         if remainder:
             update(remainder)
 
@@ -193,22 +228,24 @@ def _reduce_basis(G, field):
         if all(not _divides(h[0][1], lm) for h in minimal):
             minimal.append(g)
     basis = [list(g) for g in minimal]
+    reducers = [_as_reducer(b) for b in basis]
     changed = True
     while changed:
         changed = False
         for idx in range(len(basis)):
             if basis[idx] is None:
                 continue
-            others = [_as_reducer(b) for j, b in enumerate(basis)
-                      if j != idx and b is not None]
+            others = [r for j, r in enumerate(reducers)
+                      if j != idx and r is not None]
             r = _normal_form_keyed(_Remainder(field, basis[idx]), others)
             if not r:
-                basis[idx] = None
+                basis[idx] = reducers[idx] = None
                 changed = True
                 continue
             r = _monicize(r, field)
             if r != basis[idx]:
                 basis[idx] = r
+                reducers[idx] = _as_reducer(r)
                 changed = True
     basis = [b for b in basis if b is not None]
     basis.sort(key=order_of)
@@ -301,11 +338,13 @@ def is_groebner(gb):
     """Buchberger criterion: every S-polynomial reduces to zero."""
     field = gb.ring.field
     reducers = gb.reducers()
-    key = gb.ring.order.key
+    weights = int_key_weights(gb.ring.order)
     n = len(reducers)
     for i in range(n):
         for j in range(i + 1, n):
-            spair = _spoly(reducers[i], reducers[j], key, field)
+            lcm_exp = packed_lcm(reducers[i][0], reducers[j][0])
+            spair = _spoly(reducers[i], reducers[j],
+                           _packed_key(weights, lcm_exp), lcm_exp, field)
             if _normal_form_keyed(spair, reducers):
                 return False
     return True
@@ -472,7 +511,7 @@ def divide_exact(f, g):
         if not _divides(lead_exp, e0):
             raise ValueError("polynomial is not divisible")
         q = field.div(c0, lead_coeff)
-        quotient[tuple(map(sub, e0, lead_exp))] = q
+        quotient[unpack_exponent(e0 - lead_exp)] = q
         rem.subtract(q, _shifted(divisor, k0, e0))
     return Polynomial.from_dict(ring, quotient)
 

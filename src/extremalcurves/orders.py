@@ -8,7 +8,19 @@ elimination constructions).
 Every order here exposes a `key` that is linear in the exponent, so the
 key of a product is the componentwise sum of keys.  The Groebner kernel
 relies on that to shift sorted term lists without re-sorting.
+
+The kernel packs an exponent into one int, SLOT_BITS bits per slot with
+the top bit of each slot a guard that is clear in a valid exponent, so
+no slot may exceed EXP_LIMIT.  It encodes a key tuple as one int too:
+`int_key_weights(order)` gives per-slot integers whose dot product with
+the exponent is a mixed-radix reading of the key tuple, each radix one
+more than the width of the range its component spans over exponents
+within EXP_LIMIT, so the int is linear in the exponent and compares
+exactly as the tuple does.
 """
+
+from functools import lru_cache
+from struct import Struct
 
 from .fields import ContextMismatchError
 
@@ -33,22 +45,6 @@ def exp_mul(a, b):
     return tuple(a[i] + b[i] for i in range(CAPACITY))
 
 
-def exp_divides(a, b):
-    return all(a[i] <= b[i] for i in range(CAPACITY))
-
-
-def exp_div(a, b):
-    """Exponent of a monomial quotient a / b; requires b | a."""
-    q = tuple(a[i] - b[i] for i in range(CAPACITY))
-    if any(v < 0 for v in q):
-        raise ValueError("monomial does not divide")
-    return q
-
-
-def exp_lcm(a, b):
-    return tuple(max(a[i], b[i]) for i in range(CAPACITY))
-
-
 def exp_degree(e):
     return sum(e)
 
@@ -56,6 +52,52 @@ def exp_degree(e):
 def exp_supported_within(e, arity):
     """True when the exponent uses only the first `arity` slots."""
     return all(e[i] == 0 for i in range(arity, CAPACITY))
+
+
+SLOT_BITS = 16
+EXP_LIMIT = (1 << (SLOT_BITS - 1)) - 1
+GUARD = sum(1 << (SLOT_BITS * i + SLOT_BITS - 1) for i in range(CAPACITY))
+_SLOTS = Struct(f"<{CAPACITY}H")        # one unsigned 16-bit field a slot
+
+
+def exponent_limit_error(value):
+    return ValueError(f"exponent {value} exceeds {EXP_LIMIT}, the largest "
+                      "a packed monomial slot holds")
+
+
+def pack_exponent(e):
+    """One int holding exponent e; ValueError past EXP_LIMIT."""
+    top = max(e)
+    if top > EXP_LIMIT:
+        raise exponent_limit_error(top)
+    return int.from_bytes(_SLOTS.pack(*e), "little")
+
+
+def unpack_exponent(p):
+    """Exponent tuple of a packed int.  Slots are read whole, guard bit
+    included, so a sum that overflowed a slot shows its true value."""
+    return _SLOTS.unpack(p.to_bytes(_SLOTS.size, "little"))
+
+
+def packed_lcm(a, b):
+    """Packed least common multiple: the larger value in each slot."""
+    ge = ((a | GUARD) - b) & GUARD          # guard set where a >= b
+    mask = ge - (ge >> (SLOT_BITS - 1))     # value bits of those slots
+    return (a & mask) | (b & ~mask)
+
+
+@lru_cache(maxsize=None)
+def int_key_weights(order):
+    """Per-slot integers c with sum(c[i] * e[i]) ordered exactly as
+    order.key(e), for exponents whose slots stay within EXP_LIMIT."""
+    units = [order.key(exp_from_var(i)) for i in range(order.arity)]
+    weights = [0] * CAPACITY
+    radix = 1
+    for j in reversed(range(len(units[0]))):
+        for i, unit in enumerate(units):
+            weights[i] += unit[j] * radix
+        radix *= EXP_LIMIT * sum(abs(unit[j]) for unit in units) + 1
+    return tuple(weights)
 
 
 def monomial_exponents(arity, degree):

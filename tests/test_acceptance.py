@@ -70,9 +70,9 @@ def test_criterion_rational_quartic_run():
           and cert.f_form.degree == 1
           and cert.g_form.degree == 3
           and binary_forms_coprime(cert.f_form, cert.g_form)
-          and report.n_start == 0
-          and report.rao == (1, 1, 1, 0)
-          and report.rao == report.rho
+          and report.certificate.n_start == 0
+          and report.certificate.rao == (1, 1, 1, 0)
+          and report.certificate.rao == report.certificate.rho
           and elapsed < 10.0)
     _report(f"rational quartic run ({elapsed:.2f}s)", ok)
 
@@ -93,9 +93,9 @@ def test_criterion_quintic_genus_two_run():
           and cert.f_form.degree == 1
           and cert.g_form.degree == 4
           and ideal_equal(report.limit, expected_shape)
-          and report.n_start == 0
-          and report.rao == (1, 1, 1, 1, 0)
-          and report.rao == report.rho
+          and report.certificate.n_start == 0
+          and report.certificate.rao == (1, 1, 1, 1, 0)
+          and report.certificate.rao == report.certificate.rho
           and elapsed < 60.0)
     _report(f"quintic genus-2 run ({elapsed:.2f}s)", ok)
 
@@ -291,8 +291,8 @@ def test_criterion_dual_field_reproducibility():
             report = specialize(fixture(name, field), seed=42)
             if not report.extremal:
                 ok = False
-            tables[(field_name, name)] = (report.n_start, report.rao,
-                                          report.rho)
+            cert = report.certificate
+            tables[(field_name, name)] = (cert.n_start, cert.rao, cert.rho)
     for name in ("rational-quartic", "quintic-g2"):
         if tables[("GF(32003)", name)] != tables[("QQ", name)]:
             ok = False

@@ -54,6 +54,17 @@ def test_analyze_rejects_non_curve(tmp_path):
     assert "dimension" in out
 
 
+def test_analyze_rejects_exponent_past_budget(tmp_path, capsys):
+    big = tmp_path / "big.ideal"
+    big.write_text("generators:\n  x^40000*y - y^40001\n  z\n",
+                   encoding="utf-8")
+    code = main(["analyze", str(big)])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: exponent 40000 exceeds 32767, the largest a packed "
+        "monomial slot holds\n")
+
+
 def test_specialize_rational_quartic_json(tmp_path):
     out_json = tmp_path / "report.json"
     code, out = run_cli(["specialize", str(DATA / "rational_quartic.ideal"),

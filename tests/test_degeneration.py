@@ -11,6 +11,7 @@ from extremalcurves import (BinaryForm, CurveIdeal, Invariants,
                             monoid_template, parse_polynomial,
                             rao_dims_extremal, specialize,
                             verify_extremal_shape)
+from extremalcurves.cli import report_to_dict
 from extremalcurves.curves import line_xy
 from extremalcurves.groebner import GrevlexOrder, IdealBasis
 
@@ -338,7 +339,7 @@ def test_specialize_extremal_is_fixed_point(gf):
         report = specialize(curve, seed=7)
         assert report.retries == 0
         assert ideal_equal(report.limit, curve.ideal)
-        assert report.branch == "general"
+        assert report.invariants.branch == "general"
 
 
 def test_specialize_rational_quartic(gf):
@@ -348,23 +349,27 @@ def test_specialize_rational_quartic(gf):
     assert report.retries <= 5
     cert = report.certificate
     assert cert.f_form.degree == 1 and cert.g_form.degree == 3
-    assert report.rao == (1, 1, 1, 0) and report.n_start == 0
+    assert report.certificate.rao == (1, 1, 1, 0)
+    assert report.certificate.n_start == 0
 
 
 def test_specialize_plane_curve_branch(gf, ring):
     x, y, z, w = ring.gens()
     cubic = complete_intersection(x, y ** 3 + z ** 3 + w ** 3)
     report = specialize(cubic, seed=0)
-    assert report.branch == "plane"
+    assert report.invariants.branch == "plane"
     assert report.extremal
     assert tuple(str(g) for g in cubic.ideal.generators) == report.family
 
 
 def test_specialize_acm_boundary_branch(gf):
     report = specialize(fixture("twisted-cubic", gf), seed=0)
-    assert report.branch == "ACM-boundary"
+    assert report.invariants.branch == "ACM-boundary"
     assert report.retries == 0
-    assert report.rao == report.rho == (0,)
+    assert report.certificate is None
+    # the a = 0 table comes from the invariants: zero on [1, l]
+    table = report_to_dict(report)
+    assert table["n_start"] == 1 and table["rao"] == table["rho"] == [0]
 
 
 def test_specialize_exhausts_retries_when_forced(gf):
@@ -400,7 +405,7 @@ def test_specialize_limit_shape_stable_across_seeds(gf):
     for seed in (1, 2, 3):
         report = specialize(curve, seed=seed)
         assert report.extremal
-        assert report.rao == (1, 1, 1, 0)
+        assert report.certificate.rao == (1, 1, 1, 0)
 
 
 def test_specialize_degree_six_complete_intersection(gf, ring):
@@ -410,8 +415,9 @@ def test_specialize_degree_six_complete_intersection(gf, ring):
     assert (ci.degree, ci.genus) == (6, 4)
     report = specialize(ci, seed=11)
     assert report.extremal
-    assert report.rao == report.rho == (1, 2, 2, 2, 2, 2, 1, 0)
-    assert report.n_start == -1
+    cert = report.certificate
+    assert cert.rao == cert.rho == (1, 2, 2, 2, 2, 2, 1, 0)
+    assert cert.n_start == -1
 
 
 def test_specialize_degree_eight_complete_intersection(gf, ring):
@@ -420,8 +426,8 @@ def test_specialize_degree_eight_complete_intersection(gf, ring):
         x * w - y * z, x ** 4 + y ** 4 + z ** 4 + w ** 4 + x * y * z * w)
     assert (ci.degree, ci.genus) == (8, 9)
     report = specialize(ci, seed=1)
-    assert report.extremal and report.rao == report.rho
-    assert max(report.rao) == ci.invariants.a == 6
+    assert report.extremal and report.certificate.rao == report.certificate.rho
+    assert max(report.certificate.rao) == ci.invariants.a == 6
 
 
 def test_specialize_disconnected_reduced_curve(gf, ring):
@@ -434,7 +440,8 @@ def test_specialize_disconnected_reduced_curve(gf, ring):
     assert (union.degree, union.genus) == (4, -1)
     report = specialize(union, seed=3)
     assert report.extremal
-    assert report.rao == report.rho == (1, 2, 2, 2, 1, 0)
+    cert = report.certificate
+    assert cert.rao == cert.rho == (1, 2, 2, 2, 1, 0)
 
 
 def test_specialize_degree_two_double_line(gf):
@@ -444,7 +451,7 @@ def test_specialize_degree_two_double_line(gf):
     report = specialize(curve, seed=0)
     assert report.retries == 0
     assert ideal_equal(report.limit, curve.ideal)
-    assert report.rao == (1, 2, 1, 0)
+    assert report.certificate.rao == (1, 2, 1, 0)
 
 
 def test_specialize_plane_conic_dispatch(gf, ring):
@@ -452,7 +459,7 @@ def test_specialize_plane_conic_dispatch(gf, ring):
     # at degree 2 both boundary genera coincide; the plane branch wins
     conic = complete_intersection(x, y * w - z * z)
     report = specialize(conic, seed=0)
-    assert report.branch == "plane"
+    assert report.invariants.branch == "plane"
 
 
 def test_specialize_seed_sweep(gf):
@@ -466,7 +473,7 @@ def test_specialize_over_small_prime_field():
     from extremalcurves import PrimeField
     gf101 = PrimeField(101)
     report = specialize(fixture("rational-quartic", gf101), seed=5)
-    assert report.extremal and report.rao == (1, 1, 1, 0)
+    assert report.extremal and report.certificate.rao == (1, 1, 1, 0)
 
 
 def test_specialize_recovers_from_bad_projection_point(gf, ring):
@@ -478,7 +485,7 @@ def test_specialize_recovers_from_bad_projection_point(gf, ring):
     curve = CurveIdeal.from_ideal(union, saturate=True)
     report = specialize(curve, seed=2)
     assert report.extremal and report.retries >= 1
-    assert report.rao == (1, 1, 1, 0)
+    assert report.certificate.rao == (1, 1, 1, 0)
     moved = CurveIdeal.trusted(report.transformed, curve.degree, curve.genus)
     probe = condition_star_probe(moved)
     assert probe.double_plane and probe.z_degree == 3
@@ -510,7 +517,8 @@ def test_specialize_along_a_liaison_chain(gf, ring):
     assert (hop1.degree, hop1.genus) == (6, 3)
     report1 = specialize(hop1, seed=9)
     assert report1.extremal
-    assert report1.rao == report1.rho == (1, 2, 3, 3, 3, 3, 3, 2, 1, 0)
+    cert = report1.certificate
+    assert cert.rao == cert.rho == (1, 2, 3, 3, 3, 3, 3, 2, 1, 0)
 
     hop2 = link(random_element(hop1.ideal, 3), random_element(hop1.ideal, 4),
                 hop1)
@@ -520,7 +528,7 @@ def test_specialize_along_a_liaison_chain(gf, ring):
     hop3 = link(random_element(hop2.ideal, 3), random_element(hop2.ideal, 3),
                 hop2)
     assert (hop3.degree, hop3.genus) == (3, 0)
-    assert specialize(hop3, seed=0).branch == "ACM-boundary"
+    assert specialize(hop3, seed=0).invariants.branch == "ACM-boundary"
 
 
 def test_specialize_fixed_points_over_rationals():
