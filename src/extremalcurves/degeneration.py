@@ -179,14 +179,33 @@ def _assemble_surface(ring, d, nu, columns, coefficients):
     if unit is not None and unit != field.one:
         g_form = g_form.scale(unit)
         f_forms = tuple(f.scale(unit) for f in f_forms)
-    x, y = ring.gen(0), ring.gen(1)
-    equation = x * g_form.to_polynomial(ring)
-    for j in range(d):
-        if not f_forms[j].is_zero:
-            equation = equation - y ** j * f_forms[j].to_polynomial(ring)
+    # x*G - sum_j y^j * F_j; the x and y powers keep every term distinct
+    terms = {(1, 0, nu - i, i, 0, 0, 0, 0): c
+             for i, c in enumerate(g_form.coeffs)}
+    for j, f in enumerate(f_forms):
+        m = nu + 1 - j
+        for i, c in enumerate(f.coeffs):
+            terms[(0, j, m - i, i, 0, 0, 0, 0)] = field.neg(c)
+    equation = Polynomial.from_dict(ring, terms)
     if unit is None:
         equation = equation.monic()
     return MonoidSurface(equation, g_form, f_forms)
+
+
+def _monoid_rows(gb, columns):
+    """Sparse rows {column: coefficient} of the template's normal forms,
+    one row per standard monomial, in order of first appearance."""
+    rows = []
+    row_index = {}
+    forms = gb.monomial_normal_forms([exp for exp, _tag in columns])
+    for col, form in enumerate(forms):
+        for e, c in form.terms:
+            r = row_index.get(e)
+            if r is None:
+                r = row_index[e] = len(rows)
+                rows.append({})
+            rows[r][col] = c
+    return rows
 
 
 def _find_monoid_surface(ideal_basis, d, nu, rng=None):
@@ -195,17 +214,8 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
     field = ring.field
     gb = ideal_basis.groebner()
     columns = monoid_template(d, nu)
-    rows = []                       # one sparse row per normal-form monomial
-    row_index = {}
-    for col, (exp, _tag) in enumerate(columns):
-        for e, c in gb.normal_form(ring.monomial(exp)).terms:
-            r = row_index.get(e)
-            if r is None:
-                r = row_index[e] = len(rows)
-                rows.append({})
-            rows[r][col] = c
     ncols = len(columns)
-    kernel = linalg.nullspace(field, rows, ncols)
+    kernel = linalg.nullspace(field, _monoid_rows(gb, columns), ncols)
     if not kernel:
         raise MonoidSurfaceError(
             "the linear system for the surface has no nonzero solution; "

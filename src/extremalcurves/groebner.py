@@ -30,16 +30,27 @@ largest of them.  Each step pops the leading term, skips it if it has
 cancelled, and subtracts the scaled reducer tail in the dict, so a step
 costs the size of that tail rather than of the whole remainder.  Normal
 forms, exact quotients and S-polynomials all use it.
+
+`GroebnerBasis.monomial_normal_forms` reduces many monomials at once, as
+the symbolic preprocessing of F4 does (Faugere 1999).  A worklist starts
+from the input monomials; each monomial reached gets the shifted tail of
+the first reducer whose lead divides it, the same choice division makes,
+and the tail's monomials join the worklist.  Back-substitution then
+visits the reducible monomials in ascending key order, so every tail term
+is already solved: NF(m) = -sum c_t * NF(t), with NF(t) = t for a
+standard monomial.  Division by a fixed reducer list is linear in its
+input, so each form equals what `normal_form` returns, and each reducer
+row is derived once however many monomials share it.
 """
 
 from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .fields import ContextMismatchError
-from .orders import (CAPACITY, GUARD, MAX_ARITY, BlockEliminationOrder,
-                     GrevlexOrder, WeightRefinedOrder, exponent_limit_error,
-                     int_key_weights, pack_exponent, packed_lcm,
-                     unpack_exponent)
+from .orders import (CAPACITY, GUARD, MAX_ARITY, SLOT_BITS,
+                     BlockEliminationOrder, GrevlexOrder, WeightRefinedOrder,
+                     exponent_limit_error, int_key_weights, pack_exponent,
+                     packed_lcm, unpack_exponent)
 from .poly import Polynomial, _weights_for_ring
 
 def _keyed(poly, order):
@@ -286,6 +297,57 @@ class GroebnerBasis:
         rem = _Remainder(self.ring.field, _keyed(f, self.ring.order))
         r = _normal_form_keyed(rem, self.reducers())
         return _from_keyed(self.ring, r).in_ring(f.ring)
+
+    def monomial_normal_forms(self, exponents):
+        """Normal forms of many monomials at once, one Polynomial per
+        exponent in input order; equal to [normal_form(monomial(e))]."""
+        ring = self.ring
+        field = ring.field
+        weights = int_key_weights(ring.order)
+        outside = SLOT_BITS * ring.arity
+        keys = []
+        exps = {}       # key -> packed exponent of every monomial reached
+        todo = []
+        for e in exponents:
+            k, p = sum(map(mul, weights, e)), pack_exponent(e)
+            if p >> outside:
+                raise ContextMismatchError("exponent outside ring arity")
+            keys.append(k)
+            if k not in exps:
+                exps[k] = p
+                todo.append((k, p))
+        # symbolic preprocessing: one reducer row per non-standard monomial
+        reducers = self.reducers()
+        tails = {}
+        while todo:
+            k, p = todo.pop()
+            guarded = p | GUARD
+            for red in reducers:
+                if (guarded - red[0]) & GUARD == GUARD:
+                    tail = tails[k] = _shifted(red, k, p)
+                    for (tk, te, _) in tail:
+                        if tk not in exps:
+                            exps[tk] = te
+                            todo.append((tk, te))
+                    break
+        # back-substitution: each tail term is smaller, hence already solved
+        f_sub, f_mul, f_neg = field.sub, field.mul, field.neg
+        is_zero = field.is_zero
+        forms = {}
+        for k in sorted(tails):
+            acc = {}
+            for (tk, _, c) in tails[k]:
+                for sk, sc in forms.get(tk, ((tk, field.one),)):
+                    old = acc.get(sk)
+                    v = f_mul(c, sc)
+                    acc[sk] = f_neg(v) if old is None else f_sub(old, v)
+            forms[k] = [(sk, v) for sk, v in acc.items() if not is_zero(v)]
+        out = []
+        for k in keys:
+            terms = sorted(forms.get(k, ((k, field.one),)), reverse=True)
+            out.append(Polynomial(ring, tuple((unpack_exponent(exps[sk]), c)
+                                              for sk, c in terms)))
+        return out
 
     def contains(self, f):
         return self.normal_form(f).is_zero

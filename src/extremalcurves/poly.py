@@ -259,6 +259,8 @@ class Polynomial:
 
     def in_ring(self, ring):
         """Reinterpret in a compatible ring (same field, enough arity)."""
+        if ring == self.ring:
+            return self
         if ring.field != self.ring.field:
             raise ContextMismatchError("cannot move between different fields")
         for e, _ in self.terms:

@@ -287,3 +287,20 @@ def merge_divide_exact(f_terms, g_terms, key, field):
         quotient.append((mono, q))
         cur = _merge_sub(cur, _times(g_terms, mono, q, field), key, field)
     return quotient
+
+
+def monoid_rows(basis_terms, exponents, key, field):
+    """Reference rows of the monoid-surface system: each template monomial
+    reduced on its own by `merge_normal_form`, one sparse row
+    {column: coeff} per remainder monomial in order of first appearance."""
+    rows = []
+    row_index = {}
+    for col, e in enumerate(exponents):
+        for m, c in merge_normal_form([(e, field.one)], basis_terms, key,
+                                      field):
+            r = row_index.get(m)
+            if r is None:
+                r = row_index[m] = len(rows)
+                rows.append({})
+            rows[r][col] = c
+    return rows

@@ -2,18 +2,21 @@ import random
 
 import pytest
 
-from extremalcurves import (BinaryForm, CurveIdeal, Invariants,
-                            SpecializationError, check_disjoint_line,
+from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
+                            PrimeField, SpecializationError,
+                            check_disjoint_line,
                             complete_intersection, condition_star_probe,
                             curve_ring, emit_family, extremal_curve,
                             find_monoid_surface, fixture, ideal,
                             ideal_equal, ideal_intersect, initial_ideal,
                             monoid_template, parse_polynomial,
-                            rao_dims_extremal, specialize,
-                            verify_extremal_shape)
+                            random_coordinate_change, rao_dims_extremal,
+                            specialize, verify_extremal_shape)
+from extremalcurves import linalg
 from extremalcurves.cli import report_to_dict
 from extremalcurves.curves import line_xy
-from extremalcurves.groebner import GrevlexOrder, IdealBasis
+from extremalcurves.degeneration import _find_monoid_surface, _monoid_rows
+from extremalcurves.groebner import GrevlexOrder, GroebnerBasis, IdealBasis
 
 import oracles
 
@@ -230,6 +233,69 @@ def test_monoid_surface_on_moved_quartic(gf):
     expected = (x * surface.g_form.to_polynomial(moved.ring)
                 - y ** 3 * surface.f_forms[-1].to_polynomial(moved.ring))
     assert init == expected
+
+
+# every fixture in its own coordinates (seed None) and some moved ones
+MONOID_CASES = [(name, PrimeField(), None) for name in (
+    "twisted-cubic", "rational-quartic", "elliptic-quartic", "quintic-g2",
+    "extremal:4:0", "extremal:6:3")]
+MONOID_CASES += [("rational-quartic", PrimeField(), 12),
+                 ("quintic-g2", PrimeField(), 3),
+                 ("extremal:6:3", PrimeField(), 5),
+                 ("rational-quartic", QQ, 4)]
+
+
+@pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=[
+    f"{name}-{'qq' if field == QQ else 'gf'}-"
+    + ("fixed" if seed is None else f"moved{seed}")
+    for name, field, seed in MONOID_CASES])
+def test_monoid_rows_match_per_monomial_reference(name, field, seed):
+    curve = fixture(name, field)
+    if seed is not None:
+        curve, _ = random_coordinate_change(curve, seed=seed)
+    inv = curve.invariants
+    gb = curve.ideal.groebner()
+    columns = monoid_template(inv.d, inv.nu)
+    rows = _monoid_rows(gb, columns)
+    expected = oracles.monoid_rows([g.terms for g in gb.elements],
+                                   [e for e, _ in columns],
+                                   gb.ring.order.key, field)
+    assert rows == expected
+    ncols = len(columns)
+    assert (linalg.nullspace(field, rows, ncols)
+            == linalg.nullspace(field, expected, ncols))
+
+
+@pytest.mark.parametrize("name, seed", [("rational-quartic", 12),
+                                        ("quintic-g2", 3), ("extremal:6:3", 5)])
+def test_surface_equation_is_built_from_its_forms(gf, name, seed):
+    moved, _ = random_coordinate_change(fixture(name, gf), seed=seed)
+    inv = moved.invariants
+    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
+                                   random.Random(0))
+    ring = moved.ring
+    x, y = ring.gen(0), ring.gen(1)
+    expected = x * surface.g_form.to_polynomial(ring)
+    for j, f in enumerate(surface.f_forms):
+        expected = expected - y ** j * f.to_polynomial(ring)
+    assert surface.equation == expected
+
+
+def test_monoid_search_reduces_in_one_batch(gf, monkeypatch):
+    moved, _ = random_coordinate_change(fixture("quintic-g2", gf), seed=3)
+    inv = moved.invariants
+    calls = []
+    normal_form = GroebnerBasis.normal_form
+
+    def counting(self, f):
+        calls.append(f)
+        return normal_form(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
+                                   random.Random(0))
+    # the only per-polynomial reduction left is the membership re-check
+    assert calls == [surface.equation]
 
 
 def test_monoid_surface_requires_disjointness(gf):

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremalcurves import (QQ, PolyRing, PrimeField, buchberger, divide_exact,
-                            eliminate, hilbert, ideal, ideal_equal,
-                            ideal_intersect, ideal_quotient,
-                            ideal_quotient_poly, initial_ideal, is_groebner,
-                            normal_form, restrict_to_ring, saturate_irrelevant,
+from extremalcurves import (QQ, ContextMismatchError, PolyRing, PrimeField,
+                            buchberger, curve_ring, divide_exact, eliminate,
+                            hilbert, ideal, ideal_equal, ideal_intersect,
+                            ideal_quotient, ideal_quotient_poly,
+                            initial_ideal, is_groebner, normal_form,
+                            restrict_to_ring, saturate_irrelevant,
                             saturate_poly)
 from extremalcurves.groebner import GroebnerBasis, IdealBasis
 from extremalcurves.orders import (CAPACITY, BlockEliminationOrder,
@@ -405,6 +406,71 @@ def test_divide_exact_matches_merge_reference(field, make_order, data):
             divide_exact(f, g)
     else:
         assert divide_exact(f, g).terms == tuple(expected)
+
+
+# batch normal forms against one `normal_form` call per monomial; GF(7)
+# makes cancellation to zero common
+BATCH_FIELDS = [PrimeField(32003), PrimeField(7), QQ]
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=["gf", "gf7", "qq"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_monomial_normal_forms_match_normal_form(field, make_order, data):
+    ring = _division_ring(field, make_order, data)
+    divisors = [g.monic() for g in
+                data.draw(st.lists(_polys(ring, 4), min_size=1, max_size=4))]
+    if data.draw(st.booleans()):
+        # a monomial divisor sends all its multiples to zero
+        divisors.insert(0, ring.monomial(data.draw(
+            st.sampled_from(divisors[0].terms))[0]))
+    exps = st.tuples(*[st.integers(0, 3)] * ring.arity).map(
+        lambda e: e + (0,) * (CAPACITY - ring.arity))
+    monomials = data.draw(st.lists(exps, min_size=1, max_size=12))
+    # tail monomials of the divisors are inputs too, and so are repeats
+    monomials += [e for g in divisors for e, _ in g.terms[1:2]]
+    monomials += monomials[:data.draw(st.integers(0, 3))]
+    basis = GroebnerBasis(ring, tuple(divisors))
+    expected = [basis.normal_form(ring.monomial(e)) for e in monomials]
+    assert basis.monomial_normal_forms(monomials) == expected
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=["gf", "gf7", "qq"])
+def test_monomial_normal_forms_on_a_reduced_basis(field):
+    ring = PolyRing(field, 4, WeightRefinedOrder((4, 2, 1, 1)))
+    x, y, z, w = ring.gens()
+    basis = ideal(x * z - y * y, x * w - y * z, y * w - z * z).groebner(
+        ring.order)
+    monomials = list(oracles.monomials(4, 5))
+    forms = basis.monomial_normal_forms(monomials)
+    assert forms == [basis.normal_form(ring.monomial(e)) for e in monomials]
+    # every standard monomial of degree 5 is an input and its own form:
+    # as many as the Hilbert function 3n + 1 of the twisted cubic at 5
+    assert len({e for f in forms for e, _ in f.terms}) == 3 * 5 + 1
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=["gf", "gf7", "qq"])
+def test_monomial_normal_forms_of_unit_and_zero_ideals(field):
+    ring = curve_ring(field)
+    monomials = list(oracles.monomials(4, 3)) + [(0,) * CAPACITY]
+    unit = ideal(ring.gen(0) + ring.one(), ring.gen(0)).groebner()
+    assert unit.is_unit_ideal
+    assert all(f.is_zero for f in unit.monomial_normal_forms(monomials))
+    zero = IdealBasis(ring, ()).groebner()
+    assert zero.monomial_normal_forms(monomials) == [ring.monomial(e)
+                                                     for e in monomials]
+    assert zero.monomial_normal_forms([]) == []
+
+
+def test_monomial_normal_forms_reject_foreign_exponents(ring):
+    basis = ideal(ring.gen(0)).groebner()
+    outside = (0, 0, 0, 0, 1, 0, 0, 0)
+    with pytest.raises(ContextMismatchError):
+        basis.monomial_normal_forms([outside])
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        basis.monomial_normal_forms([(0, 40000, 0, 0, 0, 0, 0, 0)])
 
 
 def test_ideal_equality_is_presentation_independent(ring):

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
-                            PrimeField, binary_forms_coprime, curve_ring,
-                            parse_polynomial)
-from extremalcurves.orders import monomial_exponents
+                            PolyRing, PrimeField, binary_forms_coprime,
+                            curve_ring, parse_polynomial)
+from extremalcurves.orders import WeightRefinedOrder, monomial_exponents
 
 import oracles
 
@@ -184,6 +184,25 @@ def test_context_mismatch_between_fields():
     r2 = curve_ring(PrimeField(32003))
     with pytest.raises(ContextMismatchError):
         r1.gen(0) + r2.gen(0)
+
+
+def test_in_ring_keeps_or_resorts_terms(ring):
+    x, y, z, w = ring.gens()
+    f = x * z - y ** 2 + w
+    assert [e for e, _ in f.terms] == [(y ** 2).lead_exponent,
+                                       (x * z).lead_exponent, w.lead_exponent]
+    assert f.in_ring(curve_ring(ring.field)) is f     # an equal ring
+    # a wider ring, whose grevlex order agrees on these terms
+    ext = ring.extended(5)
+    lifted = f.in_ring(ext)
+    assert lifted.ring == ext and lifted.terms == f.terms
+    with pytest.raises(ContextMismatchError):
+        (lifted * ext.gen(4)).in_ring(ring)
+    # another order sorts the terms again: x*z outweighs y^2 under (4,2,1,1)
+    weighted = PolyRing(ring.field, 4, WeightRefinedOrder((4, 2, 1, 1)))
+    moved = f.in_ring(weighted)
+    assert moved.terms == (f.terms[1], f.terms[0], f.terms[2])
+    assert moved.in_ring(ring) == f
 
 
 def test_binary_coprime_trivial_cases(gf):
