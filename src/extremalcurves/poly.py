@@ -387,10 +387,7 @@ def parse_polynomial(ring, text):
         return tok
 
     def parse_number():
-        tok = take()
-        if not tok.isdigit():
-            raise ParseError(f"expected a number, found {tok!r}")
-        value = int(tok)
+        value = int(take())
         if peek() == "/":
             take()
             den = take() if pos < len(tokens) else None

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -160,9 +161,24 @@ def test_parse_fraction_over_rationals(qring):
     assert f.coefficient_of((0, 1, 0, 0, 0, 0, 0, 0)) == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("text", ["", "x +", "q", "x^", "2*", "x^y", "1/0"])
-def test_parse_errors(ring, text):
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize("text, message", [
+    ("", "empty polynomial"),
+    ("   ", "empty polynomial"),
+    ("x +", "unexpected end of polynomial"),
+    ("q", "unknown variable 'q'"),
+    ("x^", "malformed exponent"),
+    ("x^y", "malformed exponent"),
+    ("2*", "dangling '*'"),
+    ("x * + y", "dangling '*'"),
+    ("1/0", "malformed fraction coefficient"),
+    ("1/", "malformed fraction coefficient"),
+    ("1/x", "malformed fraction coefficient"),
+    ("x + *", "unexpected token '*'"),
+    ("x - - y", "unexpected token '-'"),
+    ("x/y", "expected '+' or '-', found '/'"),
+])
+def test_parse_errors(ring, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_polynomial(ring, text)
 
 
