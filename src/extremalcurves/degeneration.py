@@ -76,6 +76,12 @@ def rao_dims_extremal(f_form, g_form, a, l, lo=None, hi=None):
         raise ValueError("form degrees must be a and a + l")
     if not binary_forms_coprime(f_form, g_form):
         raise ValueError("the forms must have no common zero")
+    return _rao_dims(a, l, lo, hi)
+
+
+def _rao_dims(a, l, lo=None, hi=None):
+    """`rao_dims_extremal` for checked invariants and forms already known
+    to be coprime: the table depends on a and l only."""
     dims = _quotient_series_dims(a, a + l)
     if lo is None:
         lo = 1 - a
@@ -336,7 +342,7 @@ def verify_extremal_shape(ideal_basis, d, g):
     rebuilt = IdealBasis(ring, rebuilt_gens)
     if not ideal_equal(ideal_basis, rebuilt):
         return _fail(inv, "ideal-equality")
-    rao = rao_dims_extremal(f_form, g_form, a, inv.l)
+    rao = _rao_dims(a, inv.l)
     bound = inv.rho_table()
     if rao != bound:
         return _fail(inv, "rao-table")

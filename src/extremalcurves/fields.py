@@ -2,7 +2,9 @@
 
 A field object carries the context; elements are plain Python values
 (int residues in [0, p) for PrimeField, fractions.Fraction for
-RationalField).  Keeping elements unboxed keeps the Groebner kernel fast.
+RationalField).  Keeping elements unboxed keeps the Groebner kernel fast:
+it may add and multiply elements with plain + - * and bring the result
+back with `reduce` once, instead of calling a field method per operation.
 Values from different contexts must never be mixed; the polynomial and
 ideal layers raise ContextMismatchError when contexts disagree.
 """
@@ -68,6 +70,11 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.p
+
+    def reduce(self, a):
+        """Canonical residue of an unreduced int, as built by lazy sums of
+        products in the Groebner kernel."""
+        return a % self.p
 
     def inv(self, a):
         """Inverse by extended Euclid."""
@@ -148,6 +155,10 @@ class RationalField:
 
     def neg(self, a):
         return -a
+
+    def reduce(self, a):
+        """Fractions are always in lowest terms: the identity."""
+        return a
 
     def inv(self, a):
         if a == 0:

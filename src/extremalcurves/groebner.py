@@ -10,14 +10,14 @@ sorted descending, where the exponent is packed into one int
 top) and the key is the order's key tuple encoded as one int that is
 linear in the exponent (`orders.int_key_weights`).  Multiplying by a
 monomial therefore adds one int to every key and one to every exponent
-and never re-sorts (`_shifted`); a divides b exactly when
+and never re-sorts (`_offsets`); a divides b exactly when
 ((b | GUARD) - a) & GUARD == GUARD, since each slot's guard bit survives
 the subtraction only if that slot does not borrow.  Tuples appear only at
 the edges: `_keyed` packs a Polynomial, `_from_keyed` and `divide_exact`
 unpack.
 
 No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents,
-and `_shifted` checks the slotwise maximum of a reducer's tail against
+and `_offsets` checks the slotwise maximum of a reducer's tail against
 each shift, because under the block orders of `eliminate` a tail term
 can exceed its lead in some variable.  Either way a ValueError names the
 limit; nothing wraps into the next slot.
@@ -31,6 +31,16 @@ cancelled, and subtracts the scaled reducer tail in the dict, so a step
 costs the size of that tail rather than of the whole remainder.  Normal
 forms, exact quotients and S-polynomials all use it.
 
+Two things keep that step cheap.  The shift is fused into the
+subtraction: `_Remainder.subtract` takes the reducer with the (key,
+exponent) its lead must reach, adds the two offsets to each tail term as
+it goes, and so never builds a shifted copy of the tail.  And reduction
+is lazy: a remainder coefficient is kept as the plain sum old - scale * c
+(an unreduced int over GF(p), a Fraction over QQ) with no field-method
+call, and `pop` brings each coefficient back with `field.reduce` once,
+when its term reaches the top, and skips it there if it has cancelled.
+Only fully reduced coefficients leave the kernel.
+
 `GroebnerBasis.monomial_normal_forms` reduces many monomials at once, as
 the symbolic preprocessing of F4 does (Faugere 1999).  A worklist starts
 from the input monomials; each monomial reached gets the shifted tail of
@@ -38,7 +48,8 @@ the first reducer whose lead divides it, the same choice division makes,
 and the tail's monomials join the worklist.  Back-substitution then
 visits the reducible monomials in ascending key order, so every tail term
 is already solved: NF(m) = -sum c_t * NF(t), with NF(t) = t for a
-standard monomial.  Division by a fixed reducer list is linear in its
+standard monomial; the sum is accumulated lazily and reduced once per
+output term.  Division by a fixed reducer list is linear in its
 input, so each form equals what `normal_form` returns, and each reducer
 row is derived once however many monomials share it.
 """
@@ -74,29 +85,36 @@ def _divides(a, b):
     return ((b | GUARD) - a) & GUARD == GUARD
 
 
-def _shifted(reducer, key, exp):
-    """Tail of a reducer times the monomial taking its lead to (key, exp)."""
-    lead_exp, lead_key, tail, tail_lcm = reducer
+def _offsets(reducer, key, exp):
+    """(key offset, exponent offset) of the monomial taking a reducer's
+    lead to (key, exp); ValueError if a shifted tail slot would pass
+    EXP_LIMIT."""
+    lead_exp, lead_key, _, tail_lcm = reducer
     se = exp - lead_exp
     if (tail_lcm + se) & GUARD:
         raise exponent_limit_error(max(unpack_exponent(tail_lcm + se)))
-    sk = key - lead_key
-    return [(k + sk, e + se, c) for (k, e, c) in tail]
+    return key - lead_key, se
+
+
+def _shifted(reducer, key, exp):
+    """Tail of a reducer times the monomial taking its lead to (key, exp)."""
+    sk, se = _offsets(reducer, key, exp)
+    return [(k + sk, e + se, c) for (k, e, c) in reducer[2]]
 
 
 class _Remainder:
     """Polynomial under division: key -> coefficient, key -> exponent and
     a heap of negated keys.
 
-    The heap holds each dict key once, so pops come in descending order;
-    a cancelled term keeps a zero coefficient until it is popped and
-    skipped.
+    The heap holds each dict key once, so pops come in descending order.
+    Coefficients are stored unreduced; `pop` reduces each one once, and
+    a term that has cancelled is skipped there.
     """
 
-    __slots__ = ("field", "coeffs", "exps", "heap")
+    __slots__ = ("reduce", "coeffs", "exps", "heap")
 
-    def __init__(self, field, keyed):
-        self.field = field
+    def __init__(self, field, keyed=()):
+        self.reduce = field.reduce
         self.coeffs = {k: c for (k, _, c) in keyed}
         self.exps = {k: e for (k, e, _) in keyed}
         self.heap = [-k for (k, _, _) in keyed]
@@ -105,27 +123,30 @@ class _Remainder:
     def pop(self):
         """Largest nonzero (key, exponent, coeff) term, or None."""
         heap, coeffs, exps = self.heap, self.coeffs, self.exps
-        is_zero = self.field.is_zero
+        reduce = self.reduce
         while heap:
             k = -heappop(heap)
-            c = coeffs.pop(k)
+            c = reduce(coeffs.pop(k))
             e = exps.pop(k)
-            if not is_zero(c):
+            if c:
                 return k, e, c
         return None
 
-    def subtract(self, scale, terms):
-        """Subtract scale * terms in place."""
+    def subtract(self, scale, reducer, key, exp):
+        """Subtract scale times the reducer's tail, shifted so that its lead
+        lands on (key, exp), in place."""
+        sk, se = _offsets(reducer, key, exp)
         coeffs, exps, heap = self.coeffs, self.exps, self.heap
-        f_sub, f_mul, f_neg = self.field.sub, self.field.mul, self.field.neg
-        for (k, e, c) in terms:
+        scale = -scale
+        for (k, e, c) in reducer[2]:
+            k += sk
             old = coeffs.get(k)
             if old is None:
-                coeffs[k] = f_neg(f_mul(scale, c))
-                exps[k] = e
+                coeffs[k] = scale * c
+                exps[k] = e + se
                 heappush(heap, -k)
             else:
-                coeffs[k] = f_sub(old, f_mul(scale, c))
+                coeffs[k] = old + scale * c
 
 
 def _normal_form_keyed(rem, reducers):
@@ -135,7 +156,7 @@ def _normal_form_keyed(rem, reducers):
         guarded = top[1] | GUARD    # `_divides`, with b | GUARD hoisted
         for red in reducers:
             if (guarded - red[0]) & GUARD == GUARD:
-                rem.subtract(top[2], _shifted(red, top[0], top[1]))
+                rem.subtract(top[2], red, top[0], top[1])
                 break
         else:
             out.append(top)
@@ -153,7 +174,7 @@ def _monicize(terms, field):
 
 def _as_reducer(terms):
     """(lead_exp, lead_key, tail, tail_lcm) of a keyed list; tail_lcm is
-    the slotwise maximum of the tail's exponents, for `_shifted`."""
+    the slotwise maximum of the tail's exponents, for `_offsets`."""
     tail = terms[1:]
     tail_lcm = 0
     for (_, e, _) in tail:
@@ -164,8 +185,9 @@ def _as_reducer(terms):
 def _spoly(a, b, lcm_key, lcm_exp, field):
     """S-polynomial of two monic reducers with the given lead lcm, as a
     _Remainder."""
-    spoly = _Remainder(field, _shifted(a, lcm_key, lcm_exp))
-    spoly.subtract(field.one, _shifted(b, lcm_key, lcm_exp))
+    spoly = _Remainder(field)
+    spoly.subtract(-field.one, a, lcm_key, lcm_exp)
+    spoly.subtract(field.one, b, lcm_key, lcm_exp)
     return spoly
 
 
@@ -330,18 +352,17 @@ class GroebnerBasis:
                             exps[tk] = te
                             todo.append((tk, te))
                     break
-        # back-substitution: each tail term is smaller, hence already solved
-        f_sub, f_mul, f_neg = field.sub, field.mul, field.neg
-        is_zero = field.is_zero
+        # back-substitution: each tail term is smaller, hence already solved;
+        # sums stay unreduced until the form is complete
+        reduce = field.reduce
         forms = {}
         for k in sorted(tails):
             acc = {}
             for (tk, _, c) in tails[k]:
-                for sk, sc in forms.get(tk, ((tk, field.one),)):
-                    old = acc.get(sk)
-                    v = f_mul(c, sc)
-                    acc[sk] = f_neg(v) if old is None else f_sub(old, v)
-            forms[k] = [(sk, v) for sk, v in acc.items() if not is_zero(v)]
+                for sk, sc in forms.get(tk, ((tk, 1),)):
+                    acc[sk] = acc.get(sk, 0) - c * sc
+            forms[k] = [(sk, v) for sk, v in
+                        zip(acc, map(reduce, acc.values())) if v]
         out = []
         for k in keys:
             terms = sorted(forms.get(k, ((k, field.one),)), reverse=True)
@@ -574,7 +595,7 @@ def divide_exact(f, g):
             raise ValueError("polynomial is not divisible")
         q = field.div(c0, lead_coeff)
         quotient[unpack_exponent(e0 - lead_exp)] = q
-        rem.subtract(q, _shifted(divisor, k0, e0))
+        rem.subtract(q, divisor, k0, e0)
     return Polynomial.from_dict(ring, quotient)
 
 

@@ -350,109 +350,88 @@ def _weights_for_ring(ring, weights):
 # ---------------------------------------------------------------------------
 # text grammar: integer or a/b coefficients, variables x y z w t s u,
 # optional '*', '^' powers, e.g.  x*w^3 - y^3*z + 2*z^4
+#
+# _TERM matches one whole signed term: an optional sign, then factors
+# joined by whitespace or '*', each a number with an optional /denominator
+# or a letter with an optional ^power; whitespace may separate any two
+# tokens.  _FACTORS.findall splits the term into (number, denominator,
+# letter, power) tuples.  Where a match stops short, the error is named
+# from the token it stopped at.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]|\^|\*|\+|-|/|\S)")
+_FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|[A-Za-z](?:\s*\^\s*\d+)?)"
+_TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*?\s*{_FACTOR})*)\s*")
+_FACTORS = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z])(?:\s*\^\s*(\d+))?")
+_SIGN = re.compile(r"\s*[+-]?")
+_TOKEN = re.compile(r"\s*(\d+|\S)?")
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+def _missing_term(text, pos):
+    """ParseError for text in which no term starts at pos."""
+    tok = _TOKEN.match(text, _SIGN.match(text, pos).end()).group(1)
+    if tok is None:
+        if _TOKEN.match(text).group(1) is None:
+            return ParseError("empty polynomial")
+        return ParseError("unexpected end of polynomial")
+    if tok.isalpha():
+        return ParseError(f"unknown variable {tok!r}")
+    return ParseError(f"unexpected token {tok!r}")
+
+
+def _after_term(text, pos, last):
+    """ParseError for the token at pos, which ends a term without being a
+    sign; `last` is the term's final (number, denominator, letter, power)."""
+    tok = text[pos]
+    if tok == "*":
+        nxt = _TOKEN.match(text, pos + 1).group(1)
+        if nxt is not None and nxt.isalpha():
+            return ParseError(f"unknown variable {nxt!r}")
+        return ParseError("dangling '*'")
+    if tok == "/" and last[0] and not last[1]:
+        return ParseError("malformed fraction coefficient")
+    if tok == "^" and last[2] and not last[3]:
+        return ParseError("malformed exponent")
+    if tok.isalpha():
+        return ParseError(f"unknown variable {tok!r}")
+    return ParseError(f"expected '+' or '-', found {tok!r}")
 
 
 def parse_polynomial(ring, text):
     """Parse the polynomial grammar into a canonical Polynomial."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial")
     field = ring.field
     names = {name: i for i, name in enumerate(ring.var_names())}
-    pos = 0
     total = {}
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_number():
-        value = int(take())
-        if peek() == "/":
-            take()
-            den = take() if pos < len(tokens) else None
-            if den is None or not den.isdigit() or int(den) == 0:
-                raise ParseError("malformed fraction coefficient")
-            return field.div(field.coerce(value), field.coerce(int(den)))
-        return field.coerce(value)
-
-    def parse_factor():
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of polynomial")
-        if tok.isdigit():
-            return ZERO_EXP, parse_number()
-        if tok.isalpha():
-            take()
-            if tok not in names:
-                raise ParseError(f"unknown variable {tok!r}")
-            power = 1
-            if peek() == "^":
-                take()
-                ptok = take() if pos < len(tokens) else None
-                if ptok is None or not ptok.isdigit():
-                    raise ParseError("malformed exponent")
-                power = int(ptok)
-            return exp_from_var(names[tok], power), field.one
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def parse_term():
-        exp, coeff = parse_factor()
-        while True:
-            tok = peek()
-            if tok == "*":
-                take()
-                tok = peek()
-                if tok is None or not (tok.isdigit() or tok.isalpha()):
-                    raise ParseError("dangling '*'")
-            elif tok is None or not (tok.isdigit() or tok.isalpha()):
-                break
-            e2, c2 = parse_factor()
-            exp = exp_mul(exp, e2)
-            coeff = field.mul(coeff, c2)
-        return exp, coeff
-
-    sign = 1
-    tok = peek()
-    if tok in ("+", "-"):
-        take()
-        sign = -1 if tok == "-" else 1
+    pos = 0
     while True:
-        exp, coeff = parse_term()
-        if sign < 0:
-            coeff = field.neg(coeff)
-        if exp in total:
-            total[exp] = field.add(total[exp], coeff)
-        else:
-            total[exp] = coeff
-        tok = peek()
-        if tok is None:
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise _missing_term(text, pos)
+        sign, body = m.groups()
+        exp = [0] * CAPACITY
+        coeff = field.one
+        factors = _FACTORS.findall(body)
+        for num, den, var, power in factors:
+            if var:
+                slot = names.get(var)
+                if slot is None:
+                    raise ParseError(f"unknown variable {var!r}")
+                exp[slot] += int(power) if power else 1
+            elif den:
+                if int(den) == 0:
+                    raise ParseError("malformed fraction coefficient")
+                coeff = coeff * field.div(field.coerce(int(num)),
+                                          field.coerce(int(den)))
+            else:
+                coeff = coeff * int(num)
+        exp = tuple(exp)
+        total[exp] = total.get(exp, 0) + (-coeff if sign == "-" else coeff)
+        pos = m.end()
+        if pos == len(text):
             break
-        if tok not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-', found {tok!r}")
-        take()
-        sign = -1 if tok == "-" else 1
-    return Polynomial.from_dict(ring, total)
+        if text[pos] not in "+-":
+            raise _after_term(text, pos, factors[-1])
+    reduce = field.reduce
+    return Polynomial.from_dict(ring, {e: reduce(c) for e, c in total.items()})
 
 
 def _monomial_string(e):

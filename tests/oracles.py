@@ -3,10 +3,15 @@
 Everything here avoids the package's Groebner engine on purpose: graded
 dimensions come from rank computations on raw generator multiples,
 resultants from a Sylvester determinant, root searches from exhaustive
-enumeration.  The tests compare engine output against these.
+enumeration, polynomial text from a token-at-a-time recursive-descent
+parser.  The tests compare engine output against these.
 """
 
+import re
 from itertools import combinations_with_replacement
+
+from extremalcurves.orders import ZERO_EXP, exp_from_var, exp_mul
+from extremalcurves.poly import ParseError, Polynomial
 
 CAP = 8
 
@@ -304,3 +309,108 @@ def monoid_rows(basis_terms, exponents, key, field):
                 rows.append({})
             rows[r][col] = c
     return rows
+
+
+_GRAMMAR_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]|\^|\*|\+|-|/|\S)")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _GRAMMAR_TOKEN.match(text, pos)
+        if m is None:
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+def token_parse_polynomial(ring, text):
+    """Reference parser: the polynomial grammar read one token at a time
+    by recursive descent, raising the ParseError of the first token that
+    does not fit."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial")
+    field = ring.field
+    names = {name: i for i, name in enumerate(ring.var_names())}
+    pos = 0
+    total = {}
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_number():
+        value = int(take())
+        if peek() == "/":
+            take()
+            den = take() if pos < len(tokens) else None
+            if den is None or not den.isdigit() or int(den) == 0:
+                raise ParseError("malformed fraction coefficient")
+            return field.div(field.coerce(value), field.coerce(int(den)))
+        return field.coerce(value)
+
+    def parse_factor():
+        tok = peek()
+        if tok is None:
+            raise ParseError("unexpected end of polynomial")
+        if tok.isdigit():
+            return ZERO_EXP, parse_number()
+        if tok.isalpha():
+            take()
+            if tok not in names:
+                raise ParseError(f"unknown variable {tok!r}")
+            power = 1
+            if peek() == "^":
+                take()
+                ptok = take() if pos < len(tokens) else None
+                if ptok is None or not ptok.isdigit():
+                    raise ParseError("malformed exponent")
+                power = int(ptok)
+            return exp_from_var(names[tok], power), field.one
+        raise ParseError(f"unexpected token {tok!r}")
+
+    def parse_term():
+        exp, coeff = parse_factor()
+        while True:
+            tok = peek()
+            if tok == "*":
+                take()
+                tok = peek()
+                if tok is None or not (tok.isdigit() or tok.isalpha()):
+                    raise ParseError("dangling '*'")
+            elif tok is None or not (tok.isdigit() or tok.isalpha()):
+                break
+            e2, c2 = parse_factor()
+            exp = exp_mul(exp, e2)
+            coeff = field.mul(coeff, c2)
+        return exp, coeff
+
+    sign = 1
+    tok = peek()
+    if tok in ("+", "-"):
+        take()
+        sign = -1 if tok == "-" else 1
+    while True:
+        exp, coeff = parse_term()
+        if sign < 0:
+            coeff = field.neg(coeff)
+        if exp in total:
+            total[exp] = field.add(total[exp], coeff)
+        else:
+            total[exp] = coeff
+        tok = peek()
+        if tok is None:
+            break
+        if tok not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', found {tok!r}")
+        take()
+        sign = -1 if tok == "-" else 1
+    return Polynomial.from_dict(ring, total)

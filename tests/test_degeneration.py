@@ -315,6 +315,27 @@ def test_verify_extremal_true_case(gf, ring):
     assert cert.n_start == 0
 
 
+def test_verify_extremal_tests_coprimality_once(gf, monkeypatch):
+    from extremalcurves import degeneration
+    calls = []
+    coprime = degeneration.binary_forms_coprime
+
+    def counting(*forms):
+        calls.append(forms)
+        return coprime(*forms)
+
+    monkeypatch.setattr(degeneration, "binary_forms_coprime", counting)
+    curve = fixture("extremal:5:1", gf)
+    cert = verify_extremal_shape(curve.ideal, 5, 1)
+    assert cert.extremal
+    assert calls == [(cert.f_form, cert.g_form)]
+    # the public table still refuses forms with a common zero
+    z = BinaryForm.monomial(gf, 1, 0)
+    with pytest.raises(ValueError, match="no common zero"):
+        degeneration.rao_dims_extremal(z, BinaryForm.monomial(gf, 3, 0),
+                                       1, 2)
+
+
 def test_verify_extremal_non_coprime_clause(gf, ring):
     x, y, z, w = ring.gens()
     bad = ideal(x * x, x * y, y ** 4, x * w ** 3 - y ** 3 * w)

@@ -347,8 +347,10 @@ def test_divide_exact_roundtrip(ring):
 
 # the division kernel against the merge-based reference reducer, in both
 # fields and in each kind of order the pipeline uses; d is the degree in
-# the (d, 2, 1, 1) weight vector
-DIVISION_FIELDS = [PrimeField(32003), QQ]
+# the (d, 2, 1, 1) weight vector.  GF(7) makes cancellation to zero common,
+# which the kernel only detects when it reduces a coefficient.
+DIVISION_FIELDS = [PrimeField(32003), PrimeField(7), QQ]
+FIELD_IDS = ["gf", "gf7", "qq"]
 DIVISION_ORDERS = [lambda d: GrevlexOrder(4),
                    lambda d: WeightRefinedOrder((d, 2, 1, 1)),
                    lambda d: BlockEliminationOrder((5, 6), 7)]
@@ -373,7 +375,7 @@ def _division_ring(field, make_order, data):
 
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
-@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=["gf", "qq"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_normal_form_matches_merge_reference(field, make_order, data):
@@ -390,7 +392,7 @@ def test_normal_form_matches_merge_reference(field, make_order, data):
 
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
-@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=["gf", "qq"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_divide_exact_matches_merge_reference(field, make_order, data):
@@ -408,14 +410,34 @@ def test_divide_exact_matches_merge_reference(field, make_order, data):
         assert divide_exact(f, g).terms == tuple(expected)
 
 
-# batch normal forms against one `normal_form` call per monomial; GF(7)
-# makes cancellation to zero common
-BATCH_FIELDS = [PrimeField(32003), PrimeField(7), QQ]
+@pytest.mark.parametrize("p", [32003, 7])
+def test_lazy_sums_reduce_to_residues(p):
+    # each degree-10 monomial in x, y, z is the lead of its own divisor
+    # m - (p-1)*w^10, so every reduction step adds (p-1)^2 to the one
+    # unreduced coefficient of w^10: 66 times, far past p^2
+    field = PrimeField(p)
+    ring = curve_ring(field)
+    w10 = ring.gen(3) ** 10
+    tops = [ring.monomial(e) for e in oracles.monomials(3, 10)]
+    divisors = [m - w10.scale(p - 1) for m in tops]
+    f = sum(tops[1:], tops[0]).scale(p - 1)
+    remainder = GroebnerBasis(ring, tuple(divisors)).normal_form(f)
+    assert remainder.terms == tuple(oracles.merge_normal_form(
+        f.terms, [g.terms for g in divisors], ring.order.key, field))
+    assert remainder == w10.scale(len(tops) * (p - 1) ** 2)
+    g = ring.gen(0) - ring.gen(3).scale(p - 1)
+    quotient = divide_exact(g ** 40, g)
+    assert quotient == g ** 39
+    for poly in (remainder, quotient):
+        assert all(0 <= c < p for _, c in poly.terms)
+
+
+# batch normal forms against one `normal_form` call per monomial
 
 
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
-@pytest.mark.parametrize("field", BATCH_FIELDS, ids=["gf", "gf7", "qq"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_monomial_normal_forms_match_normal_form(field, make_order, data):
@@ -437,7 +459,7 @@ def test_monomial_normal_forms_match_normal_form(field, make_order, data):
     assert basis.monomial_normal_forms(monomials) == expected
 
 
-@pytest.mark.parametrize("field", BATCH_FIELDS, ids=["gf", "gf7", "qq"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
 def test_monomial_normal_forms_on_a_reduced_basis(field):
     ring = PolyRing(field, 4, WeightRefinedOrder((4, 2, 1, 1)))
     x, y, z, w = ring.gens()
@@ -451,7 +473,7 @@ def test_monomial_normal_forms_on_a_reduced_basis(field):
     assert len({e for f in forms for e, _ in f.terms}) == 3 * 5 + 1
 
 
-@pytest.mark.parametrize("field", BATCH_FIELDS, ids=["gf", "gf7", "qq"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
 def test_monomial_normal_forms_of_unit_and_zero_ideals(field):
     ring = curve_ring(field)
     monomials = list(oracles.monomials(4, 3)) + [(0,) * CAPACITY]

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
                             PolyRing, PrimeField, binary_forms_coprime,
@@ -180,6 +181,85 @@ def test_parse_fraction_over_rationals(qring):
 def test_parse_errors(ring, text, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_polynomial(ring, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\u00b2", "expected '+' or '-', found '\u00b2'"),
+    ("\u00b2", "unexpected token '\u00b2'"),
+    ("x + \u00e9", "unknown variable '\u00e9'"),
+    ("x * \u00e9", "unknown variable '\u00e9'"),
+])
+def test_parse_errors_on_non_ascii_tokens(ring, text, message):
+    # a superscript digit is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_polynomial(ring, text)
+
+
+# ------------------------------------------- parser against the token reference
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+# mostly small numbers; one in six is 7, a multiple of 32003 or 10^20
+_NUMBER = st.integers(0, 119).map(
+    lambda n: str(n if n < 100 else (7, 32003, 64006, 10 ** 20)[n % 4]))
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+def _grammar_text(names):
+    """Well-formed text: factors in any slot joined by whitespace or '*',
+    signed terms, free whitespace between tokens."""
+    fraction = _joined(_NUMBER, _SPACE, st.just("/"), _SPACE, _NUMBER)
+    power = _joined(_SPACE, st.just("^"), _SPACE,
+                    st.integers(0, 12).map(str))
+    variable = _joined(st.sampled_from(names), st.just("") | power)
+    factor = st.one_of(_NUMBER, fraction, variable)
+    joint = _joined(_SPACE, st.sampled_from(["", "*"]), _SPACE)
+    term = _joined(factor, st.lists(_joined(joint, factor), max_size=4).map(
+        "".join))
+    sign = _joined(_SPACE, st.sampled_from("+-"), _SPACE)
+    lead = st.just("") | sign
+    return _joined(lead, term, st.lists(_joined(sign, term), max_size=4).map(
+        "".join), _SPACE)
+
+
+_NOISE = st.sampled_from(list("+-*/^ xyzwq0129") + ["\u00e9", "\t"])
+
+
+@st.composite
+def _malformed_text(draw, names):
+    """Well-formed text with one to three characters inserted, replaced
+    or deleted."""
+    chars = list(draw(_grammar_text(names)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(chars)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(chars):
+            chars.insert(at, draw(_NOISE))
+        elif edit == "replace":
+            chars[at] = draw(_NOISE)
+        else:
+            del chars[at]
+    return "".join(chars)
+
+
+def _outcome(parse, ring, text):
+    try:
+        return parse(ring, text)
+    except (ParseError, ZeroDivisionError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["gf", "qq"])
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_parser_matches_token_reference(field, data):
+    ring = curve_ring(field)
+    names = "".join(ring.var_names())
+    text = data.draw(_grammar_text(names) | _malformed_text(names))
+    assert _outcome(parse_polynomial, ring, text) == \
+        _outcome(oracles.token_parse_polynomial, ring, text)
 
 
 def test_str_parse_roundtrip_random(ring):
