@@ -137,16 +137,16 @@ class _Remainder:
         lands on (key, exp), in place."""
         sk, se = _offsets(reducer, key, exp)
         coeffs, exps, heap = self.coeffs, self.exps, self.heap
-        scale = -scale
+        neg = -scale
         for (k, e, c) in reducer[2]:
             k += sk
             old = coeffs.get(k)
             if old is None:
-                coeffs[k] = scale * c
+                coeffs[k] = neg * c
                 exps[k] = e + se
                 heappush(heap, -k)
             else:
-                coeffs[k] = old + scale * c
+                coeffs[k] = old + neg * c
 
 
 def _normal_form_keyed(rem, reducers):

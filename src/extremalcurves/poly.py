@@ -370,7 +370,7 @@ def _missing_term(text, pos):
     """ParseError for text in which no term starts at pos."""
     tok = _TOKEN.match(text, _SIGN.match(text, pos).end()).group(1)
     if tok is None:
-        if _TOKEN.match(text).group(1) is None:
+        if not text.strip():
             return ParseError("empty polynomial")
         return ParseError("unexpected end of polynomial")
     if tok.isalpha():
