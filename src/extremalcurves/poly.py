@@ -362,13 +362,15 @@ def _weights_for_ring(ring, weights):
 _FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|[A-Za-z](?:\s*\^\s*\d+)?)"
 _TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*?\s*{_FACTOR})*)\s*")
 _FACTORS = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z])(?:\s*\^\s*(\d+))?")
-_SIGN = re.compile(r"\s*[+-]?")
 _TOKEN = re.compile(r"\s*(\d+|\S)?")
 
 
 def _missing_term(text, pos):
     """ParseError for text in which no term starts at pos."""
-    tok = _TOKEN.match(text, _SIGN.match(text, pos).end()).group(1)
+    m = _TOKEN.match(text, pos)
+    if m.group(1) in ("+", "-"):
+        m = _TOKEN.match(text, m.end())
+    tok = m.group(1)
     if tok is None:
         if not text.strip():
             return ParseError("empty polynomial")
