@@ -433,8 +433,6 @@ def test_lazy_sums_reduce_to_residues(p):
 
 
 # batch normal forms against one `normal_form` call per monomial
-
-
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)

@@ -162,7 +162,7 @@ def test_parse_fraction_over_rationals(qring):
     assert f.coefficient_of((0, 1, 0, 0, 0, 0, 0, 0)) == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("text, message", [
+PARSE_ERRORS = [
     ("", "empty polynomial"),
     ("   ", "empty polynomial"),
     ("x +", "unexpected end of polynomial"),
@@ -182,7 +182,11 @@ def test_parse_fraction_over_rationals(qring):
     # a superscript digit is a digit to str.isdigit but not to int()
     ("\u00b2", "unexpected token '\u00b2'"),
     ("x\u00b2", "expected '+' or '-', found '\u00b2'"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS,
+                         ids=[text for text, _ in PARSE_ERRORS])
 def test_parse_errors(ring, text, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_polynomial(ring, text)
