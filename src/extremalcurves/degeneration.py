@@ -15,7 +15,8 @@ from .orders import WeightRefinedOrder
 from .poly import BinaryForm, Polynomial, binary_forms_coprime
 from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
                        ideal_sum, initial_ideal, saturate_irrelevant)
-from .hilbert import hilbert
+from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
+                      _trim, hilbert)
 from .curves import (CURVE_ARITY, CoordinateChange, CurveIdeal, Invariants,
                      transform_ideal)
 from . import linalg
@@ -49,22 +50,8 @@ class SpecializationError(DegenerationError):
 def _quotient_series_dims(a, b):
     """Graded dimensions of k[z,w]/(F,G) for coprime forms of degrees a, b,
     read off the series (1-t^a)(1-t^b)/(1-t)^2."""
-    num = [0] * (a + b + 1)
-    num[0] = 1
-    num[a] -= 1
-    num[b] -= 1
-    num[a + b] += 1
-    for _ in range(2):
-        if sum(num) != 0:
-            raise AssertionError("complete-intersection series is not exact")
-        acc, out = 0, []
-        for c in num[:-1]:
-            acc += c
-            out.append(acc)
-        num = out
-    while num and num[-1] == 0:
-        num.pop()
-    return num
+    num = _poly_mul_int(_one_minus_power(a), _one_minus_power(b))
+    return _trim(_divide_one_minus_t(_divide_one_minus_t(num)))
 
 
 def rao_dims_extremal(f_form, g_form, a, l, lo=None, hi=None):
@@ -133,11 +120,6 @@ class MonoidSurface:
     @property
     def degree(self):
         return self.equation.degree
-
-    @property
-    def lead_pair(self):
-        """(G, F) where F is the form paired with y^(d-1)."""
-        return self.g_form, self.f_forms[-1]
 
 
 def monoid_template(d, nu):
@@ -424,8 +406,12 @@ def specialize(curve, seed=0, max_retries=5):
     Dispatches the two boundary genera to trivial families.  Otherwise the
     first attempt keeps the given coordinates (so weight-homogeneous inputs
     are their own limit with zero retries) and each retry draws a fresh
-    seeded random coordinate change.
+    seeded random coordinate change.  A negative `max_retries` is a
+    ValueError.
     """
+    if max_retries < 0:
+        raise ValueError(
+            f"the number of retries must be >= 0, got {max_retries}")
     inv = curve.invariants
     if inv.branch != "general":
         return _boundary_report(curve, inv, seed)

@@ -52,6 +52,21 @@ standard monomial; the sum is accumulated lazily and reduced once per
 output term.  Division by a fixed reducer list is linear in its
 input, so each form equals what `normal_form` returns, and each reducer
 row is derived once however many monomials share it.
+
+Interreduction is one pass.  `_reduce_basis` keeps the elements whose
+leads no other lead divides; reducing one of them by the others never
+changes its lead, so it stays monic and the others' reducibility is
+unchanged, and after each tail has been reduced once every tail is
+standard.
+
+Saturation by the irrelevant ideal m uses the single-variable
+saturations I : v^infinity (Bayer & Stillman 1987), which for
+homogeneous I under grevlex with v last divide v out of the reduced
+basis.  Each is saturated and contains I^sat, and two saturated ideals,
+one inside the other, are equal exactly when their Hilbert polynomials
+agree; I^sat has the Hilbert polynomial of I.  So `saturate_irrelevant`
+returns the first I : v^infinity with I's Hilbert polynomial, and only
+when none has it intersects all of them.
 """
 
 from heapq import heapify, heappop, heappush
@@ -62,6 +77,7 @@ from .orders import (CAPACITY, GUARD, MAX_ARITY, SLOT_BITS,
                      BlockEliminationOrder, GrevlexOrder, WeightRefinedOrder,
                      exponent_limit_error, int_key_weights, pack_exponent,
                      packed_lcm, unpack_exponent)
+from .hilbert import hilbert
 from .poly import Polynomial, _weights_for_ring
 
 def _keyed(poly, order):
@@ -192,7 +208,8 @@ def _spoly(a, b, lcm_key, lcm_exp, field):
 
 
 def _buchberger_core(keyed_inputs, order, field):
-    """Groebner basis of monic keyed inputs; Gebauer-Moeller pair updates.
+    """Groebner basis of nonzero keyed inputs, which `update` makes monic;
+    Gebauer-Moeller pair updates.
 
     A pair is (key of the lcm, i, j, lcm), so the smallest tuple is the
     normal-strategy choice with a deterministic index tie-break.
@@ -235,8 +252,7 @@ def _buchberger_core(keyed_inputs, order, field):
         leads.append(lm_new)
 
     for terms in keyed_inputs:
-        if terms:
-            update(terms)
+        update(terms)
 
     while pairs:
         pair = min(pairs)
@@ -252,36 +268,20 @@ def _buchberger_core(keyed_inputs, order, field):
 
 
 def _reduce_basis(G, field):
-    """Minimalize and fully interreduce a Groebner basis in place."""
-    order_of = lambda terms: terms[0][0]
-    G = sorted((g for g in G if g), key=order_of)
-    minimal = []
-    for g in G:
+    """Minimalize and interreduce a monic Groebner basis; one pass
+    suffices, since no reduction changes a lead."""
+    basis = []
+    for g in sorted(G, key=lambda terms: terms[0][0]):
         lm = g[0][1]
-        if all(not _divides(h[0][1], lm) for h in minimal):
-            minimal.append(g)
-    basis = [list(g) for g in minimal]
+        if all(not _divides(h[0][1], lm) for h in basis):
+            basis.append(g)
     reducers = [_as_reducer(b) for b in basis]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            if basis[idx] is None:
-                continue
-            others = [r for j, r in enumerate(reducers)
-                      if j != idx and r is not None]
-            r = _normal_form_keyed(_Remainder(field, basis[idx]), others)
-            if not r:
-                basis[idx] = reducers[idx] = None
-                changed = True
-                continue
-            r = _monicize(r, field)
-            if r != basis[idx]:
-                basis[idx] = r
-                reducers[idx] = _as_reducer(r)
-                changed = True
-    basis = [b for b in basis if b is not None]
-    basis.sort(key=order_of)
+    for idx, b in enumerate(basis):
+        others = reducers[:idx] + reducers[idx + 1:]
+        r = _normal_form_keyed(_Remainder(field, b), others)
+        if r != b:
+            basis[idx] = r
+            reducers[idx] = _as_reducer(r)
     return basis
 
 
@@ -407,7 +407,7 @@ def buchberger(generators, order=None):
         if g.ring.field != field or g.ring.arity != ring.arity:
             raise ContextMismatchError("generators live in different rings")
         if g:
-            keyed.append(_monicize(_keyed(g, order), field))
+            keyed.append(_keyed(g, order))
     raw = _buchberger_core(keyed, order, field)
     reduced = _reduce_basis(raw, field)
     elements = tuple(_from_keyed(work_ring, g) for g in reduced)
@@ -694,19 +694,25 @@ def saturate_variable(ideal_basis, slot):
 def saturate_irrelevant(ideal_basis):
     """Saturation with respect to the irrelevant maximal ideal.
 
-    Computed as the intersection of the single-variable saturations; if
-    any of them already equals the input, the input is saturated.
+    The variables are tried from the last.  An input that one of them
+    leaves unchanged is returned as it is; the first I : v^infinity with
+    the Hilbert polynomial of I is returned as its reduced grevlex basis;
+    when there is none, the intersection of all of them.
     """
     if not ideal_basis.homogeneous:
         raise ValueError("saturation requires a homogeneous ideal")
     ring = ideal_basis.ring
     sats = []
+    target = None
     for slot in range(ring.arity - 1, -1, -1):
         s = saturate_variable(ideal_basis, slot)
-        if ideal_equal(s, ideal_basis):
+        if s is ideal_basis:
             return ideal_basis
-        if not any(ideal_equal(s, prev) for prev in sats):
-            sats.append(s)
+        if target is None:
+            target = hilbert(ideal_basis).hp_coefficients
+        if hilbert(s).hp_coefficients == target:
+            return IdealBasis(ring, s.groebner().elements)
+        sats.append(s)
     result = sats[0]
     for s in sats[1:]:
         result = ideal_intersect(result, s)

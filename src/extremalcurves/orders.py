@@ -128,7 +128,6 @@ class GrevlexOrder:
     """Graded reverse lexicographic order on the first `arity` slots."""
 
     __slots__ = ("arity",)
-    kind = "grevlex"
 
     def __init__(self, arity):
         if not 1 <= arity <= MAX_ARITY:
@@ -156,7 +155,6 @@ class WeightRefinedOrder:
     """
 
     __slots__ = ("arity", "weights")
-    kind = "weight"
 
     def __init__(self, weights, arity=None):
         weights = tuple(int(w) for w in weights)
@@ -200,7 +198,6 @@ class BlockEliminationOrder:
     """
 
     __slots__ = ("arity", "front", "back")
-    kind = "block"
 
     def __init__(self, front, arity):
         front = tuple(sorted(set(int(i) for i in front)))

@@ -6,6 +6,12 @@ terms as a tuple sorted strictly descending in that order, with no zero
 coefficients; that canonical form makes equality a tuple comparison and
 lets reduced Groebner bases be compared term by term.
 
+`Polynomial.from_dict` is the one place that brings coefficients back to
+canonical form: it applies `field.reduce` to each value and drops those
+that vanish.  Arithmetic that ends in it (sums, products, linear
+substitution, the parser) therefore adds and multiplies coefficients with
+plain + and *, with no field-method call per term.
+
 BinaryForm holds a homogeneous form in two variables (z, w by default),
 the currency of the monoid-surface constructions.
 """
@@ -118,9 +124,11 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, ring, coeffs):
-        field = ring.field
+        """Polynomial from an exponent -> coefficient dict whose values may
+        be unreduced sums and products of field elements."""
         key = ring.order.key
-        items = [(e, c) for e, c in coeffs.items() if not field.is_zero(c)]
+        items = [(e, c) for e, c in zip(coeffs, map(ring.field.reduce,
+                                                    coeffs.values())) if c]
         items.sort(key=lambda t: key(t[0]), reverse=True)
         return cls(ring, tuple(items))
 
@@ -173,17 +181,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same_ring(self, other)
-        field = self.ring.field
         acc = dict(self.terms)
         for e, c in other.terms:
-            if e in acc:
-                s = field.add(acc[e], c)
-                if field.is_zero(s):
-                    del acc[e]
-                else:
-                    acc[e] = s
-            else:
-                acc[e] = c
+            acc[e] = acc.get(e, 0) + c
         return Polynomial.from_dict(self.ring, acc)
 
     def __sub__(self, other):
@@ -195,20 +195,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         _check_same_ring(self, other)
-        field = self.ring.field
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = exp_mul(e1, e2)
-                prod = field.mul(c1, c2)
-                if e in acc:
-                    s = field.add(acc[e], prod)
-                    if field.is_zero(s):
-                        del acc[e]
-                    else:
-                        acc[e] = s
-                else:
-                    acc[e] = prod
+                acc[e] = acc.get(e, 0) + c1 * c2
         return Polynomial.from_dict(self.ring, acc)
 
     def __rmul__(self, other):
@@ -296,13 +287,9 @@ class Polynomial:
         field = ring.field
         rows = [[field.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
         linalg.mat_inverse(field, rows)  # raises ValueError when singular
-        images = []
-        for i in range(n):
-            acc = {}
-            for j in range(n):
-                if not field.is_zero(rows[i][j]):
-                    acc[exp_from_var(j)] = rows[i][j]
-            images.append(Polynomial.from_dict(ring, acc))
+        images = [Polynomial.from_dict(ring, {exp_from_var(j): rows[i][j]
+                                              for j in range(n)})
+                  for i in range(n)]
         # cache powers of each image to keep repeated exponents cheap
         powers = [{0: ring.one()} for _ in range(n)]
 
@@ -313,14 +300,13 @@ class Polynomial:
             return cached[k]
 
         acc = {}
-        add = field.add
         for e, c in self.terms:
             term = ring.constant(c)
             for i in range(n):
                 if e[i]:
                     term = term * image_power(i, e[i])
             for te, tc in term.terms:
-                acc[te] = add(acc[te], tc) if te in acc else tc
+                acc[te] = acc.get(te, 0) + tc
         return Polynomial.from_dict(ring, acc)
 
     def coefficient_of(self, exponent):
@@ -432,8 +418,7 @@ def parse_polynomial(ring, text):
             break
         if text[pos] not in "+-":
             raise _after_term(text, pos, factors[-1])
-    reduce = field.reduce
-    return Polynomial.from_dict(ring, {e: reduce(c) for e, c in total.items()})
+    return Polynomial.from_dict(ring, total)
 
 
 def _monomial_string(e):
@@ -538,11 +523,10 @@ class BinaryForm:
         m = self.degree
         acc = {}
         for i, c in enumerate(self.coeffs):
-            if not ring.field.is_zero(c):
-                e = [0] * CAPACITY
-                e[a] = m - i
-                e[b] = i
-                acc[tuple(e)] = c
+            e = [0] * CAPACITY
+            e[a] = m - i
+            e[b] = i
+            acc[tuple(e)] = c
         return Polynomial.from_dict(ring, acc)
 
     def evaluate(self, z_value, w_value):

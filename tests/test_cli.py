@@ -92,6 +92,16 @@ def test_specialize_retry_exhaustion_exit_code():
     assert "disjointness" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["specialize", str(DATA / "rational_quartic.ideal")],
+    ["demo", "rational-quartic", "--specialize"]], ids=["specialize", "demo"])
+def test_negative_retries_is_invalid_input(argv, capsys):
+    code = main(argv + ["--retries", "-1"])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: the number of retries must be >= 0, got -1\n")
+
+
 def test_verify_extremal_good_and_bad():
     code, out = run_cli(["verify-extremal", str(DATA / "extremal_4_0.ideal"),
                          "4", "0"])

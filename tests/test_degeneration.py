@@ -467,6 +467,15 @@ def test_specialize_exhausts_retries_when_forced(gf):
     assert any(stage == "disjointness" for _, stage, _ in err.value.diagnostics)
 
 
+@pytest.mark.parametrize("name", ["rational-quartic", "twisted-cubic"])
+def test_specialize_rejects_negative_retries(gf, name):
+    # refused before the branch dispatch, so the ACM boundary branch of the
+    # twisted cubic refuses too
+    with pytest.raises(ValueError,
+                       match="the number of retries must be >= 0, got -1"):
+        specialize(fixture(name, gf), seed=42, max_retries=-1)
+
+
 def test_specialize_rejects_impossible_genus(gf):
     quartic = fixture("rational-quartic", gf)
     fake = CurveIdeal.trusted(quartic.ideal, 4, 2)

@@ -9,7 +9,8 @@ from extremalcurves import (QQ, ContextMismatchError, PolyRing, PrimeField,
                             ideal_quotient, ideal_quotient_poly,
                             initial_ideal, is_groebner, normal_form,
                             restrict_to_ring, saturate_irrelevant,
-                            saturate_poly)
+                            saturate_poly, saturate_variable)
+from extremalcurves import groebner
 from extremalcurves.groebner import GroebnerBasis, IdealBasis
 from extremalcurves.orders import (CAPACITY, BlockEliminationOrder,
                                    GrevlexOrder, WeightRefinedOrder)
@@ -257,6 +258,62 @@ def test_saturated_ideal_is_fixed(ring):
     assert saturate_irrelevant(basis) is basis
 
 
+def _times_irrelevant(basis):
+    return IdealBasis(basis.ring, [g * v for g in basis.generators
+                                   for v in basis.ring.gens()])
+
+
+def _two_skew_lines(ring):
+    x, y, z, w = ring.gens()
+    return ideal_intersect(ideal(x, y), ideal(z, w))
+
+
+def _plane_conic(ring):
+    x, y, z, w = ring.gens()
+    return ideal(y, x * x + z * z + w * w)
+
+
+# (input, intersections the fallback makes): every variable is a zero
+# divisor modulo the two skew lines, so no single saturation has their
+# Hilbert polynomial and all four are intersected
+SATURATION_CASES = {
+    "two-lines": (_two_skew_lines, 3),
+    "two-lines-times-m": (lambda r: _times_irrelevant(_two_skew_lines(r)), 3),
+    "twisted-cubic-times-m": (
+        lambda r: _times_irrelevant(twisted_cubic_ideal(r)), 0),
+    "conic-times-m": (lambda r: _times_irrelevant(_plane_conic(r)), 0),
+}
+
+
+@pytest.mark.parametrize("case", SATURATION_CASES)
+def test_saturate_irrelevant_matches_variable_saturations(ring, case,
+                                                          monkeypatch):
+    make, fallback_calls = SATURATION_CASES[case]
+    basis = make(ring)
+    expected = saturate_variable(basis, 0)
+    for slot in range(1, 4):
+        expected = ideal_intersect(expected,
+                                   saturate_variable(basis, slot))
+    calls = []
+
+    def counted_intersect(a, b):
+        calls.append(1)
+        return ideal_intersect(a, b)
+
+    def no_ideal_equal(a, b):
+        raise AssertionError("saturation compared ideals")
+
+    monkeypatch.setattr(groebner, "ideal_intersect", counted_intersect)
+    monkeypatch.setattr(groebner, "ideal_equal", no_ideal_equal)
+    sat = saturate_irrelevant(basis)
+    monkeypatch.undo()
+    assert len(calls) == fallback_calls
+    assert ideal_equal(sat, expected)
+    if not fallback_calls:
+        # a single saturation is returned as its reduced grevlex basis
+        assert sat.generators == expected.groebner().elements
+
+
 # ---------------------------------------------------------------- properties
 
 def test_buchberger_criterion_on_random_ideals(ring):
@@ -291,7 +348,6 @@ def test_quotient_intersect_bruteforce_agreement(ring):
 def test_saturation_routes_agree(ring):
     # the grevlex divide-out route and the auxiliary-variable route are
     # independent algorithms; they must produce the same saturation
-    from extremalcurves import saturate_variable
     rng = random.Random(67)
     for _ in range(8):
         basis = random_homogeneous_ideal(ring, rng)
@@ -356,13 +412,15 @@ DIVISION_ORDERS = [lambda d: GrevlexOrder(4),
                    lambda d: BlockEliminationOrder((5, 6), 7)]
 
 
-def _polys(ring, max_terms):
-    field = ring.field
+def _coeffs(field):
     if field == QQ:
-        coeffs = st.fractions(-5, 5, max_denominator=4).filter(bool)
-    else:
-        coeffs = st.integers(1, field.characteristic - 1)
-    exps = st.tuples(*[st.integers(0, 2)] * ring.arity).map(
+        return st.fractions(-5, 5, max_denominator=4).filter(bool)
+    return st.integers(1, field.characteristic - 1)
+
+
+def _polys(ring, max_terms, max_exponent=2):
+    coeffs = _coeffs(ring.field)
+    exps = st.tuples(*[st.integers(0, max_exponent)] * ring.arity).map(
         lambda e: e + (0,) * (CAPACITY - ring.arity))
     return st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms).map(
         lambda acc: Polynomial.from_dict(ring, acc))
@@ -397,10 +455,18 @@ def test_normal_form_matches_merge_reference(field, make_order, data):
 @given(data=st.data())
 def test_divide_exact_matches_merge_reference(field, make_order, data):
     ring = _division_ring(field, make_order, data)
-    g = data.draw(_polys(ring, 4))
-    f = data.draw(_polys(ring, 4)) * g
     if data.draw(st.booleans()):
-        f = f + data.draw(_polys(ring, 2))
+        # u^k - (-c*v)^k over u + c*v: every step but the last puts into
+        # the remainder a term that is not yet there
+        u, v = data.draw(st.permutations(ring.gens()))[:2]
+        cv = v.scale(data.draw(_coeffs(field)))
+        k = data.draw(st.integers(2, 6))
+        g, f = u + cv, u ** k - (-cv) ** k
+    else:
+        g = data.draw(_polys(ring, 4))
+        f = data.draw(_polys(ring, 4)) * g
+        if data.draw(st.booleans()):
+            f = f + data.draw(_polys(ring, 2))
     expected = oracles.merge_divide_exact(f.terms, g.terms, ring.order.key,
                                           field)
     if expected is None:
@@ -408,6 +474,31 @@ def test_divide_exact_matches_merge_reference(field, make_order, data):
             divide_exact(f, g)
     else:
         assert divide_exact(f, g).terms == tuple(expected)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_buchberger_returns_reduced_bases(field, make_order, data):
+    ring = _division_ring(field, make_order, data)
+    # squarefree inputs: with exponents up to 2, a few 7-variable ideals
+    # under the block order take many seconds
+    gens = data.draw(st.lists(_polys(ring, 3, max_exponent=1),
+                              min_size=2, max_size=3))
+    basis = buchberger(gens, ring.order)
+    leads = basis.lead_exponents()
+    for i, g in enumerate(basis):
+        assert g.lead_coefficient == field.one
+        assert not any(_divides(lead, leads[i])
+                       for j, lead in enumerate(leads) if j != i)
+        assert not any(_divides(lead, e)
+                       for e, _ in g.terms[1:] for lead in leads)
 
 
 @pytest.mark.parametrize("p", [32003, 7])
