@@ -16,10 +16,9 @@ from .poly import (BinaryForm, ParseError, PolyRing, Polynomial,
 from .groebner import (GroebnerBasis, IdealBasis, buchberger, divide_exact,
                        eliminate, ideal, ideal_equal, ideal_intersect,
                        ideal_quotient, ideal_quotient_poly, ideal_sum,
-                       initial_ideal, is_groebner, normal_form,
-                       restrict_to_ring, saturate_irrelevant, saturate_poly,
-                       saturate_variable)
-from .hilbert import HilbertData, curve_degree_genus, graded_dimension, hilbert
+                       initial_ideal, is_groebner, restrict_to_ring,
+                       saturate_irrelevant, saturate_poly, saturate_variable)
+from .hilbert import HilbertData, hilbert
 from .curves import (CoordinateChange, CurveIdeal, Invariants,
                      complete_intersection, curve_ring, extremal_curve,
                      fixture, fixture_names, from_parametrization, link,

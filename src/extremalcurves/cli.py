@@ -198,7 +198,7 @@ def _run_specialize(curve, args, out):
 def cmd_specialize(args, out=None):
     out = out or sys.stdout
     basis = load_ideal_file(args.path, args.char)
-    curve = CurveIdeal.from_ideal(basis, saturate=True)
+    curve = CurveIdeal.from_ideal(basis)
     return _run_specialize(curve, args, out)
 
 
@@ -261,7 +261,7 @@ def cmd_demo(args, out=None):
 def cmd_probe(args, out=None):
     out = out or sys.stdout
     basis = load_ideal_file(args.path, args.char)
-    curve = CurveIdeal.from_ideal(basis, saturate=True)
+    curve = CurveIdeal.from_ideal(basis)
     report = condition_star_probe(curve)
     print(f"double plane: {'yes' if report.double_plane else 'no'}", file=out)
     if report.z_degree is not None:
@@ -335,10 +335,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

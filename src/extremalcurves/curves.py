@@ -47,8 +47,10 @@ class CoordinateChange:
         while True:
             rows = [[field.random_element(rng) for _ in range(CURVE_ARITY)]
                     for _ in range(CURVE_ARITY)]
-            if linalg.mat_is_invertible(field, rows):
+            try:
                 return cls(field, rows)
+            except ValueError:
+                pass
 
     @property
     def is_identity(self):
@@ -179,22 +181,17 @@ class CurveIdeal:
         self.genus = genus
 
     @classmethod
-    def from_ideal(cls, ideal_basis, saturate=True):
+    def from_ideal(cls, ideal_basis):
         if ideal_basis.ring.arity != CURVE_ARITY:
             raise ValueError("curve ideals live in the four-variable ring")
         if not ideal_basis.homogeneous:
             raise ValueError("curve ideals must be homogeneous")
-        sat = saturate_irrelevant(ideal_basis) if saturate else ideal_basis
+        sat = saturate_irrelevant(ideal_basis)
         hd = hilbert(sat)
         if hd.dimension != 1:
             raise ValueError(
                 f"not a curve: scheme has dimension {hd.dimension}")
         return cls(sat, hd.degree, hd.genus)
-
-    @classmethod
-    def trusted(cls, ideal_basis, degree, genus):
-        """Skip validation; for transforms that provably preserve invariants."""
-        return cls(ideal_basis, degree, genus)
 
     @property
     def ring(self):
@@ -233,7 +230,7 @@ def extremal_curve(field, d, g, f_form, g_form):
     x, y = ring.gen(0), ring.gen(1)
     gens = (x * x, x * y, y ** d,
             x * g_form.to_polynomial(ring) - y ** (d - 1) * f_form.to_polynomial(ring))
-    curve = CurveIdeal.from_ideal(IdealBasis(ring, gens), saturate=True)
+    curve = CurveIdeal.from_ideal(IdealBasis(ring, gens))
     if (curve.degree, curve.genus) != (d, g):
         raise AssertionError("extremal constructor produced wrong invariants")
     return curve
@@ -264,7 +261,7 @@ def from_parametrization(field, forms):
     graph = IdealBasis(big, gens)
     eliminated = eliminate(graph, front=param_slots)
     kernel = restrict_to_ring(eliminated, curve_ring(field))
-    curve = CurveIdeal.from_ideal(kernel, saturate=True)
+    curve = CurveIdeal.from_ideal(kernel)
     if curve.degree != d:
         raise ValueError(
             f"parametrization is not degree-correct: expected degree {d}, "
@@ -292,7 +289,7 @@ def complete_intersection(f, g):
     if hd.degree != m * n or hd.genus != expected_genus:
         raise ValueError(
             "the two equations share a factor (wrong degree or genus)")
-    return CurveIdeal.trusted(sat, hd.degree, hd.genus)
+    return CurveIdeal(sat, hd.degree, hd.genus)
 
 
 def link(f, g, curve):
@@ -310,7 +307,7 @@ def link(f, g, curve):
     expected_degree = ci.degree - curve.degree
     if expected_degree <= 0 or hd.degree != expected_degree:
         raise ValueError("degenerate linkage: residual degree mismatch")
-    return CurveIdeal.trusted(residual, hd.degree, hd.genus)
+    return CurveIdeal(residual, hd.degree, hd.genus)
 
 
 def random_coordinate_change(curve, seed):
@@ -319,7 +316,7 @@ def random_coordinate_change(curve, seed):
     change = CoordinateChange.random(curve.field, rng)
     moved = transform_ideal(curve.ideal, change)
     # linear changes preserve saturation and all Hilbert data
-    return CurveIdeal.trusted(moved, curve.degree, curve.genus), change
+    return CurveIdeal(moved, curve.degree, curve.genus), change
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +345,7 @@ def elliptic_quartic(field):
 def line_xy(field):
     """The line x = y = 0."""
     ring = curve_ring(field)
-    return CurveIdeal.from_ideal(IdealBasis(ring, (ring.gen(0), ring.gen(1))),
-                                 saturate=False)
+    return CurveIdeal.from_ideal(IdealBasis(ring, (ring.gen(0), ring.gen(1))))
 
 
 def quintic_genus_two(field):

@@ -17,7 +17,7 @@ from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
                        ideal_sum, initial_ideal, saturate_irrelevant)
 from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
                       _trim, hilbert)
-from .curves import (CURVE_ARITY, CoordinateChange, CurveIdeal, Invariants,
+from .curves import (CURVE_ARITY, CoordinateChange, Invariants,
                      transform_ideal)
 from . import linalg
 
@@ -90,15 +90,8 @@ def pipeline_weights(d):
     return (d, 2, 1, 1)
 
 
-def _ideal_of(curve_or_ideal):
-    if isinstance(curve_or_ideal, CurveIdeal):
-        return curve_or_ideal.ideal
-    return curve_or_ideal
-
-
-def check_disjoint_line(curve_or_ideal):
+def check_disjoint_line(ideal_basis):
     """True when the scheme misses the line z = w = 0 (empty intersection)."""
-    ideal_basis = _ideal_of(curve_or_ideal)
     ring = ideal_basis.ring
     zw = IdealBasis(ring, (ring.gen(2), ring.gen(3)))
     return hilbert(ideal_sum(ideal_basis, zw)).dimension == -1
@@ -117,10 +110,6 @@ class MonoidSurface:
     g_form: BinaryForm
     f_forms: tuple
 
-    @property
-    def degree(self):
-        return self.equation.degree
-
 
 def monoid_template(d, nu):
     """Exponent columns of the search space: x*z^i*w^(nu-i) and
@@ -129,55 +118,39 @@ def monoid_template(d, nu):
     for i in range(nu + 1):
         e = [0] * 8
         e[0], e[2], e[3] = 1, i, nu - i
-        columns.append((tuple(e), ("x", i)))
+        columns.append(tuple(e))
     for j in range(d):
         m = nu + 1 - j
         for i in range(m + 1):
             e = [0] * 8
             e[1], e[2], e[3] = j, i, m - i
-            columns.append((tuple(e), ("y", j, i)))
+            columns.append(tuple(e))
     expected = (nu + 1) * (d + 1) + 1 - (d - 1) * (d - 2) // 2
     if len(columns) != expected:
         raise AssertionError("template dimension count failed")
     return columns
 
 
-def _assemble_surface(ring, d, nu, columns, coefficients):
+def _assemble_surface(ring, d, nu, columns, coefficients, unit):
+    """The surface of a kernel vector scaled by `unit`: each template
+    monomial's coefficient is the unit times its entry, the x column with
+    w-power k gives G's w^k coefficient and the y^j column gives minus
+    F_j's."""
     field = ring.field
     g_coeffs = [field.zero] * (nu + 1)
     f_coeffs = [[field.zero] * (nu + 2 - j) for j in range(d)]
-    for (exp, tag), c in zip(columns, coefficients):
+    terms = {}
+    for e, c in zip(columns, coefficients):
         if field.is_zero(c):
             continue
-        if tag[0] == "x":
-            i = tag[1]
-            g_coeffs[nu - i] = c            # w-power nu-i
+        c = terms[e] = field.mul(unit, c)
+        if e[0]:
+            g_coeffs[e[3]] = c
         else:
-            _, j, i = tag
-            m = nu + 1 - j
-            f_coeffs[j][m - i] = field.neg(c)
-    g_form = BinaryForm(field, g_coeffs)
-    f_forms = tuple(BinaryForm(field, f_coeffs[j]) for j in range(d))
-    # normalize so the lead form is monic (falling back to the equation)
-    unit = None
-    for c in g_coeffs:
-        if not field.is_zero(c):
-            unit = field.inv(c)
-            break
-    if unit is not None and unit != field.one:
-        g_form = g_form.scale(unit)
-        f_forms = tuple(f.scale(unit) for f in f_forms)
-    # x*G - sum_j y^j * F_j; the x and y powers keep every term distinct
-    terms = {(1, 0, nu - i, i, 0, 0, 0, 0): c
-             for i, c in enumerate(g_form.coeffs)}
-    for j, f in enumerate(f_forms):
-        m = nu + 1 - j
-        for i, c in enumerate(f.coeffs):
-            terms[(0, j, m - i, i, 0, 0, 0, 0)] = field.neg(c)
-    equation = Polynomial.from_dict(ring, terms)
-    if unit is None:
-        equation = equation.monic()
-    return MonoidSurface(equation, g_form, f_forms)
+            f_coeffs[e[1]][e[3]] = field.neg(c)
+    return MonoidSurface(Polynomial.from_dict(ring, terms),
+                         BinaryForm(field, g_coeffs),
+                         tuple(BinaryForm(field, f) for f in f_coeffs))
 
 
 def _monoid_rows(gb, columns):
@@ -185,7 +158,7 @@ def _monoid_rows(gb, columns):
     one row per standard monomial, in order of first appearance."""
     rows = []
     row_index = {}
-    forms = gb.monomial_normal_forms([exp for exp, _tag in columns])
+    forms = gb.monomial_normal_forms(columns)
     for col, form in enumerate(forms):
         for e, c in form.terms:
             r = row_index.get(e)
@@ -222,14 +195,15 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
             if any(not field.is_zero(c) for c in combo):
                 candidates.append(combo)
 
-    def build(vec):
-        return _assemble_surface(ring, d, nu, columns, vec)
-
     fallback = None
     for vec in candidates:
-        surface = build(vec)
-        if surface.g_form.is_zero:
+        # G's coefficients by ascending w-power: the x columns, last first;
+        # the first nonzero one is scaled to one
+        g_part = [c for c in reversed(vec[:nu + 1]) if not field.is_zero(c)]
+        if not g_part:
             continue
+        surface = _assemble_surface(ring, d, nu, columns, vec,
+                                    field.inv(g_part[0]))
         lead_f = surface.f_forms[-1]
         if not lead_f.is_zero and binary_forms_coprime(surface.g_form, lead_f):
             fallback = surface
@@ -250,7 +224,7 @@ def find_monoid_surface(curve, rng=None):
     """Monoid surface through a curve; requires disjointness from z = w = 0."""
     inv = curve.invariants
     inv.require_bound()
-    if not check_disjoint_line(curve):
+    if not check_disjoint_line(curve.ideal):
         raise ValueError(
             "the curve meets the line z = w = 0; change coordinates first")
     return _find_monoid_surface(curve.ideal, inv.d, inv.nu, rng)
@@ -269,7 +243,6 @@ class ExtremalCertificate:
     failure: object = None          # first failing clause, or None
     f_form: object = None           # BinaryForm of degree a
     g_form: object = None           # BinaryForm of degree a+l
-    generators: tuple = ()
     n_start: int = 0
     rao: tuple = ()
     rho: tuple = ()
@@ -330,21 +303,20 @@ def verify_extremal_shape(ideal_basis, d, g):
         return _fail(inv, "rao-table")
     return ExtremalCertificate(
         invariants=inv, extremal=True, f_form=f_form, g_form=g_form,
-        generators=rebuilt.generators, n_start=1 - a, rao=rao, rho=bound)
+        n_start=1 - a, rao=rao, rho=bound)
 
 
 # ---------------------------------------------------------------------------
 # flat family emission
 # ---------------------------------------------------------------------------
 
-def emit_family(curve_or_ideal, weights):
+def emit_family(ideal_basis, weights):
     """Textual generators of the one-parameter family in x, y, z, w, t.
 
     Each weight-refined reduced basis element g is rescaled so that the
     fibre at t = 0 is the initial form and the fibre at t = 1 is g: a term
     of weight k picks up t^(m - k), where m is the weight degree of g.
     """
-    ideal_basis = _ideal_of(curve_or_ideal)
     ring = ideal_basis.ring
     w = tuple(weights)
     refined = WeightRefinedOrder(w, ring.arity)
@@ -376,7 +348,6 @@ class SpecializationReport:
     omega: tuple
     seed: int
     retries: int
-    change: object                   # CoordinateChange used (identity first)
     transformed: object              # IdealBasis after the change
     surface: object                  # MonoidSurface or None on boundary
     limit: object                    # IdealBasis of the limit curve
@@ -395,7 +366,7 @@ def _boundary_report(curve, inv, seed):
     family = tuple(str(g_) for g_ in curve.ideal.generators)
     return SpecializationReport(
         invariants=inv, omega=pipeline_weights(inv.d),
-        seed=seed, retries=0, change=CoordinateChange.identity(curve.field),
+        seed=seed, retries=0,
         transformed=curve.ideal, surface=None, limit=curve.ideal,
         certificate=None, family=family, extremal=True)
 
@@ -444,7 +415,7 @@ def specialize(curve, seed=0, max_retries=5):
             family = tuple(emit_family(moved, omega))
             return SpecializationReport(
                 invariants=inv, omega=omega, seed=seed,
-                retries=attempt, change=change, transformed=moved,
+                retries=attempt, transformed=moved,
                 surface=surface, limit=limit, certificate=certificate,
                 family=family, extremal=True,
                 diagnostics=tuple(diagnostics))
@@ -465,7 +436,6 @@ def specialize(curve, seed=0, max_retries=5):
 class StarProbeReport:
     """Projection-from-a-point probe via the (1,0,0,0) initial ideal."""
 
-    initial_limit: object        # saturated (1,0,0,0)-initial ideal
     double_plane: bool           # x^2 lies in the limit
     z_ideal: object              # residual scheme ideal, or None
     z_degree: object             # its length, or None
@@ -478,9 +448,10 @@ def condition_star_probe(curve):
     """Project the curve from (1,0,0,0) by degenerating with (1,0,0,0).
 
     When the limit lies in the double plane x^2 = 0, the residual scheme Z
-    of embedded points is zero-dimensional of length nu; a failure signals
-    a line through the projection point meeting the curve in a scheme of
-    degree three or more (or a curve through the point itself).
+    of embedded points is zero-dimensional of length nu; an empty Z has
+    length 0, as for a plane curve off the point (nu = 0).  A failure
+    signals a line through the projection point meeting the curve in a
+    scheme of degree three or more (or a curve through the point itself).
     """
     ideal_basis = curve.ideal
     ring = ideal_basis.ring
@@ -489,22 +460,22 @@ def condition_star_probe(curve):
     x = ring.gen(0)
     if not j1.contains(x * x):
         return StarProbeReport(
-            initial_limit=j1, double_plane=False, z_ideal=None,
+            double_plane=False, z_ideal=None,
             z_degree=None, expected=nu, ok=False,
             note="projection limit is not contained in the double plane: "
                  "some line through (1,0,0,0) meets the curve with degree "
                  ">= 3, or the curve passes through the point")
     z_ideal = saturate_irrelevant(ideal_quotient_poly(j1, x))
     hd = hilbert(z_ideal)
-    if hd.dimension != 0:
+    if hd.dimension > 0:
         return StarProbeReport(
-            initial_limit=j1, double_plane=True, z_ideal=z_ideal,
+            double_plane=True, z_ideal=z_ideal,
             z_degree=None, expected=nu, ok=False,
             note=f"residual scheme has dimension {hd.dimension}, expected 0")
-    degree = hd.degree
+    degree = hd.degree if hd.dimension == 0 else 0
     ok = degree == nu
     note = "" if ok else (
         f"residual scheme has length {degree}, expected {nu}")
     return StarProbeReport(
-        initial_limit=j1, double_plane=True, z_ideal=z_ideal,
+        double_plane=True, z_ideal=z_ideal,
         z_degree=degree, expected=nu, ok=ok, note=note)

@@ -60,13 +60,18 @@ unchanged, and after each tail has been reduced once every tail is
 standard.
 
 Saturation by the irrelevant ideal m uses the single-variable
-saturations I : v^infinity (Bayer & Stillman 1987), which for
-homogeneous I under grevlex with v last divide v out of the reduced
-basis.  Each is saturated and contains I^sat, and two saturated ideals,
-one inside the other, are equal exactly when their Hilbert polynomials
-agree; I^sat has the Hilbert polynomial of I.  So `saturate_irrelevant`
-returns the first I : v^infinity with I's Hilbert polynomial, and only
-when none has it intersects all of them.
+saturations I : v^infinity.  For homogeneous I under grevlex with v
+last, v divides a homogeneous polynomial exactly when it divides the
+lead term, so dividing each element of the reduced basis by its largest
+power of v gives a Groebner basis of I : v^infinity (Bayer & Stillman
+1987).  One pass suffices: those quotients are a Groebner basis whose
+leads v does not divide, so no element of the reduced basis of
+I : v^infinity is divisible by v and a second pass would divide
+nothing.  Each I : v^infinity is saturated and contains I^sat, and two
+saturated ideals, one inside the other, are equal exactly when their
+Hilbert polynomials agree; I^sat has the Hilbert polynomial of I.  So
+`saturate_irrelevant` returns the first I : v^infinity with I's Hilbert
+polynomial, and only when none has it intersects all of them.
 """
 
 from heapq import heapify, heappop, heappush
@@ -309,10 +314,6 @@ class GroebnerBasis:
     def lead_exponents(self):
         return [g.lead_exponent for g in self.elements]
 
-    @property
-    def is_unit_ideal(self):
-        return len(self.elements) == 1 and self.elements[0].degree == 0
-
     def normal_form(self, f):
         if f.ring.field != self.ring.field:
             raise ContextMismatchError("polynomial and basis fields differ")
@@ -501,13 +502,6 @@ def _check_rings(a, b):
         raise ContextMismatchError("ideals live in different rings")
 
 
-def normal_form(f, basis):
-    """Remainder of f modulo a GroebnerBasis (or an ideal's cached basis)."""
-    if isinstance(basis, IdealBasis):
-        basis = basis.groebner()
-    return basis.normal_form(f)
-
-
 def ideal_equal(a, b):
     """Canonical comparison via reduced grevlex bases."""
     _check_rings(a, b)
@@ -650,28 +644,20 @@ def _divide_variable_power(poly, slot, power):
 
 
 def _saturate_last_variable(ideal_basis):
-    """I : v^infinity for the last grevlex variable of a homogeneous ideal.
-
-    For homogeneous ideals in graded reverse lexicographic order, dividing
-    every reduced-basis element by its largest power of the last variable
-    and iterating to a fixed point yields the saturation.
-    """
+    """I : v^infinity for the last grevlex variable of a homogeneous ideal:
+    its reduced grevlex basis with each element divided by its largest
+    power of v, in one pass; the input itself when nothing divides."""
     ring = ideal_basis.ring
     last = ring.arity - 1
-    cur = ideal_basis
-    while True:
-        gb = cur.groebner(GrevlexOrder(ring.arity))
-        divided = []
-        changed = False
-        for g in gb.elements:
-            k = min(e[last] for e, _ in g.terms)
-            if k:
-                changed = True
-                g = _divide_variable_power(g, last, k)
-            divided.append(g)
-        if not changed:
-            return cur
-        cur = IdealBasis(ring, divided)
+    divided = []
+    changed = False
+    for g in ideal_basis.groebner(GrevlexOrder(ring.arity)).elements:
+        k = min(e[last] for e, _ in g.terms)
+        if k:
+            changed = True
+            g = _divide_variable_power(g, last, k)
+        divided.append(g)
+    return IdealBasis(ring, divided) if changed else ideal_basis
 
 
 def saturate_variable(ideal_basis, slot):

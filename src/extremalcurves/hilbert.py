@@ -192,16 +192,3 @@ def hilbert(ideal_basis):
     return HilbertData(arity, tuple(numerator), dimension, tuple(hp),
                        degree, genus)
 
-
-def graded_dimension(ideal_basis, n):
-    """dim_k (R/I)_n via the Hilbert series."""
-    return hilbert(ideal_basis).hilbert_function(n)
-
-
-def curve_degree_genus(ideal_basis):
-    """(degree, genus) of a one-dimensional scheme; error otherwise."""
-    hd = hilbert(ideal_basis)
-    if hd.dimension != 1:
-        raise ValueError(
-            f"a curve is required, but the scheme has dimension {hd.dimension}")
-    return hd.degree, hd.genus

@@ -109,11 +109,3 @@ def mat_inverse(field, m):
         raise ValueError("singular matrix")
     return [[row.get(j, field.zero) for j in range(n, 2 * n)]
             for row in reduced]
-
-
-def mat_is_invertible(field, m):
-    try:
-        mat_inverse(field, m)
-        return True
-    except ValueError:
-        return False

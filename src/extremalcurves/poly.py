@@ -92,9 +92,6 @@ class PolyRing:
             raise ValueError("extension cannot shrink the ring")
         return PolyRing(self.field, arity)
 
-    def parse(self, text):
-        return parse_polynomial(self, text)
-
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.field == self.field
                 and other.arity == self.arity and other.order == self.order)
@@ -309,12 +306,6 @@ class Polynomial:
                 acc[te] = acc.get(te, 0) + tc
         return Polynomial.from_dict(ring, acc)
 
-    def coefficient_of(self, exponent):
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return self.ring.field.zero
-
     def __str__(self):
         return polynomial_to_string(self)
 
@@ -496,24 +487,6 @@ class BinaryForm:
             if not form.is_zero:
                 return form
 
-    @classmethod
-    def from_polynomial(cls, poly, slots=(2, 3), degree=None):
-        """Extract a form supported on two variable slots of a polynomial."""
-        field = poly.ring.field
-        if poly.is_zero:
-            if degree is None:
-                raise ValueError("zero polynomial needs an explicit degree")
-            return cls.zero(field, degree)
-        if degree is None:
-            degree = poly.degree
-        coeffs = [field.zero] * (degree + 1)
-        a, b = slots
-        for e, c in poly.terms:
-            if e[a] + e[b] != exp_degree(e) or e[a] + e[b] != degree:
-                raise ValueError("polynomial is not a form in the two slots")
-            coeffs[e[b]] = c
-        return cls(field, coeffs)
-
     @property
     def is_zero(self):
         return all(self.field.is_zero(c) for c in self.coeffs)
@@ -550,10 +523,6 @@ class BinaryForm:
         while out and self.field.is_zero(out[-1]):
             out.pop()
         return out
-
-    def scale(self, value):
-        c = self.field.coerce(value)
-        return BinaryForm(self.field, tuple(self.field.mul(c, v) for v in self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):

@@ -194,8 +194,7 @@ def test_criterion_projection_probe():
                                  ("quintic-g2", 42, 4)):
         curve = fixture(name, GF)
         report = specialize(curve, seed=seed)
-        moved = CurveIdeal.trusted(report.transformed, curve.degree,
-                                   curve.genus)
+        moved = CurveIdeal(report.transformed, curve.degree, curve.genus)
         probe = condition_star_probe(moved)
         if not (probe.double_plane and probe.ok
                 and probe.z_degree == expected == curve.invariants.nu):

@@ -220,6 +220,14 @@ def test_probe_subcommand():
     assert "deg Z = 3" in out
 
 
+def test_probe_line_has_empty_residual(tmp_path):
+    line = tmp_path / "line.ideal"
+    line.write_text("generators:\n  x\n  y\n")
+    code, out = run_cli(["probe", str(line)])
+    assert code == EXIT_OK
+    assert out == "double plane: yes\ndeg Z = 0 (expected 0)\n"
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "extremalcurves.cli", "rho", "4", "0"],

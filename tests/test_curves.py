@@ -189,7 +189,7 @@ def test_constructor_saturates_input(gf, ring):
     curve = fixture("rational-quartic", gf)
     moved, _ = random_coordinate_change(curve, seed=8)
     raw = initial_ideal(moved.ideal, (4, 2, 1, 1))
-    rebuilt = CurveIdeal.from_ideal(raw, saturate=True)
+    rebuilt = CurveIdeal.from_ideal(raw)
     assert (rebuilt.degree, rebuilt.genus) == (4, 0)
     assert ideal_equal(rebuilt.ideal, saturate_irrelevant(raw))
 

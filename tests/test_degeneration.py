@@ -189,8 +189,8 @@ def test_rao_rho_identity_on_grid(gf):
 
 def test_disjointness_examples(gf, ring):
     x, y, z, w = ring.gens()
-    assert check_disjoint_line(fixture("extremal:4:0", gf))
-    assert check_disjoint_line(line_xy(gf))
+    assert check_disjoint_line(fixture("extremal:4:0", gf).ideal)
+    assert check_disjoint_line(line_xy(gf).ideal)
     # (y, z) defines a line through (1,0,0,0) on z = w = 0
     assert not check_disjoint_line(IdealBasis(ring, (y, z)))
 
@@ -222,7 +222,7 @@ def test_monoid_surface_on_moved_quartic(gf):
     from extremalcurves import random_coordinate_change
     curve = fixture("rational-quartic", gf)
     moved, _ = random_coordinate_change(curve, seed=12)
-    assert check_disjoint_line(moved)
+    assert check_disjoint_line(moved.ideal)
     surface = find_monoid_surface(moved, rng=random.Random(0))
     assert surface.equation.degree == curve.invariants.nu + 1
     assert moved.ideal.contains(surface.equation)
@@ -258,7 +258,7 @@ def test_monoid_rows_match_per_monomial_reference(name, field, seed):
     columns = monoid_template(inv.d, inv.nu)
     rows = _monoid_rows(gb, columns)
     expected = oracles.monoid_rows([g.terms for g in gb.elements],
-                                   [e for e, _ in columns],
+                                   columns,
                                    gb.ring.order.key, field)
     assert rows == expected
     ncols = len(columns)
@@ -279,6 +279,8 @@ def test_surface_equation_is_built_from_its_forms(gf, name, seed):
     for j, f in enumerate(surface.f_forms):
         expected = expected - y ** j * f.to_polynomial(ring)
     assert surface.equation == expected
+    # scaled so that G's coefficient of lowest w-power is one
+    assert next(c for c in surface.g_form.coeffs if c) == gf.one
 
 
 def test_monoid_search_reduces_in_one_batch(gf, monkeypatch):
@@ -478,7 +480,7 @@ def test_specialize_rejects_negative_retries(gf, name):
 
 def test_specialize_rejects_impossible_genus(gf):
     quartic = fixture("rational-quartic", gf)
-    fake = CurveIdeal.trusted(quartic.ideal, 4, 2)
+    fake = CurveIdeal(quartic.ideal, 4, 2)
     with pytest.raises(ValueError,
                        match="no non-planar curve has degree 4 and genus 2"):
         specialize(fake, seed=0)
@@ -531,8 +533,7 @@ def test_specialize_disconnected_reduced_curve(gf, ring):
     x, y, z, w = ring.gens()
     cubic = fixture("twisted-cubic", gf)
     line = IdealBasis(ring, (x - 2 * z, y - 3 * w))
-    union = CurveIdeal.from_ideal(ideal_intersect(cubic.ideal, line),
-                                  saturate=True)
+    union = CurveIdeal.from_ideal(ideal_intersect(cubic.ideal, line))
     assert (union.degree, union.genus) == (4, -1)
     report = specialize(union, seed=3)
     assert report.extremal
@@ -578,11 +579,11 @@ def test_specialize_recovers_from_bad_projection_point(gf, ring):
     x, y, z, w = ring.gens()
     union = ideal_intersect(IdealBasis(ring, (x, y ** 3 + z ** 3 + w ** 3)),
                             IdealBasis(ring, (y, z)))
-    curve = CurveIdeal.from_ideal(union, saturate=True)
+    curve = CurveIdeal.from_ideal(union)
     report = specialize(curve, seed=2)
     assert report.extremal and report.retries >= 1
     assert report.certificate.rao == (1, 1, 1, 0)
-    moved = CurveIdeal.trusted(report.transformed, curve.degree, curve.genus)
+    moved = CurveIdeal(report.transformed, curve.degree, curve.genus)
     probe = condition_star_probe(moved)
     assert probe.double_plane and probe.z_degree == 3
 
@@ -667,7 +668,7 @@ def test_probe_detects_multisecant_through_projection_point(gf, ring):
     plane_cubic = IdealBasis(ring, (x, y ** 3 + z ** 3 + w ** 3))
     through_p = IdealBasis(ring, (y, z))
     union = ideal_intersect(plane_cubic, through_p)
-    curve = CurveIdeal.from_ideal(union, saturate=True)
+    curve = CurveIdeal.from_ideal(union)
     assert (curve.degree, curve.genus) == (4, 0)
     probe = condition_star_probe(curve)
     assert not probe.double_plane
@@ -678,7 +679,38 @@ def test_probe_detects_multisecant_through_projection_point(gf, ring):
 def test_probe_consistent_with_successful_run(gf):
     curve = fixture("quintic-g2", gf)
     report = specialize(curve, seed=42)
-    moved = CurveIdeal.trusted(report.transformed, curve.degree, curve.genus)
+    moved = CurveIdeal(report.transformed, curve.degree, curve.genus)
     probe = condition_star_probe(moved)
     assert probe.double_plane and probe.ok
     assert probe.z_degree == curve.invariants.nu == 4
+
+
+def _conic_off_the_point(field):
+    ring = curve_ring(field)
+    x, y, z, w = ring.gens()
+    return CurveIdeal.from_ideal(
+        IdealBasis(ring, (x - z, y * y + z * z + w * w)))
+
+
+@pytest.mark.parametrize("build", [line_xy, _conic_off_the_point],
+                         ids=["line-xy", "conic"])
+def test_probe_plane_curve_off_the_point(gf, build):
+    # nu = 0, and the residual scheme is empty: its length 0 is expected
+    curve = build(gf)
+    assert curve.invariants.nu == 0
+    probe = condition_star_probe(curve)
+    assert probe.double_plane and probe.ok
+    assert probe.z_degree == 0 == probe.expected
+    assert probe.note == ""
+
+
+def test_probe_rejects_residual_curve(gf, ring):
+    # a conic off (1,0,0,0) in the plane y = 0, which holds that point,
+    # projects 2:1 onto a line, which the residual scheme then contains
+    x, y, z, w = ring.gens()
+    curve = CurveIdeal.from_ideal(
+        IdealBasis(ring, (y, x * x + z * z + w * w)))
+    probe = condition_star_probe(curve)
+    assert probe.double_plane and not probe.ok
+    assert probe.z_degree is None
+    assert probe.note == "residual scheme has dimension 1, expected 0"

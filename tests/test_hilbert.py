@@ -1,9 +1,6 @@
 import random
 
-import pytest
-
-from extremalcurves import (curve_degree_genus, graded_dimension, hilbert,
-                            ideal)
+from extremalcurves import hilbert, ideal
 from extremalcurves.groebner import GrevlexOrder, IdealBasis
 
 import oracles
@@ -29,7 +26,6 @@ def test_twisted_cubic_polynomial(ring):
         assert hd.hilbert_function(n) == value
         if n >= 1:
             assert value == 3 * n + 1
-    assert curve_degree_genus(basis) == (3, 0)
 
 
 def test_plane_has_dimension_two(ring):
@@ -72,11 +68,6 @@ def test_zero_ideal_full_polynomial_ring(ring):
         assert hd.hilbert_function(n) == len(oracles.monomials(4, n))
 
 
-def test_curve_required_error(ring):
-    with pytest.raises(ValueError):
-        curve_degree_genus(ideal(ring.gen(0)))
-
-
 def test_numerator_expansion_matches_enumeration(ring):
     rng = random.Random(71)
     for _ in range(8):
@@ -86,7 +77,6 @@ def test_numerator_expansion_matches_enumeration(ring):
         counted = _counted_dims(basis, upto)
         for n in range(upto + 1):
             assert hd.hilbert_function(n) == counted[n]
-            assert graded_dimension(basis, n) == counted[n]
 
 
 def test_degree_positive_for_curves(ring):

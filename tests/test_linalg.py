@@ -151,10 +151,8 @@ def test_mat_inverse(field, data):
     if oracles.rank(field, dense, n) < n:
         with pytest.raises(ValueError, match="singular"):
             linalg.mat_inverse(field, dense)
-        assert not linalg.mat_is_invertible(field, dense)
         return
     inverse = linalg.mat_inverse(field, dense)
-    assert linalg.mat_is_invertible(field, dense)
     columns = list(zip(*inverse))
     assert [_apply(field, dense, col) for col in columns] == identity
 

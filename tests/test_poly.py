@@ -98,9 +98,11 @@ def test_substitute_roundtrip_random_matrix(ring):
         while True:
             m = [[field.random_element(rng) for _ in range(4)]
                  for _ in range(4)]
-            if linalg.mat_is_invertible(field, m):
+            try:
+                m_inv = linalg.mat_inverse(field, m)
                 break
-        m_inv = linalg.mat_inverse(field, m)
+            except ValueError:
+                pass
         g = f.substitute_linear(m)
         assert g.degree == 2
         assert g.substitute_linear(m_inv) == f
@@ -126,8 +128,11 @@ def test_substitute_linear_matches_evaluation(field):
         while True:
             m = [[field.coerce(rng.randint(-9, 9)) for _ in range(4)]
                  for _ in range(4)]
-            if linalg.mat_is_invertible(field, m):
+            try:
+                linalg.mat_inverse(field, m)
                 break
+            except ValueError:
+                pass
         f = random_poly(ring, rng, rng.randint(1, 5), terms=12,
                         homogeneous=False)
         g = f.substitute_linear(m)
@@ -158,8 +163,8 @@ def test_parse_standard_grammar(ring):
 def test_parse_fraction_over_rationals(qring):
     from fractions import Fraction
     f = parse_polynomial(qring, "1/2*x + 2/3*y")
-    assert f.coefficient_of((1, 0, 0, 0, 0, 0, 0, 0)) == Fraction(1, 2)
-    assert f.coefficient_of((0, 1, 0, 0, 0, 0, 0, 0)) == Fraction(2, 3)
+    assert dict(f.terms) == {(1, 0, 0, 0, 0, 0, 0, 0): Fraction(1, 2),
+                             (0, 1, 0, 0, 0, 0, 0, 0): Fraction(2, 3)}
 
 
 PARSE_ERRORS = [
@@ -314,6 +319,16 @@ def test_binary_coprime_resultant_oracle_over_q():
     assert oracles.sylvester_resultant(f, g) != 0
 
 
+def _form_product(f, g):
+    """Product of two binary forms: the convolution of their coefficients."""
+    field = f.field
+    coeffs = [field.zero] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            coeffs[i + j] = field.add(coeffs[i + j], field.mul(a, b))
+    return BinaryForm(field, coeffs)
+
+
 def test_binary_coprime_matches_bruteforce_over_small_field():
     p = 101
     gf = PrimeField(p)
@@ -326,11 +341,7 @@ def test_binary_coprime_matches_bruteforce_over_small_field():
             # engineer a common zero by multiplying in a shared linear factor
             t = rng.randrange(p)
             lin = BinaryForm(gf, (1, t))
-            ring = curve_ring(gf)
-            f = BinaryForm.from_polynomial(
-                f.to_polynomial(ring) * lin.to_polynomial(ring))
-            g = BinaryForm.from_polynomial(
-                g.to_polynomial(ring) * lin.to_polynomial(ring))
+            f, g = _form_product(f, lin), _form_product(g, lin)
         has_root = oracles.common_projective_root(f, g, p)
         assert binary_forms_coprime(f, g) == (not has_root)
         res = oracles.sylvester_resultant(f, g)
@@ -376,5 +387,5 @@ def test_binary_form_polynomial_roundtrip(ring):
     gf = ring.field
     form = BinaryForm(gf, (3, 0, 1, 5))
     poly = form.to_polynomial(ring)
-    assert poly.is_homogeneous and poly.degree == 3
-    assert BinaryForm.from_polynomial(poly) == form
+    z, w = ring.gen(2), ring.gen(3)
+    assert poly == 3 * z ** 3 + z * w ** 2 + 5 * w ** 3
