@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -17,7 +18,6 @@ DATA = Path(__file__).parent / "data"
 
 def run_cli(args):
     out = io.StringIO()
-    import contextlib
     with contextlib.redirect_stdout(out):
         code = main(args)
     return code, out.getvalue()
@@ -226,6 +226,21 @@ def test_probe_line_has_empty_residual(tmp_path):
     code, out = run_cli(["probe", str(line)])
     assert code == EXIT_OK
     assert out == "double plane: yes\ndeg Z = 0 (expected 0)\n"
+
+
+def test_cli_transcript_matches_record(monkeypatch):
+    """Each command in cli_transcript.json, written by
+    record_cli_transcript.py, gives the recorded exit code, stdout and
+    stderr byte for byte."""
+    monkeypatch.chdir(DATA.parent.parent)
+    records = json.loads((DATA / "cli_transcript.json").read_text(
+        encoding="utf-8"))
+    for rec in records:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(rec["args"])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            rec["exit"], rec["stdout"], rec["stderr"]), rec["args"]
 
 
 def test_console_entry_point():
