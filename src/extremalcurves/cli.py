@@ -135,59 +135,56 @@ def _invariants_line(inv):
     return f"d={inv.d} g={inv.g} a={inv.a} l={inv.l} nu={inv.nu}"
 
 
-def _print_report(report, out):
+def _print_report(report):
     inv = report.invariants
-    print(_invariants_line(inv), file=out)
+    print(_invariants_line(inv))
     print(f"branch: {inv.branch}   retries: {report.retries}   "
-          f"omega: {report.omega}", file=out)
+          f"omega: {report.omega}")
     if report.surface is not None:
-        print(f"surface: {report.surface.equation}", file=out)
-    print("limit ideal:", file=out)
+        print(f"surface: {report.surface.equation}")
+    print("limit ideal:")
     for g in report.limit.groebner().elements:
-        print(f"  {g}", file=out)
+        print(f"  {g}")
     cert = report.certificate
     if cert is not None:
-        print(f"F = {cert.f_form}", file=out)
-        print(f"G = {cert.g_form}", file=out)
+        print(f"F = {cert.f_form}")
+        print(f"G = {cert.g_form}")
     n_start, rao, rho = _rao_rows(report)
     if n_start is not None:
         rng = range(n_start, n_start + len(rao))
-        print("   n: " + " ".join(f"{n:>3}" for n in rng), file=out)
-        print(" rao: " + " ".join(f"{v:>3}" for v in rao), file=out)
-        print(" rho: " + " ".join(f"{v:>3}" for v in rho), file=out)
-    print(f"extremal: {'true' if report.extremal else 'false'}", file=out)
-    print("family:", file=out)
+        print("   n: " + " ".join(f"{n:>3}" for n in rng))
+        print(" rao: " + " ".join(f"{v:>3}" for v in rao))
+        print(" rho: " + " ".join(f"{v:>3}" for v in rho))
+    print(f"extremal: {'true' if report.extremal else 'false'}")
+    print("family:")
     for line in report.family:
-        print(f"  {line}", file=out)
+        print(f"  {line}")
 
 
-def cmd_analyze(args, out=None):
-    out = out or sys.stdout
+def cmd_analyze(args):
     basis = load_ideal_file(args.path, args.char)
     hd = hilbert(basis)
     if hd.dimension != 1:
-        print(f"error: scheme has dimension {hd.dimension}, not a curve",
-              file=out)
+        print(f"error: scheme has dimension {hd.dimension}, not a curve")
         return EXIT_INVALID
     inv = Invariants(hd.degree, hd.genus)
     saturated = ideal_equal(basis, saturate_irrelevant(basis))
     if inv.g == inv.plane_bound:
         print(f"d={inv.d} g={inv.g} (plane curve)"
-              f"  dimension=1 saturated={'yes' if saturated else 'no'}",
-              file=out)
+              f"  dimension=1 saturated={'yes' if saturated else 'no'}")
         return EXIT_OK
     print(f"{_invariants_line(inv)} dimension=1 "
-          f"saturated={'yes' if saturated else 'no'}", file=out)
+          f"saturated={'yes' if saturated else 'no'}")
     return EXIT_OK
 
 
-def _run_specialize(curve, args, out):
+def _run_specialize(curve, args):
     try:
         report = specialize(curve, seed=args.seed, max_retries=args.retries)
     except SpecializationError as err:
-        print(f"error: {err}", file=out)
+        print(f"error: {err}")
         return EXIT_PIPELINE
-    _print_report(report, out)
+    _print_report(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
@@ -195,80 +192,73 @@ def _run_specialize(curve, args, out):
     return EXIT_OK if report.invariants.branch == "general" else EXIT_BOUNDARY
 
 
-def cmd_specialize(args, out=None):
-    out = out or sys.stdout
+def cmd_specialize(args):
     basis = load_ideal_file(args.path, args.char)
     curve = CurveIdeal.from_ideal(basis)
-    return _run_specialize(curve, args, out)
+    return _run_specialize(curve, args)
 
 
-def cmd_verify_extremal(args, out=None):
-    out = out or sys.stdout
+def cmd_verify_extremal(args):
     basis = load_ideal_file(args.path, args.char)
     cert = verify_extremal_shape(basis, args.d, args.g)
     if cert.extremal:
-        print(f"extremal: true  F = {cert.f_form}  G = {cert.g_form}",
-              file=out)
+        print(f"extremal: true  F = {cert.f_form}  G = {cert.g_form}")
         rng = range(cert.n_start, cert.n_start + len(cert.rao))
-        print("   n: " + " ".join(f"{n:>3}" for n in rng), file=out)
-        print(" rao: " + " ".join(f"{v:>3}" for v in cert.rao), file=out)
+        print("   n: " + " ".join(f"{n:>3}" for n in rng))
+        print(" rao: " + " ".join(f"{v:>3}" for v in cert.rao))
         return EXIT_OK
-    print(f"extremal: false  failing clause: {cert.failure}", file=out)
+    print(f"extremal: false  failing clause: {cert.failure}")
     return EXIT_PIPELINE
 
 
-def cmd_rho(args, out=None):
-    out = out or sys.stdout
+def cmd_rho(args):
     lo = hi = None
     if args.range:
         try:
             lo_text, hi_text = args.range.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            print(f"error: malformed range {args.range!r}", file=out)
+            print(f"error: malformed range {args.range!r}")
             return EXIT_INVALID
     inv = Invariants(args.d, args.g)
     try:
         values = inv.rho_table(lo, hi)
     except ValueError as err:
-        print(f"error: {err}", file=out)
+        print(f"error: {err}")
         return EXIT_INVALID
     start = lo if lo is not None else 1 - inv.a
     for offset, value in enumerate(values):
-        print(f"{start + offset:>4}  {value}", file=out)
+        print(f"{start + offset:>4}  {value}")
     return EXIT_OK
 
 
-def cmd_demo(args, out=None):
-    out = out or sys.stdout
+def cmd_demo(args):
     field = field_of_characteristic(args.char if args.char is not None
                                     else DEFAULT_MODULUS)
     try:
         curve = fixture(args.name, field)
     except ValueError as err:
-        print(f"error: {err}", file=out)
+        print(f"error: {err}")
         return EXIT_INVALID
-    print(f"fixture: {args.name}", file=out)
-    print(_invariants_line(curve.invariants), file=out)
-    print("generators:", file=out)
+    print(f"fixture: {args.name}")
+    print(_invariants_line(curve.invariants))
+    print("generators:")
     for g in curve.ideal.groebner().elements:
-        print(f"  {g}", file=out)
+        print(f"  {g}")
     if args.specialize:
-        return _run_specialize(curve, args, out)
+        return _run_specialize(curve, args)
     return EXIT_OK
 
 
-def cmd_probe(args, out=None):
-    out = out or sys.stdout
+def cmd_probe(args):
     basis = load_ideal_file(args.path, args.char)
     curve = CurveIdeal.from_ideal(basis)
     report = condition_star_probe(curve)
-    print(f"double plane: {'yes' if report.double_plane else 'no'}", file=out)
+    print(f"double plane: {'yes' if report.double_plane else 'no'}")
     if report.z_degree is not None:
-        print(f"deg Z = {report.z_degree} (expected {report.expected})",
-              file=out)
+        print(f"deg Z = {report.z_degree} (expected {report.expected})")
     if report.note:
-        print(report.note, file=out)
+        print(report.note)
     return EXIT_OK if report.ok else EXIT_PIPELINE
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .orders import WeightRefinedOrder
 from .poly import BinaryForm, Polynomial, binary_forms_coprime
 from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
-                       ideal_sum, initial_ideal, saturate_irrelevant)
+                       initial_ideal, saturate_irrelevant)
 from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
                       _trim, hilbert)
 from .curves import (CURVE_ARITY, CoordinateChange, Invariants,
@@ -91,10 +91,19 @@ def pipeline_weights(d):
 
 
 def check_disjoint_line(ideal_basis):
-    """True when the scheme misses the line z = w = 0 (empty intersection)."""
-    ring = ideal_basis.ring
-    zw = IdealBasis(ring, (ring.gen(2), ring.gen(3)))
-    return hilbert(ideal_sum(ideal_basis, zw)).dimension == -1
+    """True when the scheme of a homogeneous ideal I in x, y, z, w misses
+    the line z = w = 0: when one lead of I's reduced grevlex basis is a
+    power of x alone and another a power of y alone (the unit ideal's lead
+    1 is both), since in(I + (z, w)) = in(I) + (z, w) under grevlex with z
+    and w last (Bayer & Stillman 1987; Eisenbud, Commutative Algebra,
+    Prop. 15.12)."""
+    if ideal_basis.ring.arity != CURVE_ARITY:
+        raise ValueError("the line test needs the ring of x, y, z, w")
+    if not ideal_basis.homogeneous:
+        raise ValueError("the line test needs a homogeneous ideal")
+    leads = ideal_basis.groebner().lead_exponents()
+    return (any(not (e[1] or e[2] or e[3]) for e in leads)
+            and any(not (e[0] or e[2] or e[3]) for e in leads))
 
 
 @dataclass(frozen=True)
@@ -315,22 +324,21 @@ def emit_family(ideal_basis, weights):
 
     Each weight-refined reduced basis element g is rescaled so that the
     fibre at t = 0 is the initial form and the fibre at t = 1 is g: a term
-    of weight k picks up t^(m - k), where m is the weight degree of g.
+    of weight k picks up t^(m - k), where m, the weight degree of g, is
+    the weight of its lead (the refined order compares weights first).
     """
     ring = ideal_basis.ring
-    w = tuple(weights)
-    refined = WeightRefinedOrder(w, ring.arity)
-    gb = ideal_basis.groebner(refined)
+    refined = WeightRefinedOrder(weights, ring.arity)
+    grade = refined.weight_degree
     ext = ring.extended(ring.arity + 1)
     t_slot = ring.arity
     out = []
-    for g in gb.elements:
-        m = g.weight_degree(w)
+    for g in ideal_basis.groebner(refined).elements:
+        m = grade(g.lead_exponent)
         terms = {}
         for e, c in g.terms:
-            wd = sum(e[i] * w[i] for i in range(ring.arity))
             le = list(e)
-            le[t_slot] = m - wd
+            le[t_slot] = m - grade(e)
             terms[tuple(le)] = c
         out.append(str(Polynomial.from_dict(ext, terms)))
     return out

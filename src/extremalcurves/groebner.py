@@ -83,7 +83,7 @@ from .orders import (CAPACITY, GUARD, MAX_ARITY, SLOT_BITS,
                      exponent_limit_error, int_key_weights, pack_exponent,
                      packed_lcm, unpack_exponent)
 from .hilbert import hilbert
-from .poly import Polynomial, _weights_for_ring
+from .poly import Polynomial
 
 def _keyed(poly, order):
     weights = int_key_weights(order)
@@ -389,26 +389,12 @@ class GroebnerBasis:
 VERIFY_PRODUCED_BASES = False
 
 
-def buchberger(generators, order=None):
-    """Reduced Groebner basis of a generator list or IdealBasis."""
-    if isinstance(generators, IdealBasis):
-        ring = generators.ring
-        gens = generators.generators
-    else:
-        gens = tuple(generators)
-        if not gens:
-            raise ValueError("cannot infer the ring of an empty generator list")
-        ring = gens[0].ring
-    if order is None:
-        order = GrevlexOrder(ring.arity)
+def buchberger(ideal_basis, order):
+    """Reduced Groebner basis of an IdealBasis in the given order."""
+    ring = ideal_basis.ring
     work_ring = ring.with_order(order)
     field = ring.field
-    keyed = []
-    for g in gens:
-        if g.ring.field != field or g.ring.arity != ring.arity:
-            raise ContextMismatchError("generators live in different rings")
-        if g:
-            keyed.append(_keyed(g, order))
+    keyed = [_keyed(g, order) for g in ideal_basis.generators]
     raw = _buchberger_core(keyed, order, field)
     reduced = _reduce_basis(raw, field)
     elements = tuple(_from_keyed(work_ring, g) for g in reduced)
@@ -492,11 +478,6 @@ def ideal(*gens):
     return IdealBasis(gens[0].ring, gens)
 
 
-def ideal_sum(a, b):
-    _check_rings(a, b)
-    return IdealBasis(a.ring, a.generators + b.generators)
-
-
 def _check_rings(a, b):
     if a.ring != b.ring:
         raise ContextMismatchError("ideals live in different rings")
@@ -514,15 +495,17 @@ def initial_ideal(ideal_basis, weights):
     """Ideal of initial forms with respect to a weight vector.
 
     Generated by the initial forms of a reduced Groebner basis in the
-    weight-refined order; shares the Hilbert function of the input.
+    weight-refined order, whose leads have the top weight of their
+    elements; shares the Hilbert function of the input.
     """
     ring = ideal_basis.ring
     if not ideal_basis.homogeneous:
         raise ValueError("initial ideals require a homogeneous input ideal")
-    w = _weights_for_ring(ring, weights)
-    refined = WeightRefinedOrder(w, ring.arity)
-    gb = ideal_basis.groebner(refined)
-    gens = [g.initial_form(w).in_ring(ring) for g in gb.elements]
+    refined = WeightRefinedOrder(weights, ring.arity)
+    grade = refined.weight_degree
+    gens = [Polynomial(g.ring, tuple((e, c) for e, c in g.terms
+                                     if grade(e) == grade(g.lead_exponent)))
+            for g in ideal_basis.groebner(refined).elements]
     return IdealBasis(ring, gens)
 
 

@@ -161,7 +161,8 @@ class WeightRefinedOrder:
         if arity is None:
             arity = len(weights)
         if len(weights) != arity:
-            raise ValueError("one weight per active variable required")
+            raise ContextMismatchError(
+                "one weight per active variable required")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
         if not any(weights):

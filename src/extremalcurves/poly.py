@@ -20,8 +20,8 @@ import re
 
 from .fields import ContextMismatchError
 from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, ZERO_EXP,
-                     GrevlexOrder, exp_degree, exp_from_var, exp_mul,
-                     exp_supported_within)
+                     GrevlexOrder, WeightRefinedOrder, exp_degree,
+                     exp_from_var, exp_mul, exp_supported_within)
 from . import linalg
 
 
@@ -230,17 +230,15 @@ class Polynomial:
         """Maximal weight of a monomial of the polynomial."""
         if not self.terms:
             raise ValueError("weight degree of the zero polynomial is undefined")
-        w = _weights_for_ring(self.ring, weights)
-        n = self.ring.arity
-        return max(sum(e[i] * w[i] for i in range(n)) for e, _ in self.terms)
+        grade = WeightRefinedOrder(weights, self.ring.arity).weight_degree
+        return max(grade(e) for e, _ in self.terms)
 
     def initial_form(self, weights):
         """Sum of the terms of maximal weight degree."""
         if not self.terms:
             raise ValueError("initial form of the zero polynomial is undefined")
-        w = _weights_for_ring(self.ring, weights)
-        n = self.ring.arity
-        wdegs = [sum(e[i] * w[i] for i in range(n)) for e, _ in self.terms]
+        grade = WeightRefinedOrder(weights, self.ring.arity).weight_degree
+        wdegs = [grade(e) for e, _ in self.terms]
         top = max(wdegs)
         kept = tuple(t for t, d in zip(self.terms, wdegs) if d == top)
         return Polynomial(self.ring, kept)
@@ -311,17 +309,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{polynomial_to_string(self)}>"
-
-
-def _weights_for_ring(ring, weights):
-    w = tuple(int(v) for v in weights)
-    if len(w) != ring.arity:
-        raise ContextMismatchError("weight vector length differs from arity")
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be non-negative")
-    if not any(w):
-        raise ValueError("weight vector must not be zero")
-    return w
 
 
 # ---------------------------------------------------------------------------

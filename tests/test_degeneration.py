@@ -3,11 +3,11 @@ import random
 import pytest
 
 from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
-                            PrimeField, SpecializationError,
+                            PolyRing, PrimeField, SpecializationError,
                             check_disjoint_line,
                             complete_intersection, condition_star_probe,
                             curve_ring, emit_family, extremal_curve,
-                            find_monoid_surface, fixture, ideal,
+                            find_monoid_surface, fixture, hilbert, ideal,
                             ideal_equal, ideal_intersect, initial_ideal,
                             monoid_template, parse_polynomial,
                             random_coordinate_change, rao_dims_extremal,
@@ -19,6 +19,7 @@ from extremalcurves.degeneration import _find_monoid_surface, _monoid_rows
 from extremalcurves.groebner import GrevlexOrder, GroebnerBasis, IdealBasis
 
 import oracles
+from test_poly import random_poly
 
 
 def random_coprime_pair(gf, a, l, rng):
@@ -195,6 +196,43 @@ def test_disjointness_examples(gf, ring):
     assert not check_disjoint_line(IdealBasis(ring, (y, z)))
 
 
+def _meets_line_reference(basis):
+    """The definition the lead test replaced: I + (z, w) has an empty
+    zero set exactly when its Hilbert series has dimension -1."""
+    ring = basis.ring
+    zw = (ring.gen(2), ring.gen(3))
+    return hilbert(IdealBasis(ring, basis.generators + zw)).dimension == -1
+
+
+def test_disjointness_matches_hilbert_reference():
+    field = PrimeField(7)
+    ring = curve_ring(field)
+    x, y, z, w = ring.gens()
+    cases = [IdealBasis(ring, (ring.one(),)), IdealBasis(ring, ()),
+             IdealBasis(ring, (y, z)),
+             fixture("rational-quartic", field).ideal]   # through (1:0:0:0)
+    rng = random.Random(2024)
+    for _ in range(300):
+        gens = [random_poly(ring, rng, rng.randint(1, 3),
+                            terms=rng.randint(1, 4))
+                for _ in range(rng.randint(1, 4))]
+        cases.append(IdealBasis(ring, gens))
+    verdicts = [_meets_line_reference(basis) for basis in cases]
+    assert [check_disjoint_line(basis) for basis in cases] == verdicts
+    assert verdicts[:4] == [True, False, False, False]
+    # both answers are common among the random draws
+    assert 50 <= sum(verdicts) <= len(cases) - 50
+
+
+def test_disjointness_refuses_other_inputs(ring):
+    x, z = ring.gen(0), ring.gen(2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        check_disjoint_line(ideal(x * x + z))
+    five = PolyRing(PrimeField(), 5)
+    with pytest.raises(ValueError, match="x, y, z, w"):
+        check_disjoint_line(IdealBasis(five, five.gens()[:2]))
+
+
 # -------------------------------------------------------------- monoid search
 
 def test_monoid_template_dimension_count():
@@ -300,6 +338,24 @@ def test_monoid_search_reduces_in_one_batch(gf, monkeypatch):
     assert calls == [surface.equation]
 
 
+def test_monoid_search_combines_a_larger_kernel(gf):
+    # one degree above nu the rational quartic's kernel has dimension 11
+    # and holds vectors with G = 0, so the seeded combinations, the skip
+    # of candidates without G and the fallback all run
+    curve = fixture("rational-quartic", gf)
+    d, nu = curve.invariants.d, curve.invariants.nu + 1
+    columns = monoid_template(d, nu)
+    rows = _monoid_rows(curve.ideal.groebner(), columns)
+    kernel = linalg.nullspace(gf, rows, len(columns))
+    assert len(kernel) == 11
+    assert any(not any(vec[:nu + 1]) for vec in kernel)
+    surface = _find_monoid_surface(curve.ideal, d, nu, random.Random(0))
+    assert curve.ideal.contains(surface.equation)
+    assert not surface.g_form.is_zero
+    assert _find_monoid_surface(curve.ideal, d, nu,
+                                random.Random(0)) == surface
+
+
 def test_monoid_surface_requires_disjointness(gf):
     curve = fixture("rational-quartic", gf)  # meets z = w = 0 at (1:0:0:0)
     with pytest.raises(ValueError):
@@ -356,9 +412,16 @@ def test_verify_extremal_boundary_rejected(gf, ring):
 
 def test_verify_extremal_wrong_ideal_clause(gf, ring):
     x, y, z, w = ring.gens()
-    not_extremal = ideal(x * x, x * y, y ** 4, x * w ** 3 - y ** 3 * z, z ** 4)
-    cert = verify_extremal_shape(not_extremal, 4, 0)
-    assert not cert.extremal
+    for extra in (z ** 4, z ** 5):
+        # the weight-order basis has six elements, not four
+        not_extremal = ideal(x * x, x * y, y ** 4, x * w ** 3 - y ** 3 * z,
+                             extra)
+        cert = verify_extremal_shape(not_extremal, 4, 0)
+        assert not cert.extremal
+        assert cert.failure == "shape"
+    # x^2 does not lie in the rational quartic's ideal
+    quartic = fixture("rational-quartic", gf).ideal
+    assert verify_extremal_shape(quartic, 4, 0).failure == "membership"
 
 
 # ------------------------------------------------------------------- families
@@ -467,6 +530,28 @@ def test_specialize_exhausts_retries_when_forced(gf):
     with pytest.raises(SpecializationError) as err:
         specialize(curve, seed=42, max_retries=0)
     assert any(stage == "disjointness" for _, stage, _ in err.value.diagnostics)
+
+
+def test_specialize_names_each_failed_stage(gf, ring):
+    x, y, z, w = ring.gens()
+    bad = CurveIdeal.from_ideal(ideal(x * x, x * y, y ** 4,
+                                      x * w ** 3 - y ** 3 * w))
+    with pytest.raises(SpecializationError) as err:
+        specialize(bad)
+    assert err.value.diagnostics == tuple(
+        (a, "shape", "limit failed the coprimality check") for a in range(6))
+    # the twisted cubic with an embedded point at (0:0:0:1), taken as a
+    # degree-3 genus -2 curve: its limit never holds x^2, x*y and y^3
+    cubic = fixture("twisted-cubic", gf).ideal
+    square = ideal(x * x, x * y, x * z, y * y, y * z, z * z)
+    with pytest.raises(SpecializationError) as err:
+        specialize(CurveIdeal(ideal_intersect(cubic, square), 3, -2))
+    assert err.value.diagnostics == (
+        (0, "disjointness", "the curve meets the line z = w = 0"),) + tuple(
+        (a, "shape", "limit failed the membership check") for a in range(1, 6))
+    assert "attempt 0: disjointness" in str(err.value)
+    assert "attempt 5: shape (limit failed the membership check)" in str(
+        err.value)
 
 
 @pytest.mark.parametrize("name", ["rational-quartic", "twisted-cubic"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremalcurves import (QQ, ContextMismatchError, PolyRing, PrimeField,
-                            buchberger, curve_ring, divide_exact, eliminate,
+                            curve_ring, divide_exact, eliminate,
                             hilbert, ideal, ideal_equal, ideal_intersect,
                             ideal_quotient, ideal_quotient_poly,
                             initial_ideal, is_groebner,
@@ -62,7 +62,7 @@ def test_normal_form_difference_in_ideal(ring):
 def test_buchberger_grows_leading_ideal():
     ring = PolyRing(PrimeField(), 3)
     x, y, z = ring.gens()
-    basis = buchberger([x * x - y, x ** 3 - z])
+    basis = IdealBasis(ring, [x * x - y, x ** 3 - z]).groebner(ring.order)
     assert is_groebner(basis)
     input_leads = {(x * x - y).lead_exponent, (x ** 3 - z).lead_exponent}
     out_leads = set(basis.lead_exponents())
@@ -71,14 +71,14 @@ def test_buchberger_grows_leading_ideal():
 
 def test_monomial_ideal_is_its_own_basis(ring):
     x, y = ring.gen(0), ring.gen(1)
-    basis = buchberger([x * x, x * y])
+    basis = IdealBasis(ring, [x * x, x * y]).groebner(ring.order)
     assert [str(g) for g in basis.elements] == ["x*y", "x^2"]
 
 
 def test_principal_ideal_basis_is_monic_generator(ring):
     x, y, z, w = ring.gens()
     f = 7 * (x * w) - 14 * (y * z)
-    basis = buchberger([f])
+    basis = IdealBasis(ring, [f]).groebner(ring.order)
     assert len(basis) == 1
     assert basis.elements[0] == f.monic()
 
@@ -128,6 +128,18 @@ def test_initial_ideal_twisted_cubic_projection(ring):
     hd_tc, hd_init = hilbert(tc), hilbert(init)
     for n in range(9):
         assert hd_tc.hilbert_function(n) == hd_init.hilbert_function(n)
+
+
+def test_weight_vector_of_wrong_length_is_a_context_mismatch(ring):
+    x, y, z, w = ring.gens()
+    f = x * w - y * z
+    for weights in ((4, 2, 1), (4, 2, 1, 1, 1)):
+        with pytest.raises(ContextMismatchError):
+            initial_ideal(ideal(f), weights)
+        with pytest.raises(ContextMismatchError):
+            f.weight_degree(weights)
+        with pytest.raises(ContextMismatchError):
+            f.initial_form(weights)
 
 
 def test_initial_ideal_requires_homogeneous(ring):
@@ -499,7 +511,7 @@ def test_buchberger_returns_reduced_bases(field, make_order, data):
     # under the block order take many seconds
     gens = data.draw(st.lists(_polys(ring, 3, max_exponent=1),
                               min_size=2, max_size=3))
-    basis = buchberger(gens, ring.order)
+    basis = IdealBasis(ring, gens).groebner(ring.order)
     leads = basis.lead_exponents()
     for i, g in enumerate(basis):
         assert g.lead_coefficient == field.one
