@@ -196,7 +196,7 @@ def test_disjointness_examples(gf, ring):
     assert not check_disjoint_line(IdealBasis(ring, (y, z)))
 
 
-def _meets_line_reference(basis):
+def _misses_line_reference(basis):
     """The definition the lead test replaced: I + (z, w) has an empty
     zero set exactly when its Hilbert series has dimension -1."""
     ring = basis.ring
@@ -217,7 +217,7 @@ def test_disjointness_matches_hilbert_reference():
                             terms=rng.randint(1, 4))
                 for _ in range(rng.randint(1, 4))]
         cases.append(IdealBasis(ring, gens))
-    verdicts = [_meets_line_reference(basis) for basis in cases]
+    verdicts = [_misses_line_reference(basis) for basis in cases]
     assert [check_disjoint_line(basis) for basis in cases] == verdicts
     assert verdicts[:4] == [True, False, False, False]
     # both answers are common among the random draws
@@ -541,7 +541,8 @@ def test_specialize_names_each_failed_stage(gf, ring):
     assert err.value.diagnostics == tuple(
         (a, "shape", "limit failed the coprimality check") for a in range(6))
     # the twisted cubic with an embedded point at (0:0:0:1), taken as a
-    # degree-3 genus -2 curve: its limit never holds x^2, x*y and y^3
+    # degree-3 genus -2 curve: in each attempt that passes the line test,
+    # one of x^2, x*y, y^3 is missing from the limit
     cubic = fixture("twisted-cubic", gf).ideal
     square = ideal(x * x, x * y, x * z, y * y, y * z, z * z)
     with pytest.raises(SpecializationError) as err:
