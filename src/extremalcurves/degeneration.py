@@ -11,7 +11,7 @@ a posteriori, so an unlucky draw is detected and retried.
 import random
 from dataclasses import dataclass
 
-from .orders import WeightRefinedOrder
+from .orders import CAPACITY, WeightRefinedOrder
 from .poly import BinaryForm, Polynomial, binary_forms_coprime
 from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
                        initial_ideal, saturate_irrelevant)
@@ -125,13 +125,13 @@ def monoid_template(d, nu):
     y^j*z^i*w^(nu+1-j-i); the dimension is (nu+1)(d+1)+1-(d-1)(d-2)/2."""
     columns = []
     for i in range(nu + 1):
-        e = [0] * 8
+        e = [0] * CAPACITY
         e[0], e[2], e[3] = 1, i, nu - i
         columns.append(tuple(e))
     for j in range(d):
         m = nu + 1 - j
         for i in range(m + 1):
-            e = [0] * 8
+            e = [0] * CAPACITY
             e[1], e[2], e[3] = j, i, m - i
             columns.append(tuple(e))
     expected = (nu + 1) * (d + 1) + 1 - (d - 1) * (d - 2) // 2

@@ -1,8 +1,17 @@
 """Buchberger-based ideal arithmetic.
 
 Normal forms, reduced Groebner bases (with Gebauer-Moeller pair pruning
-and normal-strategy selection), elimination, quotient, intersection,
+and degree-then-key pair selection), elimination, quotient, intersection,
 saturation and weight-vector initial ideals.
+
+Pairs are taken by the total degree of their lcm first and by the order's
+key second, the degree-by-degree selection of "One sugar cube, please"
+(Giovini, Mora, Niesi, Robbiano & Traverso 1991).  The weight orders of
+the degeneration and the block orders of elimination are not
+degree-compatible: taking the smallest lcm in the order alone reduces a
+low-weight pair of high degree first, and its remainders are large.
+Under grevlex the key puts the degree first already, so nothing changes
+there.  The inhomogeneous block-order inputs use the lcm's degree too.
 
 The kernel works on "keyed" term lists: (key, exponent, coeff) triples
 sorted descending, where the exponent is packed into one int
@@ -58,6 +67,23 @@ leads no other lead divides; reducing one of them by the others never
 changes its lead, so it stays monic and the others' reducibility is
 unchanged, and after each tail has been reduced once every tail is
 standard.
+
+A basis already in hand is not computed again.  Three facts about reduced
+bases of an ideal I let one serve where Buchberger would run:
+- For the weight vector w refined by grevlex, the w-initial forms of the
+  reduced basis of I are the reduced grevlex basis of in_w(I) (Sturmfels,
+  Groebner Bases and Convex Polytopes, Prop. 1.8), so `initial_ideal`
+  returns its ideal with that basis cached.
+- `saturate_irrelevant` builds its result from a reduced grevlex basis,
+  and returns it with that basis cached.
+- When every element of a cached reduced basis keeps its lead under
+  another order, it is that order's reduced basis too (`_reused`).  Its
+  leads generate a monomial ideal L inside in(I), so the monomials outside
+  in(I) are among those outside L; both sets are bases of R/I (Macaulay),
+  and a basis inside another is the same, so L = in(I).  Its terms are
+  still standard, so it is reduced.
+A basis reached so passes the same VERIFY_PRODUCED_BASES check as one
+computed (`_produced`).
 
 Saturation by the irrelevant ideal m uses the single-variable
 saturations I : v^infinity.  For homogeneous I under grevlex with v
@@ -216,8 +242,12 @@ def _buchberger_core(keyed_inputs, order, field):
     """Groebner basis of nonzero keyed inputs, which `update` makes monic;
     Gebauer-Moeller pair updates.
 
-    A pair is (key of the lcm, i, j, lcm), so the smallest tuple is the
-    normal-strategy choice with a deterministic index tie-break.
+    A pair is (total degree of the lcm, key of the lcm, i, j, lcm), so the
+    smallest tuple is the pair of lowest degree, the order's smallest lcm
+    among those, with a deterministic index tie-break.  Under grevlex the
+    key already puts the degree first and nothing changes; the weight and
+    block orders are not degree-compatible, and taking their pairs by key
+    alone would reduce a low-weight pair of high degree first.
     """
     G = []          # monic keyed term lists
     reducers = []   # parallel reducers
@@ -233,7 +263,7 @@ def _buchberger_core(keyed_inputs, order, field):
         m = len(G)
         kept = set()
         for pair in pairs:
-            _, i, j, lij = pair
+            _, _, i, j, lij = pair
             if (not _divides(lm_new, lij)
                     or packed_lcm(leads[i], lm_new) == lij
                     or packed_lcm(leads[j], lm_new) == lij):
@@ -241,16 +271,20 @@ def _buchberger_core(keyed_inputs, order, field):
         groups = {}
         for i in range(m):
             groups.setdefault(packed_lcm(leads[i], lm_new), []).append(i)
+        candidates = []
+        for lcm_exp in groups:
+            e = unpack_exponent(lcm_exp)
+            candidates.append((sum(e), sum(map(mul, weights, e)), lcm_exp))
         minimal = []
-        for lcm_key, lcm_exp in sorted((_packed_key(weights, lcm), lcm)
-                                       for lcm in groups):
-            if all(not _divides(prev, lcm_exp) for _, prev in minimal):
-                minimal.append((lcm_key, lcm_exp))
-        for lcm_key, lcm_exp in minimal:
+        # a proper divisor of an lcm has lower degree, so it comes first
+        for cand in sorted(candidates):
+            if all(not _divides(prev[2], cand[2]) for prev in minimal):
+                minimal.append(cand)
+        for deg, lcm_key, lcm_exp in minimal:
             members = groups[lcm_exp]
             if any(lcm_exp == leads[i] + lm_new for i in members):
                 continue  # coprime leads: S-polynomial reduces to zero
-            kept.add((lcm_key, min(members), m, lcm_exp))
+            kept.add((deg, lcm_key, min(members), m, lcm_exp))
         pairs = kept
         G.append(new_terms)
         reducers.append(_as_reducer(new_terms))
@@ -262,7 +296,7 @@ def _buchberger_core(keyed_inputs, order, field):
     while pairs:
         pair = min(pairs)
         pairs.discard(pair)
-        lcm_key, i, j, lcm_exp = pair
+        _, lcm_key, i, j, lcm_exp = pair
         remainder = _normal_form_keyed(
             _spoly(reducers[i], reducers[j], lcm_key, lcm_exp, field),
             reducers)
@@ -389,19 +423,24 @@ class GroebnerBasis:
 VERIFY_PRODUCED_BASES = False
 
 
-def buchberger(ideal_basis, order):
-    """Reduced Groebner basis of an IdealBasis in the given order."""
-    ring = ideal_basis.ring
-    work_ring = ring.with_order(order)
-    field = ring.field
-    keyed = [_keyed(g, order) for g in ideal_basis.generators]
-    raw = _buchberger_core(keyed, order, field)
-    reduced = _reduce_basis(raw, field)
-    elements = tuple(_from_keyed(work_ring, g) for g in reduced)
-    basis = GroebnerBasis(work_ring, elements)
+def _produced(work_ring, keyed):
+    """GroebnerBasis of the keyed elements of a reduced basis, sorted by
+    ascending lead; re-checked when VERIFY_PRODUCED_BASES is set."""
+    keyed = sorted(keyed, key=lambda terms: terms[0][0])
+    basis = GroebnerBasis(work_ring,
+                          tuple(_from_keyed(work_ring, g) for g in keyed))
     if VERIFY_PRODUCED_BASES and not is_groebner(basis):
         raise AssertionError("produced basis fails the Buchberger criterion")
     return basis
+
+
+def buchberger(ideal_basis, order):
+    """Reduced Groebner basis of an IdealBasis in the given order."""
+    ring = ideal_basis.ring
+    field = ring.field
+    keyed = [_keyed(g, order) for g in ideal_basis.generators]
+    raw = _buchberger_core(keyed, order, field)
+    return _produced(ring.with_order(order), _reduce_basis(raw, field))
 
 
 def is_groebner(gb):
@@ -425,7 +464,8 @@ class IdealBasis:
 
     Generators are normalized monic, deduplicated and sorted; an empty
     list denotes the zero ideal.  Reduced Groebner bases are cached per
-    monomial order.
+    monomial order; a new order's basis is taken from a cached one when
+    it can be (`_reused`).
     """
 
     __slots__ = ("ring", "generators", "homogeneous", "_gb_cache")
@@ -456,9 +496,26 @@ class IdealBasis:
             order = GrevlexOrder(self.ring.arity)
         gb = self._gb_cache.get(order)
         if gb is None:
-            gb = buchberger(self, order)
+            gb = self._reused(order)
+            if gb is None:
+                gb = buchberger(self, order)
             self._gb_cache[order] = gb
         return gb
+
+    def _reused(self, order):
+        """A cached reduced basis whose every element keeps its lead under
+        `order`, re-sorted in `order` (the third reuse fact in the module
+        docstring); else None."""
+        for cached in self._gb_cache.values():
+            keyed = []
+            for g in cached.elements:
+                terms = _keyed(g, order)
+                if unpack_exponent(terms[0][1]) != g.lead_exponent:
+                    break
+                keyed.append(terms)
+            else:
+                return _produced(self.ring.with_order(order), keyed)
+        return None
 
     def contains(self, f):
         return self.groebner().contains(f)
@@ -469,6 +526,14 @@ class IdealBasis:
 
     def __repr__(self):
         return f"IdealBasis({[str(g) for g in self.generators]})"
+
+
+def _with_basis(ring, basis):
+    """IdealBasis generated by a reduced Groebner basis, with that basis in
+    its cache."""
+    result = IdealBasis(ring, basis.elements)
+    result._gb_cache[basis.order] = basis
+    return result
 
 
 def ideal(*gens):
@@ -496,17 +561,24 @@ def initial_ideal(ideal_basis, weights):
 
     Generated by the initial forms of a reduced Groebner basis in the
     weight-refined order, whose leads have the top weight of their
-    elements; shares the Hilbert function of the input.
+    elements; shares the Hilbert function of the input.  Those forms are
+    the reduced grevlex basis of the initial ideal (Sturmfels, Groebner
+    Bases and Convex Polytopes, Prop. 1.8): each keeps its element's lead,
+    since its terms tie in weight and grevlex breaks the tie, and its other
+    terms are standard.  The result comes with that basis cached.
     """
     ring = ideal_basis.ring
     if not ideal_basis.homogeneous:
         raise ValueError("initial ideals require a homogeneous input ideal")
     refined = WeightRefinedOrder(weights, ring.arity)
     grade = refined.weight_degree
-    gens = [Polynomial(g.ring, tuple((e, c) for e, c in g.terms
-                                     if grade(e) == grade(g.lead_exponent)))
-            for g in ideal_basis.groebner(refined).elements]
-    return IdealBasis(ring, gens)
+    grevlex = GrevlexOrder(ring.arity)
+    forms = []
+    for g in ideal_basis.groebner(refined).elements:
+        top = grade(g.lead_exponent)
+        form = tuple(t for t in g.terms if grade(t[0]) == top)
+        forms.append(_keyed(Polynomial(g.ring, form), grevlex))
+    return _with_basis(ring, _produced(ring.with_order(grevlex), forms))
 
 
 def eliminate(ideal_basis, front):
@@ -665,8 +737,9 @@ def saturate_irrelevant(ideal_basis):
 
     The variables are tried from the last.  An input that one of them
     leaves unchanged is returned as it is; the first I : v^infinity with
-    the Hilbert polynomial of I is returned as its reduced grevlex basis;
-    when there is none, the intersection of all of them.
+    the Hilbert polynomial of I is returned as its reduced grevlex basis,
+    with that basis cached; when there is none, the intersection of all of
+    them.
     """
     if not ideal_basis.homogeneous:
         raise ValueError("saturation requires a homogeneous ideal")
@@ -680,7 +753,7 @@ def saturate_irrelevant(ideal_basis):
         if target is None:
             target = hilbert(ideal_basis).hp_coefficients
         if hilbert(s).hp_coefficients == target:
-            return IdealBasis(ring, s.groebner().elements)
+            return _with_basis(ring, s.groebner())
         sats.append(s)
     result = sats[0]
     for s in sats[1:]:

@@ -17,11 +17,13 @@ the currency of the monoid-surface constructions.
 """
 
 import re
+from operator import mul
 
 from .fields import ContextMismatchError
-from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, ZERO_EXP,
+from .orders import (CAPACITY, EXP_LIMIT, MAX_ARITY, VAR_NAMES, ZERO_EXP,
                      GrevlexOrder, WeightRefinedOrder, exp_degree,
-                     exp_from_var, exp_mul, exp_supported_within)
+                     exp_from_var, exp_mul, exp_supported_within,
+                     int_key_weights)
 from . import linalg
 
 
@@ -122,11 +124,22 @@ class Polynomial:
     @classmethod
     def from_dict(cls, ring, coeffs):
         """Polynomial from an exponent -> coefficient dict whose values may
-        be unreduced sums and products of field elements."""
-        key = ring.order.key
+        be unreduced sums and products of field elements.
+
+        Terms are sorted by the order's int key (`int_key_weights`), a dot
+        product that orders exponents within EXP_LIMIT exactly as the
+        tuple key does; only a larger slot needs the tuple key itself.
+        """
+        order = ring.order
         items = [(e, c) for e, c in zip(coeffs, map(ring.field.reduce,
                                                     coeffs.values())) if c]
-        items.sort(key=lambda t: key(t[0]), reverse=True)
+        if max(map(max, coeffs), default=0) > EXP_LIMIT:
+            key = order.key
+            items.sort(key=lambda t: key(t[0]), reverse=True)
+        else:
+            weights = int_key_weights(order)
+            items.sort(key=lambda t: sum(map(mul, weights, t[0])),
+                       reverse=True)
         return cls(ring, tuple(items))
 
     @property

@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 
 from extremalcurves import (BinaryForm, CoordinateChange, CurveIdeal,
@@ -76,6 +79,24 @@ def test_degenerate_parametrization_rejected(gf):
     # all four share the zero (1 : 0)
     with pytest.raises(ValueError, match="common zero"):
         from_parametrization(gf, (u2, u2, su, su))
+
+
+def test_parametrized_sextic_from_seeded_forms(gf):
+    # 7-variable block-order elimination: with pairs taken by the order's
+    # key alone it took over ten seconds on these forms, with pairs taken
+    # degree by degree a fraction of one
+    rng = random.Random(6)
+    forms = [BinaryForm.random(gf, 6, rng) for _ in range(4)]
+    curve = from_parametrization(gf, forms)
+    assert (curve.degree, curve.genus) == (6, 0)
+    p = gf.characteristic
+    for _ in range(3):
+        s, t = rng.randrange(p), rng.randrange(p)
+        point = [f.evaluate(s, t) for f in forms]
+        for g in curve.ideal.generators:
+            value = sum(c * prod(pow(v, k, p) for v, k in zip(point, e))
+                        for e, c in g.terms)
+            assert value % p == 0
 
 
 def test_complete_intersection_elliptic_quartic(gf):

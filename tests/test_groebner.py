@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremalcurves import (QQ, ContextMismatchError, PolyRing, PrimeField,
-                            curve_ring, divide_exact, eliminate,
+from extremalcurves import (QQ, BinaryForm, ContextMismatchError, Invariants,
+                            PolyRing, PrimeField, binary_forms_coprime, curve_ring,
+                            divide_exact, eliminate, extremal_curve, fixture,
                             hilbert, ideal, ideal_equal, ideal_intersect,
                             ideal_quotient, ideal_quotient_poly,
                             initial_ideal, is_groebner,
@@ -500,6 +501,17 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _assert_reduced(basis):
+    """Monic leads, none dividing another, and no term divisible by one."""
+    leads = basis.lead_exponents()
+    for i, g in enumerate(basis):
+        assert g.lead_coefficient == basis.ring.field.one
+        assert not any(_divides(lead, leads[i])
+                       for j, lead in enumerate(leads) if j != i)
+        assert not any(_divides(lead, e)
+                       for e, _ in g.terms[1:] for lead in leads)
+
+
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
@@ -511,14 +523,167 @@ def test_buchberger_returns_reduced_bases(field, make_order, data):
     # under the block order take many seconds
     gens = data.draw(st.lists(_polys(ring, 3, max_exponent=1),
                               min_size=2, max_size=3))
-    basis = IdealBasis(ring, gens).groebner(ring.order)
-    leads = basis.lead_exponents()
-    for i, g in enumerate(basis):
-        assert g.lead_coefficient == field.one
-        assert not any(_divides(lead, leads[i])
-                       for j, lead in enumerate(leads) if j != i)
-        assert not any(_divides(lead, e)
-                       for e, _ in g.terms[1:] for lead in leads)
+    _assert_reduced(IdealBasis(ring, gens).groebner(ring.order))
+
+
+# the orders that are not degree-compatible, with the kind of input the
+# pipeline gives each: weight orders on homogeneous ideals, block orders
+# (elimination) on inhomogeneous ones; d is drawn for (d, 2, 1, 1)
+PAIR_ORDER_CASES = {
+    "weight": (lambda d: WeightRefinedOrder((d, 2, 1, 1)), True),
+    "projection": (lambda d: WeightRefinedOrder((1, 0, 0, 0)), True),
+    "block5": (lambda d: BlockEliminationOrder((4,), 5), False),
+    "block7": (lambda d: BlockEliminationOrder((5, 6), 7), False),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_ORDER_CASES)
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_degree_then_key_pairs_give_the_reduced_basis(field, case):
+    make_order, homogeneous = PAIR_ORDER_CASES[case]
+    rng = random.Random(f"{field}:{case}")
+    for _ in range(10):
+        order = make_order(rng.randint(3, 12))
+        ring = PolyRing(field, order.arity, order)
+        gens = [random_poly(ring, rng, rng.randint(1, 3), terms=4,
+                            homogeneous=homogeneous)
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        basis = groebner.buchberger(IdealBasis(ring, gens), order)
+        assert is_groebner(basis)
+        _assert_reduced(basis)
+        # the input lies in the ideal of the basis ...
+        elements = [g.terms for g in basis]
+        for g in gens:
+            assert not oracles.merge_normal_form(g.terms, elements,
+                                                 order.key, field)
+        # ... and the basis in the ideal of the input, by the input's
+        # grevlex basis, whose pairs the degree-first choice leaves as
+        # they were
+        grevlex = GrevlexOrder(ring.arity)
+        reference = groebner.buchberger(IdealBasis(ring, gens), grevlex)
+        divisors = [h.terms for h in reference]
+        for g in basis:
+            assert not oracles.merge_normal_form(
+                g.in_ring(reference.ring).terms, divisors, grevlex.key,
+                field)
+        # the same reduced basis from the inputs in any order
+        keyed = [groebner._keyed(g, order) for g in gens]
+        rng.shuffle(keyed)
+        raw = groebner._buchberger_core(keyed, order, field)
+        reduced = groebner._reduce_basis(raw, field)
+        assert [groebner._from_keyed(basis.ring, g)
+                for g in reduced] == list(basis)
+
+
+# ----------------------------------------------------- bases already in hand
+
+def _fresh(ideal_basis, order):
+    """The reduced basis computed from the generators alone."""
+    return groebner.buchberger(
+        IdealBasis(ideal_basis.ring, ideal_basis.generators), order)
+
+
+def _refuse_buchberger(monkeypatch):
+    def refuse(ideal_basis, order):
+        raise AssertionError("a basis in hand was computed again")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+
+
+def _fixed_points(field):
+    """Extremal curves in their own coordinates: monomial and seeded
+    random coprime forms."""
+    curves = [fixture(f"extremal:{d}:{g}", field)
+              for d, g in ((4, 0), (6, 3), (8, 5))]
+    rng = random.Random(11)
+    for d, g in ((5, 1), (7, 5)):
+        inv = Invariants(d, g)
+        while True:
+            f_form = BinaryForm.random(field, inv.a, rng)
+            g_form = BinaryForm.random(field, inv.nu, rng)
+            if binary_forms_coprime(f_form, g_form):
+                break
+        curves.append(extremal_curve(field, d, g, f_form, g_form))
+    return curves
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_fixed_points_reuse_their_grevlex_basis(field, monkeypatch):
+    for curve in _fixed_points(field):
+        basis = curve.ideal
+        basis.groebner()
+        order = WeightRefinedOrder((curve.degree, 2, 1, 1))
+        expected = _fresh(basis, order)
+        _refuse_buchberger(monkeypatch)
+        assert basis.groebner(order).elements == expected.elements
+        limit = initial_ideal(basis, order.weights)
+        assert limit.groebner().elements == basis.groebner().elements
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_initial_ideals_come_with_their_grevlex_basis(field, monkeypatch):
+    ring = curve_ring(field)
+    rng = random.Random(23)
+    ideals = [twisted_cubic_ideal(ring)]
+    ideals += [random_homogeneous_ideal(ring, rng, count=3)
+               for _ in range(4)]
+    for basis in ideals:
+        for weights in ((rng.randint(3, 9), 2, 1, 1), (1, 0, 0, 0),
+                        (3, 1, 2, 0)):
+            limit = initial_ideal(basis, weights)
+            refined = WeightRefinedOrder(weights)
+            expected = [_fresh(limit, order)
+                        for order in (GrevlexOrder(4), refined)]
+            _refuse_buchberger(monkeypatch)
+            # the weight order keeps the leads of w-homogeneous forms
+            assert [limit.groebner(order).elements
+                    for order in (GrevlexOrder(4), refined)] == [
+                        b.elements for b in expected]
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", ["twisted-cubic-times-m", "conic-times-m"])
+def test_saturation_comes_with_its_grevlex_basis(ring, case, monkeypatch):
+    sat = saturate_irrelevant(SATURATION_CASES[case][0](ring))
+    expected = _fresh(sat, GrevlexOrder(4))
+    _refuse_buchberger(monkeypatch)
+    assert sat.groebner().elements == expected.elements
+
+
+def test_reuse_only_where_the_leads_stay(ring, monkeypatch):
+    rng = random.Random(29)
+    calls = []
+
+    def counted(ideal_basis, order):
+        calls.append(order)
+        return buchberger(ideal_basis, order)
+
+    buchberger = groebner.buchberger
+    orders = [WeightRefinedOrder((5, 2, 1, 1)), WeightRefinedOrder((1, 0, 0, 0)),
+              BlockEliminationOrder((0,), 4), BlockEliminationOrder((0, 1), 4)]
+    requests = 0
+    ideals = [twisted_cubic_ideal(ring), extremal_40_ideal(ring)]
+    ideals += [random_homogeneous_ideal(ring, rng, count=3)
+               for _ in range(6)]
+    # the standard monomials of any ideal form a basis of the quotient,
+    # so homogeneity is not needed
+    ideals += [IdealBasis(ring, [random_poly(ring, rng, rng.randint(1, 3),
+                                             terms=3, homogeneous=False)
+                                 for _ in range(3)])
+               for _ in range(6)]
+    for basis in ideals:
+        basis.groebner()
+        expected = [_fresh(basis, order) for order in orders]
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        for order, want in zip(orders, expected):
+            assert basis.groebner(order).elements == want.elements
+            requests += 1
+        monkeypatch.undo()
+    # the twisted cubic's lead y^2 becomes x*z under (1, 0, 0, 0)
+    assert WeightRefinedOrder((1, 0, 0, 0)) in calls
+    assert 0 < len(calls) < requests
 
 
 @pytest.mark.parametrize("p", [32003, 7])

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 
@@ -8,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
                             PolyRing, PrimeField, binary_forms_coprime,
                             curve_ring, parse_polynomial)
-from extremalcurves.orders import WeightRefinedOrder, monomial_exponents
+from extremalcurves.orders import (CAPACITY, EXP_LIMIT, BlockEliminationOrder,
+                                   GrevlexOrder, WeightRefinedOrder,
+                                   int_key_weights, monomial_exponents)
+from extremalcurves.poly import Polynomial
 
 import oracles
 
@@ -22,6 +26,34 @@ def random_poly(ring, rng, degree, terms=4, homogeneous=True):
         e = exps[rng.randrange(len(exps))]
         acc = acc + ring.monomial(e, field.random_nonzero(rng))
     return acc
+
+
+@pytest.mark.parametrize("order", [GrevlexOrder(4),
+                                   WeightRefinedOrder((7, 2, 1, 1)),
+                                   BlockEliminationOrder((5, 6), 7)],
+                         ids=["grevlex", "weight", "block7"])
+def test_from_dict_sorts_terms_by_the_order_key(order):
+    ring = PolyRing(PrimeField(), order.arity, order)
+    rng = random.Random(17)
+    pad = (0,) * (CAPACITY - order.arity)
+    for top in (2, EXP_LIMIT, 2 * EXP_LIMIT):
+        acc = {tuple(rng.randint(0, top) for _ in range(order.arity)) + pad:
+               rng.randint(1, 100) for _ in range(30)}
+        poly = Polynomial.from_dict(ring, acc)
+        assert [e for e, _ in poly.terms] == sorted(acc, key=order.key,
+                                                    reverse=True)
+
+
+def test_from_dict_orders_exponents_past_the_int_key_range(ring):
+    # grevlex puts b first (a has z), but past EXP_LIMIT the int key's
+    # y component outweighs its z component and would put a first
+    a = (40001, 0, 1, 0) + (0,) * (CAPACITY - 4)
+    b = (0, 40002, 0, 0) + (0,) * (CAPACITY - 4)
+    weights = int_key_weights(ring.order)
+    assert (sum(map(operator.mul, weights, a))
+            > sum(map(operator.mul, weights, b)))
+    poly = Polynomial.from_dict(ring, {a: 1, b: 2})
+    assert [e for e, _ in poly.terms] == [b, a]
 
 
 def test_product_difference_of_squares(ring):
