@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, Invariants,
-                            PolyRing, PrimeField, binary_forms_coprime, curve_ring,
-                            divide_exact, eliminate, extremal_curve, fixture,
-                            hilbert, ideal, ideal_equal, ideal_intersect,
+                            PolyRing, PrimeField, binary_forms_coprime,
+                            curve_ring, divide_exact, eliminate,
+                            extremal_curve, fixture, hilbert, ideal, ideal_equal, ideal_intersect,
                             ideal_quotient, ideal_quotient_poly,
                             initial_ideal, is_groebner,
                             restrict_to_ring, saturate_irrelevant,
@@ -661,7 +661,8 @@ def test_reuse_only_where_the_leads_stay(ring, monkeypatch):
         return buchberger(ideal_basis, order)
 
     buchberger = groebner.buchberger
-    orders = [WeightRefinedOrder((5, 2, 1, 1)), WeightRefinedOrder((1, 0, 0, 0)),
+    orders = [WeightRefinedOrder((5, 2, 1, 1)),
+              WeightRefinedOrder((1, 0, 0, 0)),
               BlockEliminationOrder((0,), 4), BlockEliminationOrder((0, 1), 4)]
     requests = 0
     ideals = [twisted_cubic_ideal(ring), extremal_40_ideal(ring)]
