@@ -10,9 +10,10 @@ import random
 from dataclasses import dataclass
 
 from .fields import ContextMismatchError
-from .poly import BinaryForm, PolyRing, binary_forms_coprime
-from .groebner import (IdealBasis, eliminate, ideal_quotient,
-                       restrict_to_ring, saturate_irrelevant)
+from .orders import ZERO_EXP, monomial_exponents
+from .poly import BinaryForm, PolyRing, Polynomial, binary_forms_coprime
+from .groebner import (IdealBasis, _with_basis, ideal_quotient,
+                       saturate_irrelevant)
 from .hilbert import hilbert
 from . import linalg
 
@@ -237,8 +238,21 @@ def extremal_curve(field, d, g, f_form, g_form):
 
 
 def from_parametrization(field, forms):
-    """Kernel ideal of the map sending x, y, z, w to four equal-degree
-    binary forms; the image curve of the parametrization."""
+    """Kernel ideal I_C of the map sending x, y, z, w to four binary forms
+    of one degree d; the image curve C of the parametrization.
+
+    By interpolation, one degree k at a time: I_k is the kernel of the
+    substitution S_k -> k[z, w]_{dk}, whose image has the dimension of
+    (S/I_C)_k.  The forms have no common zero, so they generate every
+    binary form of degree 2d - 1 and up (Macaulay): once the substitution
+    is onto in a degree k, it is onto above it, and C has Hilbert
+    polynomial dt + 1.  If (I_k), inside I_C, has it too, the two agree in
+    high degrees and I_C is the saturation of (I_k).  Else the loop ends
+    at k = d: the ideal of an integral curve of degree at most d in P^3 is
+    generated in degree at most d (Gruson, Lazarsfeld & Peskine 1983), so
+    (I_d) is I_C from degree d on.  I_C comes generated by its reduced
+    grevlex basis.
+    """
     forms = tuple(forms)
     if len(forms) != 4:
         raise ValueError("exactly four parametrizing forms are required")
@@ -252,16 +266,26 @@ def from_parametrization(field, forms):
         raise ValueError("degenerate parametrization: a component is zero")
     if not binary_forms_coprime(*forms):
         raise ValueError("degenerate parametrization: common zero")
-    # slots 5, 6 are the parameter variables; eliminate them from the graph
-    big = PolyRing(field, 7)
-    param_slots = (5, 6)
-    gens = []
-    for i, f in enumerate(forms):
-        gens.append(big.gen(i) - f.to_polynomial(big, slots=param_slots))
-    graph = IdealBasis(big, gens)
-    eliminated = eliminate(graph, front=param_slots)
-    kernel = restrict_to_ring(eliminated, curve_ring(field))
-    curve = CurveIdeal.from_ideal(kernel)
+    ring = curve_ring(field)
+    polys = [f.to_polynomial(ring) for f in forms]
+    images = {ZERO_EXP: ring.one()}
+    for k in range(1, d + 1):
+        # row j: the z^(dk - j) * w^j coefficients of the monomials' images
+        previous, images = images, {}
+        rows = [{} for _ in range(d * k + 1)]
+        for col, m in enumerate(monomial_exponents(CURVE_ARITY, k)):
+            i = next(i for i, v in enumerate(m) if v)
+            image = previous[m[:i] + (m[i] - 1,) + m[i + 1:]] * polys[i]
+            images[m] = image
+            for e, c in image.terms:
+                rows[e[3]][col] = c
+        kernel = linalg.nullspace(field, rows, len(images))
+        ideal_k = IdealBasis(ring, [Polynomial.from_dict(ring, dict(zip(
+            images, v))) for v in kernel])
+        if (kernel and len(images) - len(kernel) == len(rows)
+                and hilbert(ideal_k).hp_coefficients == (1, d)):
+            break
+    curve = CurveIdeal.from_ideal(_with_basis(ring, ideal_k.groebner()))
     if curve.degree != d:
         raise ValueError(
             f"parametrization is not degree-correct: expected degree {d}, "

@@ -74,8 +74,8 @@ bases of an ideal I let one serve where Buchberger would run:
   reduced basis of I are the reduced grevlex basis of in_w(I) (Sturmfels,
   Groebner Bases and Convex Polytopes, Prop. 1.8), so `initial_ideal`
   returns its ideal with that basis cached.
-- `saturate_irrelevant` builds its result from a reduced grevlex basis,
-  and returns it with that basis cached.
+- `_saturate_last_variable` divides a Groebner basis of I : v^infinity
+  out of I's (below) and interreduces it, so it caches the reduced basis.
 - When every element of a cached reduced basis keeps its lead under
   another order, it is that order's reduced basis too (`_reused`).  Its
   leads generate a monomial ideal L inside in(I), so the monomials outside
@@ -104,10 +104,10 @@ from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .fields import ContextMismatchError
-from .orders import (CAPACITY, GUARD, MAX_ARITY, SLOT_BITS,
-                     BlockEliminationOrder, GrevlexOrder, WeightRefinedOrder,
-                     exponent_limit_error, int_key_weights, pack_exponent,
-                     packed_lcm, unpack_exponent)
+from .orders import (GUARD, MAX_ARITY, SLOT_BITS, BlockEliminationOrder,
+                     GrevlexOrder, WeightRefinedOrder, exponent_limit_error,
+                     int_key_weights, pack_exponent, packed_lcm,
+                     unpack_exponent)
 from .hilbert import hilbert
 from .poly import Polynomial
 
@@ -690,33 +690,29 @@ def saturate_poly(ideal_basis, f):
     return restrict_to_ring(elim, ring)
 
 
-def _divide_variable_power(poly, slot, power):
-    terms = tuple((tuple(e[t] - power if t == slot else e[t]
-                         for t in range(CAPACITY)), c)
-                  for (e, c) in poly.terms)
-    # dividing every term by the same monomial preserves the sort order
-    return Polynomial(poly.ring, terms)
-
-
 def _saturate_last_variable(ideal_basis):
-    """I : v^infinity for the last grevlex variable of a homogeneous ideal:
-    its reduced grevlex basis with each element divided by its largest
-    power of v, in one pass; the input itself when nothing divides."""
+    """I : v^infinity for the last grevlex variable of a homogeneous ideal,
+    in one pass: I's reduced grevlex basis divided by powers of v and
+    interreduced, cached; the input itself when nothing divides."""
     ring = ideal_basis.ring
+    grevlex = GrevlexOrder(ring.arity)
     last = ring.arity - 1
-    divided = []
-    changed = False
-    for g in ideal_basis.groebner(GrevlexOrder(ring.arity)).elements:
-        k = min(e[last] for e, _ in g.terms)
-        if k:
-            changed = True
-            g = _divide_variable_power(g, last, k)
-        divided.append(g)
-    return IdealBasis(ring, divided) if changed else ideal_basis
+    gb = ideal_basis.groebner(grevlex).elements
+    powers = [min(e[last] for e, _ in g.terms) for g in gb]
+    if not any(powers):
+        return ideal_basis
+    # dividing by v^k shifts every int key and packed exponent by k units
+    key_v, exp_v = int_key_weights(grevlex)[last], 1 << SLOT_BITS * last
+    divided = [[(key - k * key_v, e - k * exp_v, c)
+                for key, e, c in _keyed(g, grevlex)]
+               for g, k in zip(gb, powers)]
+    return _with_basis(ring, _produced(ring.with_order(grevlex),
+                                       _reduce_basis(divided, ring.field)))
 
 
 def saturate_variable(ideal_basis, slot):
-    """I : v^infinity for one variable of a homogeneous ideal."""
+    """I : v^infinity for one variable of a homogeneous ideal; a result
+    other than the input comes generated by its cached reduced basis."""
     if not ideal_basis.homogeneous:
         raise ValueError("variable saturation requires a homogeneous ideal")
     ring = ideal_basis.ring
@@ -728,8 +724,8 @@ def saturate_variable(ideal_basis, slot):
     sat = _saturate_last_variable(swapped)
     if sat is swapped:
         return ideal_basis
-    return IdealBasis(ring, [g.swap_variables(slot, last)
-                             for g in sat.generators])
+    back = [g.swap_variables(slot, last) for g in sat.generators]
+    return _with_basis(ring, IdealBasis(ring, back).groebner())
 
 
 def saturate_irrelevant(ideal_basis):
@@ -737,9 +733,9 @@ def saturate_irrelevant(ideal_basis):
 
     The variables are tried from the last.  An input that one of them
     leaves unchanged is returned as it is; the first I : v^infinity with
-    the Hilbert polynomial of I is returned as its reduced grevlex basis,
-    with that basis cached; when there is none, the intersection of all of
-    them.
+    the Hilbert polynomial of I is returned as `saturate_variable` gives
+    it, generated by its reduced grevlex basis with that basis cached;
+    when there is none, the intersection of all of them.
     """
     if not ideal_basis.homogeneous:
         raise ValueError("saturation requires a homogeneous ideal")
@@ -753,7 +749,7 @@ def saturate_irrelevant(ideal_basis):
         if target is None:
             target = hilbert(ideal_basis).hp_coefficients
         if hilbert(s).hp_coefficients == target:
-            return _with_basis(ring, s.groebner())
+            return s
         sats.append(s)
     result = sats[0]
     for s in sats[1:]:

@@ -1,9 +1,9 @@
 """Monomial exponents and monomial orders.
 
 An exponent is a tuple of CAPACITY small non-negative integers; slots
-beyond a ring's active arity stay zero.  The fixed variable slots are
-x y z w t s u (x..w form the curve ring, t/s/u are auxiliaries for
-elimination constructions).
+beyond a ring's active arity stay zero.  The five fixed variable slots
+are x y z w t: x..w form the curve ring, and t is the one auxiliary
+variable of the intersection, saturation and family constructions.
 
 Every order here exposes a `key` that is linear in the exponent, so the
 key of a product is the componentwise sum of keys.  The Groebner kernel
@@ -24,8 +24,8 @@ from struct import Struct
 
 from .fields import ContextMismatchError
 
-CAPACITY = 8
-VAR_NAMES = ("x", "y", "z", "w", "t", "s", "u")
+CAPACITY = 5
+VAR_NAMES = ("x", "y", "z", "w", "t")
 MAX_ARITY = len(VAR_NAMES)
 
 ZERO_EXP = (0,) * CAPACITY

@@ -1,7 +1,7 @@
 """Multivariate polynomials with exact coefficients and canonical term order.
 
 A PolyRing fixes the field, the number of active variables (out of the
-fixed slots x y z w t s u) and a monomial order.  Polynomials store their
+five fixed slots x y z w t) and a monomial order.  Polynomials store their
 terms as a tuple sorted strictly descending in that order, with no zero
 coefficients; that canonical form makes equality a tuple comparison and
 lets reduced Groebner bases be compared term by term.
@@ -266,9 +266,7 @@ class Polynomial:
             if not exp_supported_within(e, ring.arity):
                 raise ContextMismatchError(
                     "polynomial uses variables outside the target ring")
-        key = ring.order.key
-        terms = sorted(self.terms, key=lambda t: key(t[0]), reverse=True)
-        return Polynomial(ring, tuple(terms))
+        return Polynomial.from_dict(ring, dict(self.terms))
 
     def swap_variables(self, i, j):
         """Exchange two variable slots (a coordinate permutation)."""
@@ -325,7 +323,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# text grammar: integer or a/b coefficients, variables x y z w t s u,
+# text grammar: integer or a/b coefficients, variables x y z w t,
 # optional '*', '^' powers, e.g.  x*w^3 - y^3*z + 2*z^4
 #
 # _TERM matches one whole signed term: an optional sign, then factors
@@ -491,15 +489,11 @@ class BinaryForm:
     def is_zero(self):
         return all(self.field.is_zero(c) for c in self.coeffs)
 
-    def to_polynomial(self, ring, slots=(2, 3)):
-        a, b = slots
+    def to_polynomial(self, ring):
+        """The form as a polynomial in the ring's z and w."""
         m = self.degree
-        acc = {}
-        for i, c in enumerate(self.coeffs):
-            e = [0] * CAPACITY
-            e[a] = m - i
-            e[b] = i
-            acc[tuple(e)] = c
+        acc = {(0, 0, m - i, i) + ZERO_EXP[4:]: c
+               for i, c in enumerate(self.coeffs)}
         return Polynomial.from_dict(ring, acc)
 
     def evaluate(self, z_value, w_value):

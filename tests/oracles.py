@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 from extremalcurves.orders import ZERO_EXP, exp_from_var, exp_mul
 from extremalcurves.poly import ParseError, Polynomial
 
-CAP = 8
+CAP = 5
 
 
 def monomials(arity, degree):

@@ -1,9 +1,12 @@
+import json
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 
 from extremalcurves import (BinaryForm, CoordinateChange, CurveIdeal,
+                            PrimeField,
                             complete_intersection, extremal_curve,
                             fixture, fixture_names, from_parametrization,
                             hilbert, ideal, ideal_equal, link,
@@ -81,15 +84,8 @@ def test_degenerate_parametrization_rejected(gf):
         from_parametrization(gf, (u2, u2, su, su))
 
 
-def test_parametrized_sextic_from_seeded_forms(gf):
-    # 7-variable block-order elimination: with pairs taken by the order's
-    # key alone it took over ten seconds on these forms, with pairs taken
-    # degree by degree a fraction of one
-    rng = random.Random(6)
-    forms = [BinaryForm.random(gf, 6, rng) for _ in range(4)]
-    curve = from_parametrization(gf, forms)
-    assert (curve.degree, curve.genus) == (6, 0)
-    p = gf.characteristic
+def _assert_vanishes_on_image_points(curve, forms, rng):
+    p = curve.field.characteristic
     for _ in range(3):
         s, t = rng.randrange(p), rng.randrange(p)
         point = [f.evaluate(s, t) for f in forms]
@@ -97,6 +93,55 @@ def test_parametrized_sextic_from_seeded_forms(gf):
             value = sum(c * prod(pow(v, k, p) for v, k in zip(point, e))
                         for e, c in g.terms)
             assert value % p == 0
+
+
+def test_parametrized_sextic_from_seeded_forms(gf):
+    rng = random.Random(6)
+    forms = [BinaryForm.random(gf, 6, rng) for _ in range(4)]
+    curve = from_parametrization(gf, forms)
+    assert (curve.degree, curve.genus) == (6, 0)
+    _assert_vanishes_on_image_points(curve, forms, rng)
+
+
+def test_parametrized_decic_from_seeded_forms(gf):
+    # five quintics already have Hilbert polynomial 10t + 1; their
+    # saturation is the curve ideal
+    rng = random.Random(10)
+    forms = [BinaryForm.random(gf, 10, rng) for _ in range(4)]
+    curve = from_parametrization(gf, forms)
+    assert (curve.degree, curve.genus) == (10, 0)
+    _assert_vanishes_on_image_points(curve, forms, rng)
+
+
+# generators recorded from the 7-variable graph-ideal elimination that
+# from_parametrization ran before it interpolated
+# (tests/data/record_parametrized_curves.py)
+PARAMETRIZED = json.loads(
+    (Path(__file__).parent / "data" / "parametrized_curves.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PARAMETRIZED["cases"],
+                         ids=[case["name"] for case in PARAMETRIZED["cases"]])
+def test_parametrized_curves_match_the_record(case):
+    field = PrimeField(PARAMETRIZED["characteristic"])
+    forms = [BinaryForm(field, coeffs) for coeffs in case["forms"]]
+    curve = from_parametrization(field, forms)
+    assert (curve.degree, curve.genus) == (case["degree"], case["genus"])
+    generators = curve.ideal.generators
+    assert [[[list(e[:4]), c] for e, c in g.terms]
+            for g in generators] == case["generators"]
+    # generated by its reduced grevlex basis, which it caches
+    assert curve.ideal.groebner().elements == generators
+
+
+def test_non_injective_parametrization_rejected(gf):
+    # (s^4, s^2 t^2, t^4, s^4 + t^4) factors through (s^2, t^2): the image
+    # is a conic, covered twice
+    forms = [BinaryForm.monomial(gf, 4, k) for k in (0, 2, 4)]
+    forms.append(BinaryForm(gf, (1, 0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="computed 2"):
+        from_parametrization(gf, forms)
 
 
 def test_complete_intersection_elliptic_quartic(gf):

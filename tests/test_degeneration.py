@@ -128,7 +128,7 @@ def _brute_quotient_dims(gf, f_form, g_form, upto):
                     continue
                 row = [gf.zero] * len(monos)
                 for e, c in h.terms:
-                    prod = tuple(e[i] + m[i] for i in range(8))
+                    prod = tuple(e[i] + m[i] for i in range(5))
                     row[index[prod]] = c
                 rows.append(row)
         r = oracles.rank(gf, rows, len(monos)) if rows else 0
@@ -468,7 +468,7 @@ def test_family_endpoints_on_pipeline_run(gf):
         sub1 = {}
         sub0 = {}
         for e, c in f.terms:
-            base = e[:4] + (0, 0, 0, 0)
+            base = e[:4] + (0,)
             sub1[base] = gf.add(sub1.get(base, gf.zero), c)
             if e[4] == 0:
                 sub0[base] = c

@@ -3,17 +3,20 @@ import itertools
 import pytest
 
 from extremalcurves import (ContextMismatchError, BlockEliminationOrder,
-                            GrevlexOrder, WeightRefinedOrder,
-                            compare_monomials)
-from extremalcurves.orders import (EQUAL, GREATER, LESS, exp_from_var,
-                                   exp_mul, monomial_exponents)
+                            GrevlexOrder, PolyRing, PrimeField,
+                            WeightRefinedOrder, compare_monomials,
+                            ideal_intersect)
+from extremalcurves.groebner import IdealBasis
+from extremalcurves.orders import (CAPACITY, EQUAL, GREATER, LESS, MAX_ARITY,
+                                   VAR_NAMES, exp_from_var, exp_mul,
+                                   monomial_exponents)
 
 GREVLEX4 = GrevlexOrder(4)
 REFINED = WeightRefinedOrder((4, 2, 1, 1))
 
 
 def _exp(x=0, y=0, z=0, w=0):
-    return (x, y, z, w, 0, 0, 0, 0)
+    return (x, y, z, w, 0)
 
 
 def test_weight_tie_grevlex_break():
@@ -38,8 +41,23 @@ def test_reflexive_equal():
     assert compare_monomials(u, u, GREVLEX4) == EQUAL
 
 
+def test_five_slots_one_auxiliary():
+    # x, y, z, w and the one auxiliary t of the constructions
+    assert (CAPACITY, MAX_ARITY) == (5, 5)
+    assert VAR_NAMES == ("x", "y", "z", "w", "t")
+    with pytest.raises(ValueError):
+        exp_from_var(5)
+    with pytest.raises(ValueError):
+        PolyRing(PrimeField(), 6)
+    # a five-variable ring has no slot left for another auxiliary
+    ring = PolyRing(PrimeField(), 5)
+    a = IdealBasis(ring, [ring.gen(4)])
+    with pytest.raises(ValueError, match="no auxiliary variable slot"):
+        ideal_intersect(a, a)
+
+
 def test_arity_mismatch_rejected():
-    u = exp_from_var(5)  # uses slot beyond arity 4
+    u = exp_from_var(4)  # uses slot t, beyond arity 4
     with pytest.raises(ContextMismatchError):
         compare_monomials(u, _exp(x=1), GREVLEX4)
 
@@ -52,7 +70,7 @@ def test_order_axioms_exhaustive_to_degree_five(order):
     # totality with antisymmetry: the key map is injective
     assert len(set(keys.values())) == len(monos)
     # 1 is minimal among the enumerated monomials
-    one = (0,) * 8
+    one = (0,) * 5
     assert all(keys[m] > keys[one] for m in monos if m != one)
     # multiplicativity on a sample of products that stay enumerable
     small = [m for d in range(3) for m in monomial_exponents(4, d)]

@@ -28,9 +28,10 @@ def random_poly(ring, rng, degree, terms=4, homogeneous=True):
     return acc
 
 
+# the id "block7" kept its name when the engine went from seven slots to five
 @pytest.mark.parametrize("order", [GrevlexOrder(4),
                                    WeightRefinedOrder((7, 2, 1, 1)),
-                                   BlockEliminationOrder((5, 6), 7)],
+                                   BlockEliminationOrder((1, 3), 5)],
                          ids=["grevlex", "weight", "block7"])
 def test_from_dict_sorts_terms_by_the_order_key(order):
     ring = PolyRing(PrimeField(), order.arity, order)
@@ -195,8 +196,8 @@ def test_parse_standard_grammar(ring):
 def test_parse_fraction_over_rationals(qring):
     from fractions import Fraction
     f = parse_polynomial(qring, "1/2*x + 2/3*y")
-    assert dict(f.terms) == {(1, 0, 0, 0, 0, 0, 0, 0): Fraction(1, 2),
-                             (0, 1, 0, 0, 0, 0, 0, 0): Fraction(2, 3)}
+    assert dict(f.terms) == {(1, 0, 0, 0, 0): Fraction(1, 2),
+                             (0, 1, 0, 0, 0): Fraction(2, 3)}
 
 
 PARSE_ERRORS = [
