@@ -165,17 +165,11 @@ def _assemble_surface(ring, d, nu, columns, coefficients, unit):
 def _monoid_rows(gb, columns):
     """Sparse rows {column: coefficient} of the template's normal forms,
     one row per standard monomial, in order of first appearance."""
-    rows = []
-    row_index = {}
-    forms = gb.monomial_normal_forms(columns)
-    for col, form in enumerate(forms):
+    rows = {}
+    for col, form in enumerate(gb.monomial_normal_forms(columns)):
         for e, c in form.terms:
-            r = row_index.get(e)
-            if r is None:
-                r = row_index[e] = len(rows)
-                rows.append({})
-            rows[r][col] = c
-    return rows
+            rows.setdefault(e, {})[col] = c
+    return list(rows.values())
 
 
 def _find_monoid_surface(ideal_basis, d, nu, rng=None):

@@ -50,18 +50,6 @@ call, and `pop` brings each coefficient back with `field.reduce` once,
 when its term reaches the top, and skips it there if it has cancelled.
 Only fully reduced coefficients leave the kernel.
 
-`GroebnerBasis.monomial_normal_forms` reduces many monomials at once, as
-the symbolic preprocessing of F4 does (Faugere 1999).  A worklist starts
-from the input monomials; each monomial reached gets the shifted tail of
-the first reducer whose lead divides it, the same choice division makes,
-and the tail's monomials join the worklist.  Back-substitution then
-visits the reducible monomials in ascending key order, so every tail term
-is already solved: NF(m) = -sum c_t * NF(t), with NF(t) = t for a
-standard monomial; the sum is accumulated lazily and reduced once per
-output term.  Division by a fixed reducer list is linear in its
-input, so each form equals what `normal_form` returns, and each reducer
-row is derived once however many monomials share it.
-
 Interreduction is one pass.  `_reduce_basis` keeps the elements whose
 leads no other lead divides; reducing one of them by the others never
 changes its lead, so it stays monic and the others' reducibility is
@@ -107,7 +95,7 @@ from .fields import ContextMismatchError
 from .orders import (GUARD, MAX_ARITY, SLOT_BITS, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder, exponent_limit_error,
                      int_key_weights, pack_exponent, packed_lcm,
-                     unpack_exponent)
+                     term_key, unpack_exponent)
 from .hilbert import hilbert
 from .poly import Polynomial
 
@@ -141,12 +129,6 @@ def _offsets(reducer, key, exp):
     if (tail_lcm + se) & GUARD:
         raise exponent_limit_error(max(unpack_exponent(tail_lcm + se)))
     return key - lead_key, se
-
-
-def _shifted(reducer, key, exp):
-    """Tail of a reducer times the monomial taking its lead to (key, exp)."""
-    sk, se = _offsets(reducer, key, exp)
-    return [(k + sk, e + se, c) for (k, e, c) in reducer[2]]
 
 
 class _Remainder:
@@ -356,54 +338,74 @@ class GroebnerBasis:
         return _from_keyed(self.ring, r).in_ring(f.ring)
 
     def monomial_normal_forms(self, exponents):
-        """Normal forms of many monomials at once, one Polynomial per
-        exponent in input order; equal to [normal_form(monomial(e))]."""
-        ring = self.ring
-        field = ring.field
+        """Normal forms of many monomials, one Polynomial per exponent in
+        input order; equal to [normal_form(monomial(e))] on a Groebner basis.
+
+        A walk: NF(u*m) = sum c * NF(u*t) over the terms c*t of NF(m).  For a
+        non-standard u*m, u is its power of the last variable v, or its last
+        variable if that power is 0 or all of it; u*m is divided only when m
+        is standard.  With no lead holding v, a v-step is a shift (Bayer and
+        Stillman 1987).  Forms are cached; a stack replaces recursion.
+        """
+        ring, field = self.ring, self.ring.field
         weights = int_key_weights(ring.order)
-        outside = SLOT_BITS * ring.arity
-        keys = []
-        exps = {}       # key -> packed exponent of every monomial reached
-        todo = []
-        for e in exponents:
-            k, p = sum(map(mul, weights, e)), pack_exponent(e)
-            if p >> outside:
-                raise ContextMismatchError("exponent outside ring arity")
-            keys.append(k)
-            if k not in exps:
-                exps[k] = p
-                todo.append((k, p))
-        # symbolic preprocessing: one reducer row per non-standard monomial
-        reducers = self.reducers()
-        tails = {}
-        while todo:
-            k, p = todo.pop()
+        leads = [red[0] for red in self.reducers()]
+        last = SLOT_BITS * (ring.arity - 1)     # bit offset of v's slot
+        v_free = not any(lead >> last for lead in leads)
+
+        def standard(p):
             guarded = p | GUARD
-            for red in reducers:
-                if (guarded - red[0]) & GUARD == GUARD:
-                    tail = tails[k] = _shifted(red, k, p)
-                    for (tk, te, _) in tail:
-                        if tk not in exps:
-                            exps[tk] = te
-                            todo.append((tk, te))
-                    break
-        # back-substitution: each tail term is smaller, hence already solved;
-        # sums stay unreduced until the form is complete
-        reduce = field.reduce
-        forms = {}
-        for k in sorted(tails):
-            acc = {}
-            for (tk, _, c) in tails[k]:
-                for sk, sc in forms.get(tk, ((tk, 1),)):
-                    acc[sk] = acc.get(sk, 0) - c * sc
-            forms[k] = [(sk, v) for sk, v in
-                        zip(acc, map(reduce, acc.values())) if v]
-        out = []
-        for k in keys:
-            terms = sorted(forms.get(k, ((k, field.one),)), reverse=True)
-            out.append(Polynomial(ring, tuple((unpack_exponent(exps[sk]), c)
-                                              for sk, c in terms)))
-        return out
+            for lead in leads:
+                if (guarded - lead) & GUARD == GUARD:
+                    return False
+            return True
+
+        exponents = [tuple(e) for e in exponents]
+        packed = [pack_exponent(e) for e in exponents]
+        if any(p >> last + SLOT_BITS for p in packed):
+            raise ContextMismatchError("exponent outside ring arity")
+        forms = {}      # packed exponent -> keyed form of a non-standard one
+        stack = [(_packed_key(weights, p), p) for p in packed
+                 if not standard(p)]
+        while stack:
+            k, p = stack[-1]
+            if p in forms:
+                stack.pop()
+                continue
+            power = p >> last
+            if power and p != power << last:
+                ku, pu = power * weights[ring.arity - 1], power << last
+            elif p:
+                slot = (p.bit_length() - 1) // SLOT_BITS
+                ku, pu = weights[slot], 1 << SLOT_BITS * slot
+            if not p or standard(p - pu):       # 1 has no m
+                forms[p] = _normal_form_keyed(
+                    _Remainder(field, ((k, p, field.one),)), self.reducers())
+                continue
+            if p - pu not in forms:
+                stack.append((k - ku, p - pu))
+                continue
+            form = [(tk + ku, tp + pu, c) for (tk, tp, c) in forms[p - pu]]
+            for (_, q, _) in form:
+                if q & GUARD:
+                    raise exponent_limit_error(max(unpack_exponent(q)))
+            if v_free and pu >> last:
+                forms[p] = form         # a shift keeps order and coefficients
+                continue
+            missing = [(tk, q) for (tk, q, _) in form
+                       if q not in forms and not standard(q)]
+            stack += missing
+            if not missing:
+                acc = {}
+                for (tk, q, c) in form:
+                    for (sk, sq, sc) in forms.get(q, ((tk, q, 1),)):
+                        acc[sk, sq] = acc.get((sk, sq), 0) + c * sc
+                forms[p] = sorted(((sk, sq, v) for (sk, sq), v in zip(
+                    acc, map(field.reduce, acc.values())) if v), reverse=True)
+        return [Polynomial(ring, ((e, field.one),)) if p not in forms else
+                Polynomial(ring, tuple((unpack_exponent(q), c)
+                                       for (_, q, c) in forms[p]))
+                for e, p in zip(exponents, packed)]
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -484,8 +486,8 @@ class IdealBasis:
                 continue
             seen.add(g.terms)
             gens.append(g)
-        key = ring.order.key
-        gens.sort(key=lambda p: key(p.lead_exponent))
+        key = term_key(ring.order, [g.lead_exponent for g in gens])
+        gens.sort(key=lambda g: key(g.terms[0]))
         self.ring = ring
         self.generators = tuple(gens)
         self.homogeneous = all(g.is_homogeneous for g in gens)

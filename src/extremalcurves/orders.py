@@ -20,6 +20,7 @@ exactly as the tuple does.
 """
 
 from functools import lru_cache
+from operator import mul
 from struct import Struct
 
 from .fields import ContextMismatchError
@@ -98,6 +99,16 @@ def int_key_weights(order):
             weights[i] += unit[j] * radix
         radix *= EXP_LIMIT * sum(abs(unit[j]) for unit in units) + 1
     return tuple(weights)
+
+
+def term_key(order, exponents):
+    """Sort key under `order` of (exponent, coeff) terms with exponents in
+    `exponents`: the int key, or `order.key` if a slot passes EXP_LIMIT."""
+    if max(map(max, exponents), default=0) > EXP_LIMIT:
+        key = order.key
+        return lambda term: key(term[0])
+    weights = int_key_weights(order)
+    return lambda term: sum(map(mul, weights, term[0]))
 
 
 def monomial_exponents(arity, degree):

@@ -17,13 +17,11 @@ the currency of the monoid-surface constructions.
 """
 
 import re
-from operator import mul
 
 from .fields import ContextMismatchError
-from .orders import (CAPACITY, EXP_LIMIT, MAX_ARITY, VAR_NAMES, ZERO_EXP,
-                     GrevlexOrder, WeightRefinedOrder, exp_degree,
-                     exp_from_var, exp_mul, exp_supported_within,
-                     int_key_weights)
+from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, ZERO_EXP, GrevlexOrder,
+                     WeightRefinedOrder, exp_degree, exp_from_var, exp_mul,
+                     exp_supported_within, term_key)
 from . import linalg
 
 
@@ -126,20 +124,12 @@ class Polynomial:
         """Polynomial from an exponent -> coefficient dict whose values may
         be unreduced sums and products of field elements.
 
-        Terms are sorted by the order's int key (`int_key_weights`), a dot
-        product that orders exponents within EXP_LIMIT exactly as the
-        tuple key does; only a larger slot needs the tuple key itself.
+        Terms are sorted by `orders.term_key`, an int key unless some
+        slot passes EXP_LIMIT.
         """
-        order = ring.order
         items = [(e, c) for e, c in zip(coeffs, map(ring.field.reduce,
                                                     coeffs.values())) if c]
-        if max(map(max, coeffs), default=0) > EXP_LIMIT:
-            key = order.key
-            items.sort(key=lambda t: key(t[0]), reverse=True)
-        else:
-            weights = int_key_weights(order)
-            items.sort(key=lambda t: sum(map(mul, weights, t[0])),
-                       reverse=True)
+        items.sort(key=term_key(ring.order, coeffs), reverse=True)
         return cls(ring, tuple(items))
 
     @property

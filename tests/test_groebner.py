@@ -711,7 +711,18 @@ def test_lazy_sums_reduce_to_residues(p):
         assert all(0 <= c < p for _, c in poly.terms)
 
 
-# batch normal forms against one `normal_form` call per monomial
+def _forms(ring, max_terms):
+    """Homogeneous polynomials of degree 1 to 3."""
+    coeffs = _coeffs(ring.field)
+    return st.integers(1, 3).flatmap(lambda degree: st.dictionaries(
+        st.sampled_from(oracles.monomials(ring.arity, degree)), coeffs,
+        min_size=1, max_size=max_terms)).map(
+            lambda acc: Polynomial.from_dict(ring, acc))
+
+
+# the walk against one `normal_form` call per monomial; its identity holds
+# on Groebner bases only.  The generators are homogeneous: Buchberger on
+# random inhomogeneous draws under the block order ran for many minutes
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
@@ -719,21 +730,48 @@ def test_lazy_sums_reduce_to_residues(p):
 @given(data=st.data())
 def test_monomial_normal_forms_match_normal_form(field, make_order, data):
     ring = _division_ring(field, make_order, data)
-    divisors = [g.monic() for g in
-                data.draw(st.lists(_polys(ring, 4), min_size=1, max_size=4))]
+    gens = data.draw(st.lists(_forms(ring, 3), min_size=1, max_size=3))
     if data.draw(st.booleans()):
-        # a monomial divisor sends all its multiples to zero
-        divisors.insert(0, ring.monomial(data.draw(
-            st.sampled_from(divisors[0].terms))[0]))
+        # a lead divisible by the last variable: its steps are not shifts
+        gens[0] = gens[0] * ring.gen(ring.arity - 1)
+    if data.draw(st.booleans()):
+        # a monomial generator sends all its multiples to zero
+        gens.insert(0, ring.monomial(data.draw(
+            st.sampled_from(gens[0].terms))[0]))
+    basis = IdealBasis(ring, gens).groebner(ring.order)
     exps = st.tuples(*[st.integers(0, 3)] * ring.arity).map(
         lambda e: e + (0,) * (CAPACITY - ring.arity))
     monomials = data.draw(st.lists(exps, min_size=1, max_size=12))
-    # tail monomials of the divisors are inputs too, and so are repeats
-    monomials += [e for g in divisors for e, _ in g.terms[1:2]]
+    # leads and tail monomials of the basis are inputs too, and so are
+    # repeats
+    monomials += [e for g in basis for e, _ in g.terms[:2]]
     monomials += monomials[:data.draw(st.integers(0, 3))]
-    basis = GroebnerBasis(ring, tuple(divisors))
     expected = [basis.normal_form(ring.monomial(e)) for e in monomials]
     assert basis.monomial_normal_forms(monomials) == expected
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_monomial_normal_forms_past_leads_with_the_last_variable(field):
+    ring = curve_ring(field)
+    x, y, z, w = ring.gens()
+    for gens in ((w * (x - y + z), y * y - x * z), (w * w - x, y * w - z)):
+        basis = ideal(*gens).groebner()
+        # w divides a lead, so some w-steps are not pure shifts
+        assert any(g.lead_exponent[3] for g in basis)
+        monomials = [e for n in range(5) for e in oracles.monomials(4, n)]
+        forms = basis.monomial_normal_forms(monomials)
+        assert forms == [basis.normal_form(ring.monomial(e))
+                         for e in monomials]
+
+
+def test_monomial_normal_forms_walk_without_recursion(ring):
+    x, w = ring.gen(0), ring.gen(3)
+    basis = ideal(x - w).groebner()
+    # a walk 1500 steps long, past the interpreter's recursion limit
+    assert basis.monomial_normal_forms([(1500, 0, 0, 0, 0)]) == [w ** 1500]
+    # x^20000*w^20000 reduces to w^40000, past the packed budget
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        basis.monomial_normal_forms([(20000, 0, 0, 20000, 0)])
 
 
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)

@@ -11,9 +11,8 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremalcurves import PolyRing, PrimeField, curve_ring
-from extremalcurves.groebner import (IdealBasis, _as_reducer, _divides,
-                                     _keyed, _shifted, eliminate)
+from extremalcurves import PrimeField, curve_ring
+from extremalcurves.groebner import IdealBasis, _divides, eliminate
 from extremalcurves.orders import (CAPACITY, EXP_LIMIT, GUARD,
                                    BlockEliminationOrder,
                                    GrevlexOrder, WeightRefinedOrder,
@@ -158,29 +157,6 @@ def test_int_key_is_linear(order, data):
     assert _int_key(order, exp_mul(a, b)) == (_int_key(order, a)
                                              + _int_key(order, b))
     assert _int_key(order, (0,) * CAPACITY) == 0
-
-
-@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
-@settings(max_examples=40, deadline=None, database=None)
-@given(data=st.data())
-def test_shifted_matches_keyed_product(order, data):
-    # the kernel's shift (two int additions a term) against packing and
-    # keying the product polynomial afresh
-    ring = PolyRing(PrimeField(), order.arity, order)
-    small = st.integers(0, 3)
-    terms = data.draw(st.dictionaries(exponents(order.arity, small),
-                                      st.integers(1, 32002), min_size=1,
-                                      max_size=6))
-    g = ring.zero()
-    for e, c in terms.items():
-        g = g + ring.monomial(e, c)
-    m = data.draw(exponents(order.arity, small))
-    product = _keyed(g * ring.monomial(m), order)
-    reducer = _as_reducer(_keyed(g, order))
-    key, exp = product[0][0], product[0][1]
-    assert key == reducer[1] + _int_key(order, m)
-    assert exp == reducer[0] + pack_exponent(m)
-    assert _shifted(reducer, key, exp) == product[1:]
 
 
 def test_exponent_past_budget_is_refused():
