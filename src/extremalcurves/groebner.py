@@ -73,6 +73,22 @@ bases of an ideal I let one serve where Buchberger would run:
 A basis reached so passes the same VERIFY_PRODUCED_BASES check as one
 computed (`_produced`).
 
+A basis in hand bounds the work of a new one.  Every monomial order gives
+a homogeneous ideal I the same Hilbert function, since the monomials
+outside in(I) of each degree are a basis of R/I in that degree (Macaulay),
+so a cached basis's leads give HF_{R/I} in every degree.  When Buchberger
+must run for another order, it runs Hilbert-driven (Traverso, Hilbert
+functions and the Buchberger algorithm, J. Symbolic Comput. 22, 1996).
+The leads L found so far keep their series numerator by
+N(L + (m)) = N(L) - t^deg(m) N(L : m).  At the first pair of degree k,
+delta = HF_{R/L}(k) - HF_{R/I}(k) counts the degree-k monomials of in(I)
+still missing from L.  Each nonzero remainder of a degree-k pair adds
+one, its lead, so it lowers delta by exactly 1.  Once delta is 0, every
+remaining degree-k pair would reduce to zero, and they are dropped.  A
+delta below 0, or a final numerator other than the known one, means the
+cached basis is not of this ideal, and an AssertionError says so.
+Inhomogeneous input, or input with no basis in hand, runs pair for pair.
+
 Saturation by the irrelevant ideal m uses the single-variable
 saturations I : v^infinity.  For homogeneous I under grevlex with v
 last, v divides a homogeneous polynomial exactly when it divides the
@@ -96,7 +112,8 @@ from .orders import (GUARD, MAX_ARITY, SLOT_BITS, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder, exponent_limit_error,
                      int_key_weights, pack_exponent, packed_lcm,
                      term_key, unpack_exponent)
-from .hilbert import hilbert
+from .hilbert import (_hilbert_function, _numerator_plus, _series_numerator,
+                      _trim, hilbert)
 from .poly import Polynomial
 
 def _keyed(poly, order):
@@ -220,7 +237,7 @@ def _spoly(a, b, lcm_key, lcm_exp, field):
     return spoly
 
 
-def _buchberger_core(keyed_inputs, order, field):
+def _buchberger_core(keyed_inputs, order, field, target=None):
     """Groebner basis of nonzero keyed inputs, which `update` makes monic;
     Gebauer-Moeller pair updates.
 
@@ -230,18 +247,32 @@ def _buchberger_core(keyed_inputs, order, field):
     key already puts the degree first and nothing changes; the weight and
     block orders are not degree-compatible, and taking their pairs by key
     alone would reduce a low-weight pair of high degree first.
+
+    `target` is the Hilbert series numerator of R/I, trailing zeros
+    trimmed, for homogeneous inputs generating I, read off a basis in hand;
+    or None.  With it the run is
+    Hilbert-driven: `update` keeps the numerator of the lead ideal L, and
+    the pairs of a degree k are dropped once L has as many degree-k
+    monomials as in(I) (the module docstring).  An AssertionError names a
+    target that does not fit the ideal.
     """
     G = []          # monic keyed term lists
     reducers = []   # parallel reducers
     leads = []      # packed lead exponents
     pairs = set()
     weights = int_key_weights(order)
+    lead_exps = []  # unpacked leads, for the numerator of L
+    numerator = [1]
 
     def update(new_terms):
         # Gebauer-Moeller: prune old pairs, build minimal new ones
-        nonlocal pairs
+        nonlocal pairs, numerator
         new_terms = _monicize(new_terms, field)
         lm_new = new_terms[0][1]
+        if target is not None:
+            lead = unpack_exponent(lm_new)
+            numerator = _numerator_plus(numerator, lead_exps, lead)
+            lead_exps.append(lead)
         m = len(G)
         kept = set()
         for pair in pairs:
@@ -275,8 +306,22 @@ def _buchberger_core(keyed_inputs, order, field):
     for terms in keyed_inputs:
         update(terms)
 
+    degree = deficit = None
     while pairs:
         pair = min(pairs)
+        if target is not None:
+            if pair[0] != degree:
+                # dim L_k - dim in(I)_k, as HF_{R/L}(k) - HF_{R/I}(k)
+                degree = pair[0]
+                deficit = (_hilbert_function(numerator, order.arity, degree)
+                           - _hilbert_function(target, order.arity, degree))
+                if deficit < 0:
+                    raise AssertionError(
+                        f"Hilbert-driven Buchberger: the lead ideal outgrows "
+                        f"the known Hilbert function in degree {degree}")
+            if not deficit:
+                pairs = {p for p in pairs if p[0] != degree}
+                continue
         pairs.discard(pair)
         _, lcm_key, i, j, lcm_exp = pair
         remainder = _normal_form_keyed(
@@ -284,7 +329,13 @@ def _buchberger_core(keyed_inputs, order, field):
             reducers)
         if remainder:
             update(remainder)
+            if target is not None:
+                deficit -= 1    # L gains one degree-k monomial, the lead
 
+    if target is not None and numerator != target:
+        raise AssertionError(
+            "Hilbert-driven Buchberger: the lead ideal's Hilbert series "
+            "differs from the known one")
     return G
 
 
@@ -437,11 +488,18 @@ def _produced(work_ring, keyed):
 
 
 def buchberger(ideal_basis, order):
-    """Reduced Groebner basis of an IdealBasis in the given order."""
+    """Reduced Groebner basis of an IdealBasis in the given order;
+    Hilbert-driven when the ideal is homogeneous and caches a basis in
+    another order."""
     ring = ideal_basis.ring
     field = ring.field
     keyed = [_keyed(g, order) for g in ideal_basis.generators]
-    raw = _buchberger_core(keyed, order, field)
+    target = None
+    if ideal_basis.homogeneous:
+        for cached in ideal_basis._gb_cache.values():
+            target = _trim(_series_numerator(cached.lead_exponents()))
+            break
+    raw = _buchberger_core(keyed, order, field, target)
     return _produced(ring.with_order(order), _reduce_basis(raw, field))
 
 

@@ -3,7 +3,10 @@
 The series numerator is computed combinatorially from the grevlex
 leading-term monomial ideal by recursive pivot splitting; the Hilbert
 polynomial, projective dimension, and (for curves) degree and arithmetic
-genus are read off the reduced series.
+genus are read off the reduced series.  A monomial ideal that grows one
+generator at a time keeps its numerator by N(J + (m)) = N(J) -
+t^deg(m) N(J : m) (`_numerator_plus`), and `_hilbert_function` reads the
+Hilbert function in one degree off a numerator.
 """
 
 from dataclasses import dataclass
@@ -92,6 +95,24 @@ def _series_numerator(gens):
     return _trim(_poly_add_int(n_left, [0] + n_right))
 
 
+def _numerator_plus(numerator, gens, m):
+    """N(J + (m)) from N(J) for the monomial ideal J generated by `gens`:
+    N(J) - t^deg(m) N(J : m), where J : m is generated by the lcm(g, m)/m."""
+    colon = _series_numerator(
+        [tuple(a - b if a > b else 0 for a, b in zip(g, m)) for g in gens])
+    return _trim(_poly_add_int(
+        numerator, [0] * exp_degree(m) + [-c for c in colon]))
+
+
+def _hilbert_function(numerator, arity, n):
+    """Coefficient of t^n in N(t)/(1-t)^arity: dim_k (R/I)_n when N is the
+    series numerator of R/I."""
+    if n < 0:
+        return 0
+    return sum(numerator[i] * comb(n - i + arity - 1, arity - 1)
+               for i in range(min(len(numerator), n + 1)))
+
+
 def _divide_one_minus_t(coeffs):
     """Exact division by (1 - t); requires the coefficients to sum to zero."""
     if sum(coeffs) != 0:
@@ -117,11 +138,7 @@ class HilbertData:
 
     def hilbert_function(self, n):
         """dim_k (R/I)_n, exact in every degree n."""
-        if n < 0:
-            return 0
-        a = self.arity
-        return sum(self.numerator[i] * comb(n - i + a - 1, a - 1)
-                   for i in range(min(len(self.numerator), n + 1)))
+        return _hilbert_function(self.numerator, self.arity, n)
 
     def hp_value(self, n):
         value = sum(c * Fraction(n) ** k

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, Invariants,
                             PolyRing, PrimeField, binary_forms_coprime,
-                            curve_ring, divide_exact, eliminate,
-                            extremal_curve, fixture, hilbert, ideal, ideal_equal, ideal_intersect,
+                            complete_intersection, curve_ring, divide_exact,
+                            eliminate, extremal_curve, fixture, hilbert,
+                            ideal, ideal_equal, ideal_intersect,
                             ideal_quotient, ideal_quotient_poly,
                             initial_ideal, is_groebner,
-                            restrict_to_ring, saturate_irrelevant,
-                            saturate_poly, saturate_variable)
+                            random_coordinate_change, restrict_to_ring,
+                            saturate_irrelevant, saturate_poly,
+                            saturate_variable)
 from extremalcurves import groebner
 from extremalcurves.groebner import GroebnerBasis, IdealBasis
 from extremalcurves.orders import (CAPACITY, BlockEliminationOrder,
@@ -687,6 +689,96 @@ def test_reuse_only_where_the_leads_stay(ring, monkeypatch):
     # the twisted cubic's lead y^2 becomes x*z under (1, 0, 0, 0)
     assert WeightRefinedOrder((1, 0, 0, 0)) in calls
     assert 0 < len(calls) < requests
+
+
+# a homogeneous ideal's basis in one order, and the order it is cached in
+# before another's is asked for: grevlex for the others, and a weight
+# order for grevlex itself; d is drawn for (d, 2, 1, 1)
+HILBERT_DRIVEN_ORDERS = {
+    "weight": (lambda d: WeightRefinedOrder((d, 2, 1, 1)), GrevlexOrder(4)),
+    "projection": (lambda d: WeightRefinedOrder((1, 0, 0, 0)),
+                   GrevlexOrder(4)),
+    "grevlex": (lambda d: GrevlexOrder(4), WeightRefinedOrder((3, 2, 1, 1))),
+    "block": (lambda d: BlockEliminationOrder((0, 1), 4), GrevlexOrder(4)),
+}
+
+
+@pytest.mark.parametrize("case", HILBERT_DRIVEN_ORDERS)
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_hilbert_driven_bases_match_fresh_ones(field, case):
+    make_order, cached = HILBERT_DRIVEN_ORDERS[case]
+    ring = curve_ring(field)
+    rng = random.Random(f"{field}:{case}:hilbert")
+    ran = 0     # draws whose cached basis cannot be reused
+    while ran < 6:
+        basis = random_homogeneous_ideal(ring, rng, count=rng.randint(2, 4))
+        order = make_order(rng.randint(3, 12))
+        basis.groebner(cached)
+        expected = _fresh(basis, order)
+        ran += basis._reused(order) is None
+        assert basis.groebner(order).elements == expected.elements
+
+
+def _zero_remainders(monkeypatch):
+    """Collect the remainders of `_normal_form_keyed` that are zero, with
+    the re-check of produced bases, whose pairs all reduce to zero, off."""
+    monkeypatch.setattr(groebner, "VERIFY_PRODUCED_BASES", False)
+    zeros = []
+    reduce = groebner._normal_form_keyed
+
+    def counted(rem, reducers):
+        out = reduce(rem, reducers)
+        if not out:
+            zeros.append(rem)
+        return out
+
+    monkeypatch.setattr(groebner, "_normal_form_keyed", counted)
+    return zeros
+
+
+def _moved_ci33(ring):
+    x, y, z, w = ring.gens()
+    ci = complete_intersection(
+        x ** 3 + y ** 3 + z ** 3 + w ** 3 + x * y * z,
+        x * x * w + y * y * z + z ** 3 + w ** 3 - x * y * w)
+    return random_coordinate_change(ci, 0)[0].ideal
+
+
+def test_hilbert_driven_runs_reduce_no_pair_to_zero(ring, monkeypatch):
+    # with its grevlex basis in hand, the (9, 2, 1, 1) basis of a moved
+    # complete intersection of two cubics drops every pair that reduces to
+    # zero; from its generators alone, some reduce to zero
+    basis = _moved_ci33(ring)
+    basis.groebner()
+    order = WeightRefinedOrder((9, 2, 1, 1))
+    assert basis._reused(order) is None
+    expected = _fresh(basis, order)
+    zeros = _zero_remainders(monkeypatch)
+    _fresh(basis, order)
+    assert zeros
+    zeros.clear()
+    assert basis.groebner(order).elements == expected.elements
+    assert not zeros
+
+
+# the cached basis of one ideal planted in another's cache: its leads move
+# under (1, 0, 0, 0), so Buchberger runs towards the wrong Hilbert function
+WRONG_TARGETS = {
+    "smaller-target": (extremal_40_ideal, twisted_cubic_ideal),
+    "larger-target": (twisted_cubic_ideal, extremal_40_ideal),
+    "moved-ci": (_moved_ci33, twisted_cubic_ideal),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TARGETS)
+def test_hilbert_driven_run_refuses_a_wrong_target(ring, case):
+    make_basis, make_other = WRONG_TARGETS[case]
+    basis, other = make_basis(ring), make_other(ring)
+    basis._gb_cache[GrevlexOrder(4)] = other.groebner()
+    order = WeightRefinedOrder((1, 0, 0, 0))
+    assert basis._reused(order) is None
+    with pytest.raises(AssertionError, match="Hilbert-driven"):
+        basis.groebner(order)
 
 
 @pytest.mark.parametrize("p", [32003, 7])

@@ -1,7 +1,12 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from extremalcurves import hilbert, ideal
 from extremalcurves.groebner import GrevlexOrder, IdealBasis
+from extremalcurves.hilbert import (_hilbert_function, _numerator_plus,
+                                    _series_numerator, _trim)
+from extremalcurves.orders import CAPACITY
 
 import oracles
 from test_groebner import (extremal_40_ideal, random_homogeneous_ideal,
@@ -89,3 +94,21 @@ def test_degree_positive_for_curves(ring):
             seen_curve = True
             assert hd.degree >= 1
     assert seen_curve
+
+
+# monomials of x, y, z, w with exponents up to 3, the constant among them
+_MONOMIALS = st.tuples(*[st.integers(0, 3)] * 4).map(
+    lambda e: e + (0,) * (CAPACITY - 4))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(_MONOMIALS, min_size=1, max_size=9))
+def test_numerator_grows_one_monomial_at_a_time(sequence):
+    numerator, gens = [1], []
+    for m in sequence:
+        numerator = _numerator_plus(numerator, gens, m)
+        gens.append(m)
+        assert numerator == _trim(list(_series_numerator(gens)))
+        for n in range(9):
+            assert _hilbert_function(numerator, 4, n) == (
+                oracles.standard_monomial_count(gens, 4, n))
