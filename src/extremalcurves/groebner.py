@@ -249,12 +249,11 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
     alone would reduce a low-weight pair of high degree first.
 
     `target` is the Hilbert series numerator of R/I, trailing zeros
-    trimmed, for homogeneous inputs generating I, read off a basis in hand;
-    or None.  With it the run is
-    Hilbert-driven: `update` keeps the numerator of the lead ideal L, and
-    the pairs of a degree k are dropped once L has as many degree-k
-    monomials as in(I) (the module docstring).  An AssertionError names a
-    target that does not fit the ideal.
+    trimmed, for homogeneous inputs generating I, read off a basis in
+    hand; or None.  With it the run is Hilbert-driven: `update` keeps the
+    numerator of the lead ideal L, and the pairs of a degree k are dropped
+    once L has as many degree-k monomials as in(I) (the module
+    docstring).  An AssertionError names a target that does not fit.
     """
     G = []          # monic keyed term lists
     reducers = []   # parallel reducers
@@ -311,7 +310,7 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
         pair = min(pairs)
         if target is not None:
             if pair[0] != degree:
-                # dim L_k - dim in(I)_k, as HF_{R/L}(k) - HF_{R/I}(k)
+                # dim in(I)_k - dim L_k: the degree-k leads still missing
                 degree = pair[0]
                 deficit = (_hilbert_function(numerator, order.arity, degree)
                            - _hilbert_function(target, order.arity, degree))

@@ -764,9 +764,9 @@ def test_hilbert_driven_runs_reduce_no_pair_to_zero(ring, monkeypatch):
 # the cached basis of one ideal planted in another's cache: its leads move
 # under (1, 0, 0, 0), so Buchberger runs towards the wrong Hilbert function
 WRONG_TARGETS = {
-    "smaller-target": (extremal_40_ideal, twisted_cubic_ideal),
-    "larger-target": (twisted_cubic_ideal, extremal_40_ideal),
-    "moved-ci": (_moved_ci33, twisted_cubic_ideal),
+    "quartic-under-cubic": (extremal_40_ideal, twisted_cubic_ideal),
+    "cubic-under-quartic": (twisted_cubic_ideal, extremal_40_ideal),
+    "ci33-under-cubic": (_moved_ci33, twisted_cubic_ideal),
 }
 
 
