@@ -211,6 +211,14 @@ class CurveIdeal:
                 f"gens={[str(g) for g in self.ideal.generators]})")
 
 
+def _extremal_generators(ring, d, f_form, g_form):
+    """x^2, x*y, y^d and x*G - y^(d-1)*F."""
+    x, y = ring.gen(0), ring.gen(1)
+    y_top = y ** (d - 1)
+    return (x * x, x * y, y_top * y,
+            x * g_form.to_polynomial(ring) - y_top * f_form.to_polynomial(ring))
+
+
 def extremal_curve(field, d, g, f_form, g_form):
     """The degree-d genus-g curve supported on x = y = 0 cut out by
     x^2, x*y, y^d and x*G - y^(d-1)*F for coprime binary forms F, G."""
@@ -228,10 +236,8 @@ def extremal_curve(field, d, g, f_form, g_form):
     if not binary_forms_coprime(f_form, g_form):
         raise ValueError("the two forms must have no common zero")
     ring = curve_ring(field)
-    x, y = ring.gen(0), ring.gen(1)
-    gens = (x * x, x * y, y ** d,
-            x * g_form.to_polynomial(ring) - y ** (d - 1) * f_form.to_polynomial(ring))
-    curve = CurveIdeal.from_ideal(IdealBasis(ring, gens))
+    curve = CurveIdeal.from_ideal(
+        IdealBasis(ring, _extremal_generators(ring, d, f_form, g_form)))
     if (curve.degree, curve.genus) != (d, g):
         raise AssertionError("extremal constructor produced wrong invariants")
     return curve

@@ -18,7 +18,7 @@ from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
 from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
                       _trim, hilbert)
 from .curves import (CURVE_ARITY, CoordinateChange, Invariants,
-                     transform_ideal)
+                     _extremal_generators, transform_ideal)
 from . import linalg
 
 
@@ -140,26 +140,24 @@ def monoid_template(d, nu):
     return columns
 
 
-def _assemble_surface(ring, d, nu, columns, coefficients, unit):
-    """The surface of a kernel vector scaled by `unit`: each template
-    monomial's coefficient is the unit times its entry, the x column with
-    w-power k gives G's w^k coefficient and the y^j column gives minus
-    F_j's."""
-    field = ring.field
+def _monoid_forms(poly, nu, powers):
+    """(G, (F_j for j in `powers`)) of a polynomial x*G - sum_j y^j * F_j
+    of degree nu+1, as binary forms of degrees nu and nu+1-j; None when a
+    term lies outside that shape."""
+    field = poly.ring.field
     g_coeffs = [field.zero] * (nu + 1)
-    f_coeffs = [[field.zero] * (nu + 2 - j) for j in range(d)]
-    terms = {}
-    for e, c in zip(columns, coefficients):
-        if field.is_zero(c):
-            continue
-        c = terms[e] = field.mul(unit, c)
-        if e[0]:
+    f_coeffs = {j: [field.zero] * (nu + 2 - j) for j in powers}
+    for e, c in poly.terms:
+        if sum(e) != nu + 1 or any(e[CURVE_ARITY:]):
+            return None
+        if e[0] == 1 and e[1] == 0:
             g_coeffs[e[3]] = c
-        else:
+        elif e[0] == 0 and e[1] in f_coeffs:
             f_coeffs[e[1]][e[3]] = field.neg(c)
-    return MonoidSurface(Polynomial.from_dict(ring, terms),
-                         BinaryForm(field, g_coeffs),
-                         tuple(BinaryForm(field, f) for f in f_coeffs))
+        else:
+            return None
+    return (BinaryForm(field, g_coeffs),
+            tuple(BinaryForm(field, f) for f in f_coeffs.values()))
 
 
 def _monoid_rows(gb, columns):
@@ -205,8 +203,12 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
         g_part = [c for c in reversed(vec[:nu + 1]) if not field.is_zero(c)]
         if not g_part:
             continue
-        surface = _assemble_surface(ring, d, nu, columns, vec,
-                                    field.inv(g_part[0]))
+        unit = field.inv(g_part[0])
+        equation = Polynomial.from_dict(ring, {
+            e: field.mul(unit, c) for e, c in zip(columns, vec)
+            if not field.is_zero(c)})
+        surface = MonoidSurface(equation,
+                                *_monoid_forms(equation, nu, range(d)))
         lead_f = surface.f_forms[-1]
         if not lead_f.is_zero and binary_forms_coprime(surface.g_form, lead_f):
             fallback = surface
@@ -260,7 +262,6 @@ def verify_extremal_shape(ideal_basis, d, g):
     coprime forms of degrees a+l and a, and that its Rao dimensions meet
     the sharp bound at every twist."""
     ring = ideal_basis.ring
-    field = ring.field
     inv = Invariants(d, g)
     if d < 2 or inv.a <= 0:
         return _fail(inv, "invariants")
@@ -276,28 +277,15 @@ def verify_extremal_shape(ideal_basis, d, g):
               if e.terms not in {m.terms for m in monomial_gens}]
     if len(elements) != 4 or len(others) != 1:
         return _fail(inv, "shape")
-    mixed = others[0]
-    if mixed.degree != nu + 1 or not mixed.is_homogeneous:
+    forms = _monoid_forms(others[0], nu, (d - 1,))
+    if forms is None:
         return _fail(inv, "shape")
-    g_coeffs = [field.zero] * (nu + 1)
-    f_coeffs = [field.zero] * (a + 1)
-    for e, c in mixed.terms:
-        zw = e[2] + e[3]
-        if e[0] == 1 and e[1] == 0 and zw == nu:
-            g_coeffs[e[3]] = c
-        elif e[0] == 0 and e[1] == d - 1 and zw == a:
-            f_coeffs[e[3]] = field.neg(c)
-        else:
-            return _fail(inv, "shape")
-    g_form = BinaryForm(field, g_coeffs)
-    f_form = BinaryForm(field, f_coeffs)
+    g_form, (f_form,) = forms
     if g_form.is_zero or f_form.is_zero:
         return _fail(inv, "shape")
     if not binary_forms_coprime(f_form, g_form):
         return _fail(inv, "coprimality")
-    rebuilt_gens = monomial_gens + (
-        x * g_form.to_polynomial(ring) - y ** (d - 1) * f_form.to_polynomial(ring),)
-    rebuilt = IdealBasis(ring, rebuilt_gens)
+    rebuilt = IdealBasis(ring, _extremal_generators(ring, d, f_form, g_form))
     if not ideal_equal(ideal_basis, rebuilt):
         return _fail(inv, "ideal-equality")
     rao = _rao_dims(a, inv.l)

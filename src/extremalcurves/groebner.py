@@ -38,7 +38,8 @@ key determines its exponent), and a heap of negated keys yields the
 largest of them.  Each step pops the leading term, skips it if it has
 cancelled, and subtracts the scaled reducer tail in the dict, so a step
 costs the size of that tail rather than of the whole remainder.  Normal
-forms, exact quotients and S-polynomials all use it.
+forms, the monomial walk of `monomial_normal_forms`, exact quotients and
+S-polynomials all use it.
 
 Two things keep that step cheap.  The shift is fused into the
 subtraction: `_Remainder.subtract` takes the reducer with the (key,
@@ -391,15 +392,18 @@ class GroebnerBasis:
         """Normal forms of many monomials, one Polynomial per exponent in
         input order; equal to [normal_form(monomial(e))] on a Groebner basis.
 
-        A walk: NF(u*m) = sum c * NF(u*t) over the terms c*t of NF(m).  For a
-        non-standard u*m, u is its power of the last variable v, or its last
-        variable if that power is 0 or all of it; u*m is divided only when m
-        is standard.  With no lead holding v, a v-step is a shift (Bayer and
-        Stillman 1987).  Forms are cached; a stack replaces recursion.
+        A walk: NF(u*m) = NF(u*NF(m)), the multiplication maps of sparse
+        FGLM (Faugere and Mou 2017).  For a non-standard u*m, u is its power
+        of the last variable v, or its last variable if that power is 0 or
+        all of it; when m is standard u*m itself is divided, else the cached
+        NF(m) shifted by u.  With no lead holding v, a v-step is a shift
+        (Bayer and Stillman 1987) and nothing is divided.  Forms are cached;
+        a stack replaces recursion.
         """
         ring, field = self.ring, self.ring.field
         weights = int_key_weights(ring.order)
-        leads = [red[0] for red in self.reducers()]
+        reducers = self.reducers()
+        leads = [red[0] for red in reducers]
         last = SLOT_BITS * (ring.arity - 1)     # bit offset of v's slot
         v_free = not any(lead >> last for lead in leads)
 
@@ -430,7 +434,7 @@ class GroebnerBasis:
                 ku, pu = weights[slot], 1 << SLOT_BITS * slot
             if not p or standard(p - pu):       # 1 has no m
                 forms[p] = _normal_form_keyed(
-                    _Remainder(field, ((k, p, field.one),)), self.reducers())
+                    _Remainder(field, ((k, p, field.one),)), reducers)
                 continue
             if p - pu not in forms:
                 stack.append((k - ku, p - pu))
@@ -439,19 +443,9 @@ class GroebnerBasis:
             for (_, q, _) in form:
                 if q & GUARD:
                     raise exponent_limit_error(max(unpack_exponent(q)))
-            if v_free and pu >> last:
-                forms[p] = form         # a shift keeps order and coefficients
-                continue
-            missing = [(tk, q) for (tk, q, _) in form
-                       if q not in forms and not standard(q)]
-            stack += missing
-            if not missing:
-                acc = {}
-                for (tk, q, c) in form:
-                    for (sk, sq, sc) in forms.get(q, ((tk, q, 1),)):
-                        acc[sk, sq] = acc.get((sk, sq), 0) + c * sc
-                forms[p] = sorted(((sk, sq, v) for (sk, sq), v in zip(
-                    acc, map(field.reduce, acc.values())) if v), reverse=True)
+            if not (v_free and pu >> last):     # a shift is its own form
+                form = _normal_form_keyed(_Remainder(field, form), reducers)
+            forms[p] = form
         return [Polynomial(ring, ((e, field.one),)) if p not in forms else
                 Polynomial(ring, tuple((unpack_exponent(q), c)
                                        for (_, q, c) in forms[p]))
@@ -630,13 +624,9 @@ def initial_ideal(ideal_basis, weights):
     if not ideal_basis.homogeneous:
         raise ValueError("initial ideals require a homogeneous input ideal")
     refined = WeightRefinedOrder(weights, ring.arity)
-    grade = refined.weight_degree
     grevlex = GrevlexOrder(ring.arity)
-    forms = []
-    for g in ideal_basis.groebner(refined).elements:
-        top = grade(g.lead_exponent)
-        form = tuple(t for t in g.terms if grade(t[0]) == top)
-        forms.append(_keyed(Polynomial(g.ring, form), grevlex))
+    forms = [_keyed(g.initial_form(weights), grevlex)
+             for g in ideal_basis.groebner(refined).elements]
     return _with_basis(ring, _produced(ring.with_order(grevlex), forms))
 
 

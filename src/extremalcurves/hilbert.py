@@ -191,21 +191,11 @@ def hilbert(ideal_basis):
             part = _binomial_in_n(depth - 1 - i, depth - 1)
             for k, c in enumerate(part):
                 hp[k] += q * c
-    degree = genus = None
-    if dimension >= 0:
-        lead = hp[dimension]
-        fact = 1
-        for r in range(1, dimension + 1):
-            fact *= r
-        deg_frac = lead * fact
-        if deg_frac.denominator != 1 or deg_frac <= 0:
-            raise AssertionError("degree extraction failed")
-        degree = int(deg_frac)
+    # HP(n) = sum_i q_i binom(n - i + dim, dim): its top coefficient is
+    # Q(1) / dim!, and for dim = 1 its constant term is sum_i (1 - i) q_i
+    genus = None
     if dimension == 1:
-        const = hp[0]
-        if const.denominator != 1:
-            raise AssertionError("genus extraction failed")
-        genus = 1 - int(const)
+        genus = 1 - sum((1 - i) * q for i, q in enumerate(reduced))
     return HilbertData(arity, tuple(numerator), dimension, tuple(hp),
-                       degree, genus)
+                       sum(reduced), genus)
 

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 from extremalcurves import PrimeField, fixture, ideal_equal, parse_polynomial
 from extremalcurves.cli import (EXIT_BOUNDARY, EXIT_INVALID, EXIT_OK,
-                                EXIT_PIPELINE, main)
+                                EXIT_PIPELINE, build_parser, main)
 from extremalcurves.curves import curve_ring
 from extremalcurves.groebner import IdealBasis
 
@@ -249,3 +251,21 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == EXIT_OK
     assert "1" in result.stdout
+
+
+def test_readme_synopsis_lists_each_subcommands_options():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "extremalcurves", line
+        documented[words[1]] = set(re.findall(r"--[\w-]+", line))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {opt for action in sub._actions
+                      for opt in action.option_strings
+                      if opt.startswith("--") and opt != "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert documented == defined

@@ -15,8 +15,10 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
 from extremalcurves import linalg
 from extremalcurves.cli import report_to_dict
 from extremalcurves.curves import line_xy
-from extremalcurves.degeneration import _find_monoid_surface, _monoid_rows
+from extremalcurves.degeneration import (_find_monoid_surface, _monoid_forms,
+                                         _monoid_rows, pipeline_weights)
 from extremalcurves.groebner import GrevlexOrder, GroebnerBasis, IdealBasis
+from extremalcurves.orders import WeightRefinedOrder
 
 import oracles
 from test_poly import random_poly
@@ -319,6 +321,66 @@ def test_surface_equation_is_built_from_its_forms(gf, name, seed):
     assert surface.equation == expected
     # scaled so that G's coefficient of lowest w-power is one
     assert next(c for c in surface.g_form.coeffs if c) == gf.one
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_monoid_forms_read_back_what_they_build(field, d):
+    rng = random.Random(d)
+    ring = curve_ring(field)
+    x, y = ring.gen(0), ring.gen(1)
+    for nu in range(d - 1, d + 2):
+        for _ in range(4):
+            g_form = BinaryForm(field, [field.random_element(rng)
+                                        for _ in range(nu + 1)])
+            f_forms = tuple(BinaryForm(field, [field.random_element(rng)
+                                               for _ in range(nu + 2 - j)])
+                            for j in range(d))
+            poly = x * g_form.to_polynomial(ring)
+            for j, f in enumerate(f_forms):
+                poly = poly - y ** j * f.to_polynomial(ring)
+            assert _monoid_forms(poly, nu, range(d)) == (g_form, f_forms)
+            # the mixed generator alone, as the certificate reads it
+            mixed = (x * g_form.to_polynomial(ring)
+                     - y ** (d - 1) * f_forms[-1].to_polynomial(ring))
+            assert _monoid_forms(mixed, nu, (d - 1,)) == (g_form,
+                                                          f_forms[-1:])
+
+
+def test_monoid_forms_refuse_terms_outside_the_shape(gf, ring):
+    x, y, z, w = ring.gens()
+    d, nu = 4, 3
+    surface = x * w ** 3 - y ** 3 * z
+    assert _monoid_forms(surface, nu, range(d)) is not None
+    for stray in (x * x * z * w,           # x^2
+                  x * y * z * w,           # an x*y term
+                  x * w ** 2,              # total degree nu, not nu + 1
+                  y ** 4):                 # y^d, outside range(d)
+        assert _monoid_forms(surface + stray, nu, range(d)) is None
+    # y^j for j outside `powers`
+    assert _monoid_forms(surface, nu, (0, 1, 2)) is None
+    assert _monoid_forms(surface + y ** 2 * z * w, nu, (3,)) is None
+    # a term in a slot past w
+    ext = ring.extended(ring.arity + 1)
+    x, w, t = ext.gen(0), ext.gen(3), ext.gen(ring.arity)
+    assert _monoid_forms(surface.in_ring(ext) + x * w ** 2 * t,
+                         nu, range(d)) is None
+
+
+def test_verify_extremal_reads_the_mixed_generator(gf, ring):
+    # four-element weight-order bases whose mixed generator is not
+    # x*G - y^3*F with nonzero forms: a term of the wrong degree, F = 0
+    # and G = 0
+    x, y, z, w = ring.gens()
+    for mixed in (x * w ** 3 - y ** 3 * z + x * z * w,
+                  x * w ** 3,
+                  y ** 3 * z):
+        basis = ideal(x * x, x * y, y ** 4, mixed)
+        assert len(basis.groebner(
+            WeightRefinedOrder(pipeline_weights(4), 4)).elements) == 4
+        cert = verify_extremal_shape(basis, 4, 0)
+        assert (cert.extremal, cert.failure) == (False, "shape")
 
 
 def test_monoid_search_reduces_in_one_batch(gf, monkeypatch):

@@ -1,8 +1,9 @@
 import random
+from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from extremalcurves import hilbert, ideal
+from extremalcurves import PrimeField, curve_ring, hilbert, ideal
 from extremalcurves.groebner import GrevlexOrder, IdealBasis
 from extremalcurves.hilbert import (_hilbert_function, _numerator_plus,
                                     _series_numerator, _trim)
@@ -112,3 +113,19 @@ def test_numerator_grows_one_monomial_at_a_time(sequence):
         for n in range(9):
             assert _hilbert_function(numerator, 4, n) == (
                 oracles.standard_monomial_count(gens, 4, n))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(_MONOMIALS, min_size=2, max_size=8))
+def test_degree_and_genus_are_read_off_the_polynomial(gens):
+    ring = curve_ring(PrimeField())
+    hd = hilbert(ideal(*(ring.monomial(m) for m in gens)))
+    if hd.dimension < 0:
+        assert hd.hp_coefficients == ()
+        return
+    assert hd.degree == hd.hp_coefficients[hd.dimension] * factorial(
+        hd.dimension)
+    if hd.dimension == 1:
+        assert hd.genus == 1 - hd.hp_coefficients[0]
+    else:
+        assert hd.genus is None
