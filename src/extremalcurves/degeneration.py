@@ -171,10 +171,19 @@ def _monoid_rows(gb, columns):
 
 
 def _find_monoid_surface(ideal_basis, d, nu, rng=None):
-    """Kernel search for a monoid surface through the given curve ideal."""
+    """Kernel search for a monoid surface through the given curve ideal.
+
+    The template is reduced by the (d, 2, 1, 1) weight-refined basis, not
+    grevlex: under that order the template monomials mostly reduce to
+    single terms, so the rows are sparse (two nonzeros each on every
+    curve measured, where grevlex rows are dense), and `initial_ideal`
+    then finds the same basis in the cache.  The kernel, and so every
+    candidate, does not depend on the basis that reduces the template.
+    """
     ring = ideal_basis.ring
     field = ring.field
-    gb = ideal_basis.groebner()
+    gb = ideal_basis.groebner(
+        WeightRefinedOrder(pipeline_weights(d), CURVE_ARITY))
     columns = monoid_template(d, nu)
     ncols = len(columns)
     kernel = linalg.nullspace(field, _monoid_rows(gb, columns), ncols)

@@ -206,11 +206,21 @@ class Polynomial:
         return self.scale(other)
 
     def __pow__(self, n):
+        """n-th power: a single term's exponent scaled by n, any other
+        polynomial by square-and-multiply."""
         if n < 0:
             raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        if len(self.terms) == 1:
+            (e, c), = self.terms
+            return Polynomial(self.ring, ((tuple(n * k for k in e),
+                                           self.ring.field.reduce(c ** n)),))
+        out, base = self.ring.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, value):
@@ -528,24 +538,27 @@ class BinaryForm:
 
 
 def _univariate_gcd(field, a, b):
-    """Euclid on ascending coefficient lists; returns a trimmed list."""
-    a, b = list(a), list(b)
+    """Euclid on ascending coefficient lists; returns a trimmed list.
+
+    Each step of a mod b cancels a's lead exactly and updates the other
+    coefficients with plain - and *, one `field.reduce` apiece."""
+    reduce = field.reduce
 
     def trim(v):
-        while v and field.is_zero(v[-1]):
+        while v and not v[-1]:
             v.pop()
         return v
 
-    a, b = trim(a), trim(b)
+    a, b = trim(list(a)), trim(list(b))
     while b:
-        # a mod b
         inv_lead = field.inv(b[-1])
-        while len(a) >= len(b) and a:
-            shift = len(a) - len(b)
-            factor = field.mul(a[-1], inv_lead)
-            for i in range(len(b)):
-                a[shift + i] = field.sub(a[shift + i], field.mul(factor, b[i]))
-            a = trim(a)
+        tail = b[:-1]
+        while len(a) > len(tail):
+            factor = reduce(a.pop() * inv_lead)
+            shift = len(a) - len(tail)
+            for i, c in enumerate(tail, shift):
+                a[i] = reduce(a[i] - factor * c)
+            trim(a)
         a, b = b, a
     return a
 

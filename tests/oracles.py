@@ -212,6 +212,30 @@ def sylvester_resultant(f_form, g_form):
     return det
 
 
+def euclid_gcd(field, a, b):
+    """Euclid on ascending coefficient lists with one field-method call
+    per operation; returns a trimmed list."""
+    a, b = list(a), list(b)
+
+    def trim(v):
+        while v and field.is_zero(v[-1]):
+            v.pop()
+        return v
+
+    a, b = trim(a), trim(b)
+    while b:
+        # a mod b
+        inv_lead = field.inv(b[-1])
+        while len(a) >= len(b) and a:
+            shift = len(a) - len(b)
+            factor = field.mul(a[-1], inv_lead)
+            for i in range(len(b)):
+                a[shift + i] = field.sub(a[shift + i], field.mul(factor, b[i]))
+            a = trim(a)
+        a, b = b, a
+    return a
+
+
 def common_projective_root(f_form, g_form, p):
     """Exhaustive common-root search over the projective line of GF(p)."""
     points = [(1, t) for t in range(p)] + [(0, 1)]

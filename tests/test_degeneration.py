@@ -12,7 +12,7 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             monoid_template, parse_polynomial,
                             random_coordinate_change, rao_dims_extremal,
                             specialize, verify_extremal_shape)
-from extremalcurves import linalg
+from extremalcurves import groebner as groebner_module, linalg
 from extremalcurves.cli import report_to_dict
 from extremalcurves.curves import line_xy
 from extremalcurves.degeneration import (_find_monoid_surface, _monoid_forms,
@@ -285,16 +285,20 @@ MONOID_CASES += [("rational-quartic", PrimeField(), 12),
                  ("rational-quartic", QQ, 4)]
 
 
-@pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=[
-    f"{name}-{'qq' if field == QQ else 'gf'}-"
-    + ("fixed" if seed is None else f"moved{seed}")
-    for name, field, seed in MONOID_CASES])
-def test_monoid_rows_match_per_monomial_reference(name, field, seed):
+MONOID_IDS = [f"{name}-{'qq' if field == QQ else 'gf'}-"
+              + ("fixed" if seed is None else f"moved{seed}")
+              for name, field, seed in MONOID_CASES]
+
+
+def _check_monoid_rows(name, field, seed, weighted):
+    """The template's rows from the walk, against each template monomial
+    reduced on its own, in the grevlex or the pipeline's weight basis."""
     curve = fixture(name, field)
     if seed is not None:
         curve, _ = random_coordinate_change(curve, seed=seed)
     inv = curve.invariants
-    gb = curve.ideal.groebner()
+    gb = curve.ideal.groebner(
+        WeightRefinedOrder(pipeline_weights(inv.d), 4) if weighted else None)
     columns = monoid_template(inv.d, inv.nu)
     rows = _monoid_rows(gb, columns)
     expected = oracles.monoid_rows([g.terms for g in gb.elements],
@@ -304,6 +308,17 @@ def test_monoid_rows_match_per_monomial_reference(name, field, seed):
     ncols = len(columns)
     assert (linalg.nullspace(field, rows, ncols)
             == linalg.nullspace(field, expected, ncols))
+
+
+@pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=MONOID_IDS)
+def test_monoid_rows_match_per_monomial_reference(name, field, seed):
+    _check_monoid_rows(name, field, seed, weighted=False)
+
+
+@pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=MONOID_IDS)
+def test_weight_order_monoid_rows_match_per_monomial_reference(name, field,
+                                                               seed):
+    _check_monoid_rows(name, field, seed, weighted=True)
 
 
 @pytest.mark.parametrize("name, seed", [("rational-quartic", 12),
@@ -416,6 +431,73 @@ def test_monoid_search_combines_a_larger_kernel(gf):
     assert not surface.g_form.is_zero
     assert _find_monoid_surface(curve.ideal, d, nu,
                                 random.Random(0)) == surface
+
+
+def _dense_ci24(field, seed):
+    """CI(2, 4) of a quadric and a quartic with every coefficient drawn
+    from random.Random(seed)."""
+    rng = random.Random(seed)
+    ring = curve_ring(field)
+    forms = [sum((ring.monomial(e, field.random_element(rng))
+                  for e in oracles.monomials(4, degree)), ring.zero())
+             for degree in (2, 4)]
+    return complete_intersection(*forms)
+
+
+# moved curves and the dimension of their monoid kernel; over GF(7) the
+# dense CI(2, 4) moved by seed 0 has a kernel of dimension 12, so the
+# seeded random combinations run
+SURFACE_BASIS_CASES = [
+    (lambda: fixture("quintic-g2", PrimeField()), 3, 1),
+    (lambda: fixture("extremal:6:3", PrimeField()), 5, 1),
+    (lambda: fixture("rational-quartic", PrimeField(7)), 2, 1),
+    (lambda: _dense_ci24(PrimeField(7), 4), 0, 12),
+    (lambda: fixture("rational-quartic", QQ), 4, 1),
+]
+
+
+@pytest.mark.parametrize("build, seed, dim", SURFACE_BASIS_CASES, ids=[
+    "quintic-g2-gf32003", "extremal63-gf32003", "rational-quartic-gf7",
+    "ci24-gf7", "rational-quartic-qq"])
+def test_monoid_surface_is_the_same_from_either_basis(build, seed, dim,
+                                                      monkeypatch):
+    moved, _ = random_coordinate_change(build(), seed=seed)
+    assert check_disjoint_line(moved.ideal)
+    field, inv = moved.field, moved.invariants
+    columns = monoid_template(inv.d, inv.nu)
+    weight = WeightRefinedOrder(pipeline_weights(inv.d), 4)
+    kernels = [linalg.nullspace(field, _monoid_rows(gb, columns), len(columns))
+               for gb in (moved.ideal.groebner(),
+                          moved.ideal.groebner(weight))]
+    assert len(kernels[0]) == dim
+    assert kernels[0] == kernels[1]
+    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
+                                   random.Random(0))
+    # the same search with every basis request answered in grevlex
+    groebner = IdealBasis.groebner
+    monkeypatch.setattr(IdealBasis, "groebner",
+                        lambda self, order=None: groebner(self))
+    assert _find_monoid_surface(moved.ideal, inv.d, inv.nu,
+                                random.Random(0)) == surface
+
+
+def test_initial_ideal_finds_the_monoid_stage_basis(gf, monkeypatch):
+    moved, _ = random_coordinate_change(fixture("quintic-g2", gf), seed=3)
+    inv = moved.invariants
+    omega = pipeline_weights(inv.d)
+    orders = []
+    buchberger = groebner_module.buchberger
+
+    def recording(ideal_basis, order):
+        orders.append(order)
+        return buchberger(ideal_basis, order)
+
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
+    assert check_disjoint_line(moved.ideal)
+    _find_monoid_surface(moved.ideal, inv.d, inv.nu, random.Random(0))
+    assert orders == [GrevlexOrder(4), WeightRefinedOrder(omega, 4)]
+    initial_ideal(moved.ideal, omega)
+    assert len(orders) == 2
 
 
 def test_monoid_surface_requires_disjointness(gf):

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
                             PolyRing, PrimeField, binary_forms_coprime,
-                            curve_ring, parse_polynomial)
+                            curve_ring, ideal, parse_polynomial)
 from extremalcurves.orders import (CAPACITY, EXP_LIMIT, BlockEliminationOrder,
                                    GrevlexOrder, WeightRefinedOrder,
                                    int_key_weights, monomial_exponents)
-from extremalcurves.poly import Polynomial
+from extremalcurves.poly import Polynomial, _univariate_gcd
 
 import oracles
 
@@ -78,6 +78,69 @@ def test_square_of_linear_form_multinomial(ring):
         for v in e:
             expected //= math.factorial(v)
         assert c == ring.field.coerce(expected)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+def test_power_matches_repeated_products(field):
+    ring = curve_ring(field)
+    rng = random.Random(5)
+    for _ in range(40):
+        f = random_poly(ring, rng, rng.randint(0, 2), terms=rng.randint(0, 3),
+                        homogeneous=False)
+        n = rng.randint(0, 9)
+        expected = ring.one()
+        for _ in range(n):
+            expected = expected * f
+        assert f ** n == expected
+    with pytest.raises(ValueError, match="negative power"):
+        ring.gen(0) ** -1
+
+
+def test_power_of_a_monomial_past_the_packed_budget(ring):
+    x, y = ring.gen(0), ring.gen(1)
+    term = 3 * x * y
+    n = EXP_LIMIT + 1
+    expected = ring.one()
+    for _ in range(n):
+        expected = expected * term
+    power = term ** n
+    assert power == expected
+    assert power.terms == (((n, n) + (0,) * (CAPACITY - 2),
+                            pow(3, n, ring.field.p)),)
+    # the polynomial layer holds it; the engine refuses to pack it
+    with pytest.raises(ValueError, match="exponent 32768 exceeds 32767"):
+        ideal(power).groebner()
+
+
+def _coefficient_lists(field):
+    if field == QQ:
+        element = st.fractions(-9, 9, max_denominator=9)
+    else:
+        element = st.integers(0, field.characteristic - 1)
+    return st.lists(element, max_size=5)
+
+
+def _convolve(field, a, b):
+    """Product of two coefficient lists."""
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(c, e))
+    return out
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_univariate_gcd_matches_field_method_euclid(field, data):
+    # a common factor times two cofactors, so that most gcds are not 1;
+    # a list may end in zeros, which both trim
+    common, a, b = (data.draw(_coefficient_lists(field)) for _ in range(3))
+    if data.draw(st.booleans()):
+        a, b = _convolve(field, common, a), _convolve(field, common, b)
+    assert _univariate_gcd(field, a, b) == oracles.euclid_gcd(field, a, b)
 
 
 def test_weight_degree_examples(ring):
@@ -354,12 +417,7 @@ def test_binary_coprime_resultant_oracle_over_q():
 
 def _form_product(f, g):
     """Product of two binary forms: the convolution of their coefficients."""
-    field = f.field
-    coeffs = [field.zero] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            coeffs[i + j] = field.add(coeffs[i + j], field.mul(a, b))
-    return BinaryForm(field, coeffs)
+    return BinaryForm(f.field, _convolve(f.field, f.coeffs, g.coeffs))
 
 
 def test_binary_coprime_matches_bruteforce_over_small_field():
