@@ -51,11 +51,25 @@ call, and `pop` brings each coefficient back with `field.reduce` once,
 when its term reaches the top, and skips it there if it has cancelled.
 Only fully reduced coefficients leave the kernel.
 
-Interreduction is one pass.  `_reduce_basis` keeps the elements whose
-leads no other lead divides; reducing one of them by the others never
-changes its lead, so it stays monic and the others' reducibility is
-unchanged, and after each tail has been reduced once every tail is
-standard.
+Interreduction reduces only the tails that can change.  `_reduce_basis`
+keeps the elements whose leads no other lead divides; reducing one of
+them never changes its lead, so it stays monic, the others' leads stay
+the leads of the ideal, and the element of the reduced basis with a given
+lead is unique: any monic element of I with that lead and a standard
+tail.  Two facts bound the reducers a tail needs, and neither drops one
+that could act:
+- A tail term lies below its element's lead, and a lead that divides a
+  term is at most that term.  So only the kept leads below an element's
+  lead can divide its tail, and it is reduced by those elements alone.
+- `_buchberger_core` reduces each element it finds fully by every element
+  before it, so no lead found before it divides a term of its tail.  So
+  only a kept lead below it and found after it can act, and its normal
+  form is taken only when one of those divides a tail term; most tails
+  are standard already.
+Inputs, and the divided basis of `_saturate_last_variable`, were reduced
+by nothing, so every kept lead below theirs is tested.  The reducers
+built on the way are handed to the GroebnerBasis, so a basis from
+`buchberger` is not keyed again when it divides.
 
 A basis already in hand is not computed again.  Three facts about reduced
 bases of an ideal I let one serve where Buchberger would run:
@@ -239,8 +253,9 @@ def _spoly(a, b, lcm_key, lcm_exp, field):
 
 
 def _buchberger_core(keyed_inputs, order, field, target=None):
-    """Groebner basis of nonzero keyed inputs, which `update` makes monic;
-    Gebauer-Moeller pair updates.
+    """Groebner basis of nonzero keyed inputs, which `update` makes monic,
+    with its parallel reducers: the inputs first, then each element in the
+    order found.  Gebauer-Moeller pair updates.
 
     A pair is (total degree of the lcm, key of the lcm, i, j, lcm), so the
     smallest tuple is the pair of lowest degree, the order's smallest lcm
@@ -336,25 +351,50 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
         raise AssertionError(
             "Hilbert-driven Buchberger: the lead ideal's Hilbert series "
             "differs from the known one")
-    return G
+    return G, reducers
 
 
-def _reduce_basis(G, field):
-    """Minimalize and interreduce a monic Groebner basis; one pass
-    suffices, since no reduction changes a lead."""
-    basis = []
-    for g in sorted(G, key=lambda terms: terms[0][0]):
-        lm = g[0][1]
-        if all(not _divides(h[0][1], lm) for h in basis):
-            basis.append(g)
-    reducers = [_as_reducer(b) for b in basis]
-    for idx, b in enumerate(basis):
-        others = reducers[:idx] + reducers[idx + 1:]
-        r = _normal_form_keyed(_Remainder(field, b), others)
-        if r != b:
-            basis[idx] = r
-            reducers[idx] = _as_reducer(r)
-    return basis
+def _reduce_basis(G, reducers, field, start):
+    """Reduced basis of a monic Groebner basis G, as its elements and their
+    reducers sorted by ascending lead.
+
+    `reducers` are G's, and G[start:] are the elements `_buchberger_core`
+    found, in the order found.  A kept element is reduced by the kept
+    elements of smaller lead; one found by the core only when a kept lead
+    below it and found after it divides a tail term, and one of G[:start]
+    when any kept lead below it does (the module docstring).  An element
+    left as it is keeps its reducer.
+    """
+    kept, leads = [], []    # indices into G, (key, exponent) of their leads
+    for i in sorted(range(len(G)), key=lambda i: G[i][0][0]):
+        key, lm, _ = G[i][0]
+        if all(not _divides(lead, lm) for (_, lead) in leads):
+            kept.append(i)
+            leads.append((key, lm))
+    basis = [G[i] for i in kept]
+    out = [reducers[i] for i in kept]
+    for idx, i in enumerate(kept):
+        found = i if i >= start else -1
+        below = [lead for j, lead in zip(kept[:idx], leads) if j > found]
+        if _tail_reducible(out[idx][2], below):
+            basis[idx] = _normal_form_keyed(_Remainder(field, basis[idx]),
+                                            out[:idx])
+            out[idx] = _as_reducer(basis[idx])
+    return basis, out
+
+
+def _tail_reducible(tail, leads):
+    """Whether a lead divides a term of a keyed tail; `leads` are (key,
+    exponent) pairs by ascending key, and a lead above a term cannot divide
+    it."""
+    for (k, e, _) in tail:
+        guarded = e | GUARD
+        for (key, lead) in leads:
+            if key > k:
+                break
+            if (guarded - lead) & GUARD == GUARD:
+                return True
+    return False
 
 
 class GroebnerBasis:
@@ -362,10 +402,10 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "elements", "_reducers")
 
-    def __init__(self, ring, elements):
+    def __init__(self, ring, elements, reducers=None):
         self.ring = ring
         self.elements = elements
-        self._reducers = None
+        self._reducers = reducers
 
     @property
     def order(self):
@@ -469,12 +509,16 @@ class GroebnerBasis:
 VERIFY_PRODUCED_BASES = False
 
 
-def _produced(work_ring, keyed):
+def _produced(work_ring, keyed, reducers=None):
     """GroebnerBasis of the keyed elements of a reduced basis, sorted by
-    ascending lead; re-checked when VERIFY_PRODUCED_BASES is set."""
-    keyed = sorted(keyed, key=lambda terms: terms[0][0])
+    ascending lead; re-checked when VERIFY_PRODUCED_BASES is set.  With
+    their reducers given, the elements come sorted and the basis keeps
+    them; else it builds them on first use."""
+    if reducers is None:
+        keyed = sorted(keyed, key=lambda terms: terms[0][0])
     basis = GroebnerBasis(work_ring,
-                          tuple(_from_keyed(work_ring, g) for g in keyed))
+                          tuple(_from_keyed(work_ring, g) for g in keyed),
+                          reducers)
     if VERIFY_PRODUCED_BASES and not is_groebner(basis):
         raise AssertionError("produced basis fails the Buchberger criterion")
     return basis
@@ -492,8 +536,9 @@ def buchberger(ideal_basis, order):
         for cached in ideal_basis._gb_cache.values():
             target = _trim(_series_numerator(cached.lead_exponents()))
             break
-    raw = _buchberger_core(keyed, order, field, target)
-    return _produced(ring.with_order(order), _reduce_basis(raw, field))
+    G, reducers = _buchberger_core(keyed, order, field, target)
+    return _produced(ring.with_order(order),
+                     *_reduce_basis(G, reducers, field, len(keyed)))
 
 
 def is_groebner(gb):
@@ -755,8 +800,9 @@ def _saturate_last_variable(ideal_basis):
     divided = [[(key - k * key_v, e - k * exp_v, c)
                 for key, e, c in _keyed(g, grevlex)]
                for g, k in zip(gb, powers)]
-    return _with_basis(ring, _produced(ring.with_order(grevlex),
-                                       _reduce_basis(divided, ring.field)))
+    reduced, _ = _reduce_basis(divided, [_as_reducer(g) for g in divided],
+                               ring.field, len(divided))
+    return _with_basis(ring, _produced(ring.with_order(grevlex), reduced))
 
 
 def saturate_variable(ideal_basis, slot):

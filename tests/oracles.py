@@ -302,6 +302,19 @@ def merge_normal_form(f_terms, divisors, key, field):
     return out
 
 
+def merge_interreduce(basis, key, field):
+    """Reference reduced basis of a monic Groebner basis given as term
+    lists sorted descending under `key`: the elements whose leads no kept
+    lead divides, by ascending lead, each reduced by all the other kept
+    elements as they were.  Returns the term lists by ascending lead."""
+    kept = []
+    for g in sorted(basis, key=lambda g: key(g[0][0])):
+        if not any(_divides(h[0][0], g[0][0]) for h in kept):
+            kept.append(g)
+    return [merge_normal_form(g, [h for h in kept if h is not g], key, field)
+            for g in kept]
+
+
 def merge_divide_exact(f_terms, g_terms, key, field):
     """Reference quotient terms of f / g, or None when g does not divide f."""
     lead, lead_coeff = g_terms[0]

@@ -575,9 +575,137 @@ def test_degree_then_key_pairs_give_the_reduced_basis(field, case):
         keyed = [groebner._keyed(g, order) for g in gens]
         rng.shuffle(keyed)
         raw = groebner._buchberger_core(keyed, order, field)
-        reduced = groebner._reduce_basis(raw, field)
+        reduced, _ = groebner._reduce_basis(*raw, field, len(keyed))
         assert [groebner._from_keyed(basis.ring, g)
                 for g in reduced] == list(basis)
+
+
+# ------------------------------------------------------------ interreduction
+
+def _interreduced(ring, keyed, monkeypatch=None):
+    """`_reduce_basis` of the raw core output of keyed inputs, checked term
+    for term against the merge reference, with its reducers; returns the
+    core's basis and the leads of the elements it took a normal form of."""
+    order, field = ring.order, ring.field
+    G, reducers = groebner._buchberger_core(keyed, order, field)
+    normalized = []
+    if monkeypatch is not None:
+        reduce = groebner._normal_form_keyed
+
+        def counted(rem, divisors):
+            out = reduce(rem, divisors)
+            normalized.append(out[0][1])
+            return out
+
+        monkeypatch.setattr(groebner, "_normal_form_keyed", counted)
+    basis, out = groebner._reduce_basis(G, reducers, field, len(keyed))
+    if monkeypatch is not None:
+        monkeypatch.undo()
+    expected = oracles.merge_interreduce(
+        [groebner._from_keyed(ring, g).terms for g in G], order.key, field)
+    assert [list(groebner._from_keyed(ring, b).terms)
+            for b in basis] == expected
+    assert out == [groebner._as_reducer(b) for b in basis]
+    return G, normalized
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_reduce_basis_matches_merge_reference(field, make_order, data):
+    ring = _division_ring(field, make_order, data)
+    # squarefree inputs, as in test_buchberger_returns_reduced_bases; the
+    # drawn order of the inputs moves the boundary between the inputs and
+    # the elements the core finds
+    gens = data.draw(st.lists(_polys(ring, 3, max_exponent=1),
+                              min_size=2, max_size=4))
+    gens = data.draw(st.permutations(gens))
+    _interreduced(ring, [groebner._keyed(g, ring.order) for g in gens])
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_reduce_basis_of_shuffled_curves(field, make_order):
+    # moved curves, their generators in drawn orders: larger bases, whose
+    # inputs and found elements both need reducing
+    order = make_order(5)
+    ring = PolyRing(field, order.arity, order)
+    rng = random.Random(f"{field}:{order}:interreduce")
+    for name in ("twisted-cubic", "rational-quartic", "extremal:5:1"):
+        moved = random_coordinate_change(fixture(name, field),
+                                         rng.randint(0, 9))[0]
+        gens = [g.in_ring(ring) for g in moved.ideal.generators]
+        for _ in range(3):
+            rng.shuffle(gens)
+            _interreduced(ring, [groebner._keyed(g, order) for g in gens])
+
+
+@pytest.mark.parametrize("make_order", DIVISION_ORDERS,
+                         ids=["grevlex", "weight", "block7"])
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_reduce_basis_reaches_both_kinds_of_tail(field, make_order,
+                                                 monkeypatch):
+    order = make_order(5)
+    ring = PolyRing(field, order.arity, order)
+    x, y, z, w = ring.gens()[:4]
+    # the core finds z - w from the first pair and w from the second (w - z
+    # and z under the block order, which puts w first), so a lead found
+    # later reduces the tail of an element found earlier
+    gens = [y + w, y + z, y]
+    G, normalized = _interreduced(
+        ring, [groebner._keyed(g, order) for g in gens], monkeypatch)
+    found = [g[0][1] for g in G[len(gens):]]
+    assert any(lead in found for lead in normalized)
+    # no pair of x*z and x^2 + x*z leaves a remainder, so the input x^2 +
+    # x*z is reduced by the input before it and by nothing found
+    gens = [x * z, x * x + x * z]
+    G, normalized = _interreduced(
+        ring, [groebner._keyed(g, order) for g in gens], monkeypatch)
+    assert len(G) == len(gens) and normalized == [G[1][0][1]]
+    # `buchberger` passes its inputs, which IdealBasis sorts so, as inputs
+    assert groebner.buchberger(IdealBasis(ring, gens), order).elements == (
+        x * z, x * x)
+
+
+def _keyed_reducers(gb):
+    return [groebner._as_reducer(groebner._keyed(g, gb.order))
+            for g in gb.elements]
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_produced_bases_hold_their_reducers(field, monkeypatch):
+    # `buchberger` hands over the reducers its interreduction built; a
+    # basis taken from one in hand builds its own on first use
+    monkeypatch.setattr(groebner, "VERIFY_PRODUCED_BASES", False)
+    ring = curve_ring(field)
+    rng = random.Random(f"{field}:reducers")
+    ideals = [twisted_cubic_ideal(ring)]
+    ideals += [random_homogeneous_ideal(ring, rng, count=3)
+               for _ in range(3)]
+    for basis in ideals:
+        for order in (GrevlexOrder(4),
+                      WeightRefinedOrder((rng.randint(3, 9), 2, 1, 1)),
+                      BlockEliminationOrder((0, 1), 4)):
+            gb = groebner.buchberger(basis, order)
+            assert gb._reducers is not None
+            assert gb.reducers() == _keyed_reducers(gb)
+    for case in ("twisted-cubic-times-m", "conic-times-m"):
+        sat = groebner._saturate_last_variable(
+            SATURATION_CASES[case][0](ring))
+        assert sat.groebner().reducers() == _keyed_reducers(sat.groebner())
+    curves = _fixed_points(field)
+    _refuse_buchberger(monkeypatch)
+    for curve in curves:
+        basis = IdealBasis(curve.ideal.ring, curve.ideal.generators)
+        basis._gb_cache[GrevlexOrder(4)] = curve.ideal.groebner()
+        order = WeightRefinedOrder((curve.degree, 2, 1, 1))
+        for gb in (basis.groebner(order),
+                   initial_ideal(basis, order.weights).groebner()):
+            assert gb._reducers is None
+            assert gb.reducers() == _keyed_reducers(gb)
 
 
 # ----------------------------------------------------- bases already in hand
