@@ -17,7 +17,7 @@ from .groebner import (GroebnerBasis, IdealBasis, buchberger, divide_exact,
                        eliminate, ideal, ideal_equal, ideal_intersect,
                        ideal_quotient, ideal_quotient_poly, initial_ideal,
                        is_groebner, restrict_to_ring, saturate_irrelevant,
-                       saturate_poly, saturate_variable)
+                       saturate_variable)
 from .hilbert import HilbertData, hilbert
 from .curves import (CoordinateChange, CurveIdeal, Invariants,
                      complete_intersection, curve_ring, extremal_curve,

@@ -14,7 +14,8 @@ from .fields import DEFAULT_MODULUS, field_of_characteristic
 from .poly import ParseError, parse_polynomial
 from .groebner import IdealBasis, ideal_equal, saturate_irrelevant
 from .hilbert import hilbert
-from .curves import CurveIdeal, Invariants, curve_ring, fixture
+from .curves import (CurveIdeal, Invariants, curve_ring, fixture,
+                     twist_origin)
 from .degeneration import (SpecializationError, condition_star_probe,
                            specialize, verify_extremal_shape)
 
@@ -100,7 +101,7 @@ def _rao_rows(report):
     inv = report.invariants
     if inv.a == 0:
         zeros = inv.rho_table()
-        return 1, zeros, zeros
+        return twist_origin(inv.a), zeros, zeros
     return None, (), ()
 
 
@@ -135,6 +136,14 @@ def _invariants_line(inv):
     return f"d={inv.d} g={inv.g} a={inv.a} l={inv.l} nu={inv.nu}"
 
 
+def _print_rows(n_start, **rows):
+    """The twists from n_start, then each table below them, by name."""
+    width = len(next(iter(rows.values())))
+    for name, values in {"n": range(n_start, n_start + width),
+                         **rows}.items():
+        print(f"{name:>4}: " + " ".join(f"{v:>3}" for v in values))
+
+
 def _print_report(report):
     inv = report.invariants
     print(_invariants_line(inv))
@@ -151,10 +160,7 @@ def _print_report(report):
         print(f"G = {cert.g_form}")
     n_start, rao, rho = _rao_rows(report)
     if n_start is not None:
-        rng = range(n_start, n_start + len(rao))
-        print("   n: " + " ".join(f"{n:>3}" for n in rng))
-        print(" rao: " + " ".join(f"{v:>3}" for v in rao))
-        print(" rho: " + " ".join(f"{v:>3}" for v in rho))
+        _print_rows(n_start, rao=rao, rho=rho)
     print(f"extremal: {'true' if report.extremal else 'false'}")
     print("family:")
     for line in report.family:
@@ -203,9 +209,7 @@ def cmd_verify_extremal(args):
     cert = verify_extremal_shape(basis, args.d, args.g)
     if cert.extremal:
         print(f"extremal: true  F = {cert.f_form}  G = {cert.g_form}")
-        rng = range(cert.n_start, cert.n_start + len(cert.rao))
-        print("   n: " + " ".join(f"{n:>3}" for n in rng))
-        print(" rao: " + " ".join(f"{v:>3}" for v in cert.rao))
+        _print_rows(cert.n_start, rao=cert.rao)
         return EXIT_OK
     print(f"extremal: false  failing clause: {cert.failure}")
     return EXIT_PIPELINE
@@ -226,7 +230,7 @@ def cmd_rho(args):
     except ValueError as err:
         print(f"error: {err}")
         return EXIT_INVALID
-    start = lo if lo is not None else 1 - inv.a
+    start = lo if lo is not None else twist_origin(inv.a)
     for offset, value in enumerate(values):
         print(f"{start + offset:>4}  {value}")
     return EXIT_OK

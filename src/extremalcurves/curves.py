@@ -25,6 +25,12 @@ def curve_ring(field):
     return PolyRing(field, CURVE_ARITY)
 
 
+def twist_origin(a):
+    """First twist 1 - a of the Rao and bound tables of a curve with
+    invariant a; the bound vanishes below it."""
+    return 1 - a
+
+
 class CoordinateChange:
     """Invertible linear change of the four coordinates."""
 
@@ -164,7 +170,7 @@ class Invariants:
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"range {lo}..{hi} is reversed; need lo <= hi")
         if lo is None:
-            lo = 1 - self.a
+            lo = twist_origin(self.a)
         if hi is None:
             hi = self.nu
         return tuple(self.rho(n) for n in range(lo, hi + 1))

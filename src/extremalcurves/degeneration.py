@@ -18,7 +18,7 @@ from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
 from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
                       _trim, hilbert)
 from .curves import (CURVE_ARITY, CoordinateChange, Invariants,
-                     _extremal_generators, transform_ideal)
+                     _extremal_generators, transform_ideal, twist_origin)
 from . import linalg
 
 
@@ -71,7 +71,7 @@ def _rao_dims(a, l, lo=None, hi=None):
     to be coprime: the table depends on a and l only."""
     dims = _quotient_series_dims(a, a + l)
     if lo is None:
-        lo = 1 - a
+        lo = twist_origin(a)
     if hi is None:
         hi = a + l
     out = []
@@ -174,11 +174,11 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
     """Kernel search for a monoid surface through the given curve ideal.
 
     The template is reduced by the (d, 2, 1, 1) weight-refined basis, not
-    grevlex: under that order the template monomials mostly reduce to
-    single terms, so the rows are sparse (two nonzeros each on every
-    curve measured, where grevlex rows are dense), and `initial_ideal`
-    then finds the same basis in the cache.  The kernel, and so every
-    candidate, does not depend on the basis that reduces the template.
+    grevlex.  Its leads lie in the initial ideal of the extremal limit
+    (Sturmfels, Prop. 1.8), so when the limit certifies one template
+    monomial is not standard, the rows are sparse where grevlex rows are
+    dense, and `initial_ideal` then finds the same basis in the cache.
+    The kernel, and so every candidate, does not depend on the basis.
     """
     ring = ideal_basis.ring
     field = ring.field
@@ -303,7 +303,7 @@ def verify_extremal_shape(ideal_basis, d, g):
         return _fail(inv, "rao-table")
     return ExtremalCertificate(
         invariants=inv, extremal=True, f_form=f_form, g_form=g_form,
-        n_start=1 - a, rao=rao, rho=bound)
+        n_start=twist_origin(a), rao=rao, rho=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ key determines its exponent), and a heap of negated keys yields the
 largest of them.  Each step pops the leading term, skips it if it has
 cancelled, and subtracts the scaled reducer tail in the dict, so a step
 costs the size of that tail rather than of the whole remainder.  Normal
-forms, the monomial walk of `monomial_normal_forms`, exact quotients and
-S-polynomials all use it.
+forms, of one polynomial or of each non-standard monomial of a batch
+(`monomial_normal_forms`), exact quotients and S-polynomials all use it.
 
 Two things keep that step cheap.  The shift is fused into the
 subtraction: `_Remainder.subtract` takes the reducer with the (key,
@@ -430,66 +430,29 @@ class GroebnerBasis:
 
     def monomial_normal_forms(self, exponents):
         """Normal forms of many monomials, one Polynomial per exponent in
-        input order; equal to [normal_form(monomial(e))] on a Groebner basis.
-
-        A walk: NF(u*m) = NF(u*NF(m)), the multiplication maps of sparse
-        FGLM (Faugere and Mou 2017).  For a non-standard u*m, u is its power
-        of the last variable v, or its last variable if that power is 0 or
-        all of it; when m is standard u*m itself is divided, else the cached
-        NF(m) shifted by u.  With no lead holding v, a v-step is a shift
-        (Bayer and Stillman 1987) and nothing is divided.  Forms are cached;
-        a stack replaces recursion.
-        """
+        input order, equal to [normal_form(monomial(e))]: a standard
+        monomial is its own form, and any other is divided alone."""
         ring, field = self.ring, self.ring.field
         weights = int_key_weights(ring.order)
         reducers = self.reducers()
         leads = [red[0] for red in reducers]
-        last = SLOT_BITS * (ring.arity - 1)     # bit offset of v's slot
-        v_free = not any(lead >> last for lead in leads)
-
-        def standard(p):
-            guarded = p | GUARD
-            for lead in leads:
-                if (guarded - lead) & GUARD == GUARD:
-                    return False
-            return True
-
         exponents = [tuple(e) for e in exponents]
         packed = [pack_exponent(e) for e in exponents]
-        if any(p >> last + SLOT_BITS for p in packed):
+        if any(p >> SLOT_BITS * ring.arity for p in packed):
             raise ContextMismatchError("exponent outside ring arity")
-        forms = {}      # packed exponent -> keyed form of a non-standard one
-        stack = [(_packed_key(weights, p), p) for p in packed
-                 if not standard(p)]
-        while stack:
-            k, p = stack[-1]
-            if p in forms:
-                stack.pop()
-                continue
-            power = p >> last
-            if power and p != power << last:
-                ku, pu = power * weights[ring.arity - 1], power << last
-            elif p:
-                slot = (p.bit_length() - 1) // SLOT_BITS
-                ku, pu = weights[slot], 1 << SLOT_BITS * slot
-            if not p or standard(p - pu):       # 1 has no m
-                forms[p] = _normal_form_keyed(
-                    _Remainder(field, ((k, p, field.one),)), reducers)
-                continue
-            if p - pu not in forms:
-                stack.append((k - ku, p - pu))
-                continue
-            form = [(tk + ku, tp + pu, c) for (tk, tp, c) in forms[p - pu]]
-            for (_, q, _) in form:
-                if q & GUARD:
-                    raise exponent_limit_error(max(unpack_exponent(q)))
-            if not (v_free and pu >> last):     # a shift is its own form
-                form = _normal_form_keyed(_Remainder(field, form), reducers)
-            forms[p] = form
-        return [Polynomial(ring, ((e, field.one),)) if p not in forms else
-                Polynomial(ring, tuple((unpack_exponent(q), c)
-                                       for (_, q, c) in forms[p]))
-                for e, p in zip(exponents, packed)]
+        forms = []
+        for e, p in zip(exponents, packed):
+            guarded = p | GUARD     # `_divides`, with b | GUARD hoisted
+            for lead in leads:
+                if (guarded - lead) & GUARD == GUARD:
+                    rem = _Remainder(
+                        field, ((_packed_key(weights, p), p, field.one),))
+                    forms.append(_from_keyed(
+                        ring, _normal_form_keyed(rem, reducers)))
+                    break
+            else:
+                forms.append(Polynomial(ring, ((e, field.one),)))
+        return forms
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -766,22 +729,6 @@ def ideal_quotient(a, b):
         if result.is_zero:
             break
     return result
-
-
-def saturate_poly(ideal_basis, f):
-    """Saturation I : f^infinity by the auxiliary-variable construction."""
-    if f.is_zero:
-        raise ValueError("saturation by the zero polynomial")
-    ring = ideal_basis.ring
-    f = f.in_ring(ring)
-    if not f.degree:
-        return ideal_basis
-    ext = _extension(ring)
-    t = ext.gen(ring.arity)
-    gens = [g.in_ring(ext) for g in ideal_basis.generators]
-    gens.append(ext.one() - t * f.in_ring(ext))
-    elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
-    return restrict_to_ring(elim, ring)
 
 
 def _saturate_last_variable(ideal_basis):

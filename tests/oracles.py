@@ -1,15 +1,19 @@
 """Independent brute-force oracles.
 
-Everything here avoids the package's Groebner engine on purpose: graded
-dimensions come from rank computations on raw generator multiples,
-resultants from a Sylvester determinant, root searches from exhaustive
-enumeration, polynomial text from a token-at-a-time recursive-descent
-parser.  The tests compare engine output against these.
+Everything here but `saturate_poly` avoids the package's Groebner engine
+on purpose: graded dimensions come from rank computations on raw
+generator multiples, resultants from a Sylvester determinant, root
+searches from exhaustive enumeration, polynomial text from a
+token-at-a-time recursive-descent parser.  The tests compare engine
+output against these.  `saturate_poly` is the textbook saturation by
+elimination; it shares the engine's Buchberger but not its divide-out
+route to I : v^infinity, which is held to it.
 """
 
 import re
 from itertools import combinations_with_replacement
 
+from extremalcurves.groebner import IdealBasis, eliminate
 from extremalcurves.orders import ZERO_EXP, exp_from_var, exp_mul
 from extremalcurves.poly import ParseError, Polynomial
 
@@ -451,3 +455,17 @@ def token_parse_polynomial(ring, text):
         take()
         sign = -1 if tok == "-" else 1
     return Polynomial.from_dict(ring, total)
+
+
+def saturate_poly(ideal_basis, f):
+    """I : f^infinity as (I + (1 - t*f)) intersected with the ring of I,
+    for a new variable t."""
+    ring = ideal_basis.ring
+    if not f.degree:
+        return ideal_basis
+    ext = ring.extended(ring.arity + 1)
+    t = ext.gen(ring.arity)
+    gens = [g.in_ring(ext) for g in ideal_basis.generators]
+    gens.append(ext.one() - t * f.in_ring(ext))
+    elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
+    return IdealBasis(ring, [g.in_ring(ring) for g in elim.generators])

@@ -7,7 +7,8 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             check_disjoint_line,
                             complete_intersection, condition_star_probe,
                             curve_ring, emit_family, extremal_curve,
-                            find_monoid_surface, fixture, hilbert, ideal,
+                            find_monoid_surface, fixture,
+                            from_parametrization, hilbert, ideal,
                             ideal_equal, ideal_intersect, initial_ideal,
                             monoid_template, parse_polynomial,
                             random_coordinate_change, rao_dims_extremal,
@@ -291,8 +292,9 @@ MONOID_IDS = [f"{name}-{'qq' if field == QQ else 'gf'}-"
 
 
 def _check_monoid_rows(name, field, seed, weighted):
-    """The template's rows from the walk, against each template monomial
-    reduced on its own, in the grevlex or the pipeline's weight basis."""
+    """The template's rows from `monomial_normal_forms`, against each
+    template monomial reduced by the merge reference, in the grevlex or
+    the pipeline's weight basis."""
     curve = fixture(name, field)
     if seed is not None:
         curve, _ = random_coordinate_change(curve, seed=seed)
@@ -479,6 +481,56 @@ def test_monoid_surface_is_the_same_from_either_basis(build, seed, dim,
                         lambda self, order=None: groebner(self))
     assert _find_monoid_surface(moved.ideal, inv.d, inv.nu,
                                 random.Random(0)) == surface
+
+
+def _seeded_rational(d):
+    """The rational curve of degree d from four forms drawn from
+    random.Random(d) over GF(32003)."""
+    field = PrimeField()
+    rng = random.Random(d)
+    return from_parametrization(field, [BinaryForm.random(field, d, rng)
+                                        for _ in range(4)])
+
+
+# moved curves that `specialize` certifies, with their seeds
+ONE_COLUMN_CASES = {
+    "quintic-g2": (lambda: fixture("quintic-g2", PrimeField()), 3),
+    "extremal63": (lambda: fixture("extremal:6:3", PrimeField()), 5),
+    "extremal85": (lambda: fixture("extremal:8:5", PrimeField()), 1),
+    "extremal96": (lambda: fixture("extremal:9:6", PrimeField()), 1),
+    "rational-quartic": (lambda: fixture("rational-quartic", PrimeField()),
+                         12),
+    "rational8": (lambda: _seeded_rational(8), 0),
+    "rational10": (lambda: _seeded_rational(10), 0),
+}
+
+
+@pytest.mark.parametrize("case", ONE_COLUMN_CASES)
+def test_one_template_column_is_not_standard(case, monkeypatch):
+    # the (d, 2, 1, 1) basis's leads lie in the initial ideal of the
+    # limit (x^2, x*y, y^d, x*G - y^(d-1)*F), and of the template only
+    # the lead of x*G - y^(d-1)*F is in there; so `monomial_normal_forms`
+    # divides one column and the kernel is the surface alone.  The
+    # re-check of produced bases is off: on the decic it takes 35 s, and
+    # this test is about the template, not the bases
+    monkeypatch.setattr(groebner_module, "VERIFY_PRODUCED_BASES", False)
+    build, seed = ONE_COLUMN_CASES[case]
+    moved, _ = random_coordinate_change(build(), seed=seed)
+    report = specialize(moved, seed=0)
+    assert report.extremal
+    inv = report.invariants
+    weight = WeightRefinedOrder(pipeline_weights(inv.d), 4)
+    gb = report.transformed.groebner(weight)
+    columns = monoid_template(inv.d, inv.nu)
+    non_standard = [e for e in columns
+                    if any(all(map(int.__le__, lead, e))
+                           for lead in gb.lead_exponents())]
+    mixed = [g.lead_exponent for g in report.limit.groebner(weight)
+             if g.lead_exponent in columns]
+    assert non_standard == mixed and len(mixed) == 1
+    kernel = linalg.nullspace(moved.field, _monoid_rows(gb, columns),
+                              len(columns))
+    assert len(kernel) == 1
 
 
 def test_initial_ideal_finds_the_monoid_stage_basis(gf, monkeypatch):

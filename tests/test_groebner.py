@@ -11,8 +11,7 @@ from extremalcurves import (QQ, BinaryForm, ContextMismatchError, Invariants,
                             ideal_quotient, ideal_quotient_poly,
                             initial_ideal, is_groebner,
                             random_coordinate_change, restrict_to_ring,
-                            saturate_irrelevant, saturate_poly,
-                            saturate_variable)
+                            saturate_irrelevant, saturate_variable)
 from extremalcurves import groebner
 from extremalcurves.groebner import GroebnerBasis, IdealBasis
 from extremalcurves.orders import (CAPACITY, BlockEliminationOrder,
@@ -240,16 +239,17 @@ def test_intersect_self(ring):
 
 def test_saturate_poly_examples(ring):
     x, y, z, w = ring.gens()
-    assert ideal_equal(saturate_poly(ideal(x * x * z), z), ideal(x * x))
+    assert ideal_equal(oracles.saturate_poly(ideal(x * x * z), z),
+                       ideal(x * x))
     # x^2 lies in the ideal, so saturating by x reaches the unit ideal;
     # the iterated-quotient oracle agrees: I : x = (x, y), (x, y) : x = (1)
-    sat = saturate_poly(ideal(x * x, x * y), x)
+    sat = oracles.saturate_poly(ideal(x * x, x * y), x)
     assert ideal_equal(sat, ideal(ring.one()))
     step1 = ideal_quotient_poly(ideal(x * x, x * y), x)
     step2 = ideal_quotient_poly(step1, x)
     assert ideal_equal(step2, sat)
     basis = twisted_cubic_ideal(ring)
-    assert ideal_equal(saturate_poly(basis, ring.one()), basis)
+    assert ideal_equal(oracles.saturate_poly(basis, ring.one()), basis)
 
 
 def test_saturate_irrelevant_examples(ring):
@@ -376,7 +376,7 @@ def test_saturation_routes_agree(ring):
             v = ring.gen(slot)
             for ideal_basis in (basis, times_m2):
                 assert ideal_equal(saturate_variable(ideal_basis, slot),
-                                   saturate_poly(ideal_basis, v))
+                                   oracles.saturate_poly(ideal_basis, v))
             assert saturate_variable(times_m2, slot) is not times_m2
 
 
@@ -387,7 +387,7 @@ def test_saturate_poly_matches_iterated_quotient(ring):
         f = random_poly(ring, rng, 1, terms=2)
         if f.is_zero:
             continue
-        sat = saturate_poly(basis, f)
+        sat = oracles.saturate_poly(basis, f)
         cur = basis
         for _ in range(40):
             nxt = ideal_quotient_poly(cur, f)
@@ -940,9 +940,9 @@ def _forms(ring, max_terms):
             lambda acc: Polynomial.from_dict(ring, acc))
 
 
-# the walk against one `normal_form` call per monomial; its identity holds
-# on Groebner bases only.  The generators are homogeneous: Buchberger on
-# random inhomogeneous draws under the block order ran for many minutes
+# the batch against one `normal_form` call per monomial.  The generators
+# are homogeneous: Buchberger on random inhomogeneous draws under the
+# block order ran for many minutes
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
@@ -952,7 +952,7 @@ def test_monomial_normal_forms_match_normal_form(field, make_order, data):
     ring = _division_ring(field, make_order, data)
     gens = data.draw(st.lists(_forms(ring, 3), min_size=1, max_size=3))
     if data.draw(st.booleans()):
-        # a lead divisible by the last variable: its steps are not shifts
+        # a lead divisible by the last variable
         gens[0] = gens[0] * ring.gen(ring.arity - 1)
     if data.draw(st.booleans()):
         # a monomial generator sends all its multiples to zero
@@ -976,7 +976,7 @@ def test_monomial_normal_forms_past_leads_with_the_last_variable(field):
     x, y, z, w = ring.gens()
     for gens in ((w * (x - y + z), y * y - x * z), (w * w - x, y * w - z)):
         basis = ideal(*gens).groebner()
-        # w divides a lead, so some w-steps are not pure shifts
+        # w divides a lead, so some multiples of w are not standard
         assert any(g.lead_exponent[3] for g in basis)
         monomials = [e for n in range(5) for e in oracles.monomials(4, n)]
         forms = basis.monomial_normal_forms(monomials)
@@ -987,7 +987,7 @@ def test_monomial_normal_forms_past_leads_with_the_last_variable(field):
 def test_monomial_normal_forms_walk_without_recursion(ring):
     x, w = ring.gen(0), ring.gen(3)
     basis = ideal(x - w).groebner()
-    # a walk 1500 steps long, past the interpreter's recursion limit
+    # 1500 division steps, past the interpreter's recursion limit
     assert basis.monomial_normal_forms([(1500, 0, 0, 0, 0)]) == [w ** 1500]
     # x^20000*w^20000 reduces to w^40000, past the packed budget
     with pytest.raises(ValueError, match="exceeds 32767"):
