@@ -13,7 +13,8 @@ route to I : v^infinity, which is held to it.
 import re
 from itertools import combinations_with_replacement
 
-from extremalcurves.groebner import IdealBasis, eliminate
+from extremalcurves.groebner import (IdealBasis, _extension, eliminate,
+                                     restrict_to_ring)
 from extremalcurves.orders import ZERO_EXP, exp_from_var, exp_mul
 from extremalcurves.poly import ParseError, Polynomial
 
@@ -463,9 +464,9 @@ def saturate_poly(ideal_basis, f):
     ring = ideal_basis.ring
     if not f.degree:
         return ideal_basis
-    ext = ring.extended(ring.arity + 1)
+    ext = _extension(ring)
     t = ext.gen(ring.arity)
     gens = [g.in_ring(ext) for g in ideal_basis.generators]
     gens.append(ext.one() - t * f.in_ring(ext))
     elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
-    return IdealBasis(ring, [g.in_ring(ring) for g in elim.generators])
+    return restrict_to_ring(elim, ring)
