@@ -442,10 +442,8 @@ class GroebnerBasis:
             raise ContextMismatchError("exponent outside ring arity")
         forms = []
         for e, p in zip(exponents, packed):
-            # a standard monomial skips the division's setup: dividing
-            # every column made the batch four times slower on the
-            # extremal curves of the fixed ladder, whose columns are
-            # nearly all standard
+            # a standard monomial skips the division's setup, which made
+            # the batch 4x slower on the fixed ladder's extremal curves
             guarded = p | GUARD     # `_divides`, with b | GUARD hoisted
             for lead in leads:
                 if (guarded - lead) & GUARD == GUARD:
