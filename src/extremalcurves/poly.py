@@ -10,7 +10,8 @@ lets reduced Groebner bases be compared term by term.
 canonical form: it applies `field.reduce` to each value and drops those
 that vanish.  Arithmetic that ends in it (sums, products, linear
 substitution, the parser) therefore adds and multiplies coefficients with
-plain + and *, with no field-method call per term.
+plain + and *, with no field-method call per term; linear substitution
+also reduces each monomial's image once, as it builds it.
 
 BinaryForm holds a homogeneous form in two variables (z, w by default),
 the currency of the monoid-surface constructions.
@@ -19,9 +20,11 @@ the currency of the monoid-surface constructions.
 import re
 
 from .fields import ContextMismatchError
-from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, ZERO_EXP, GrevlexOrder,
-                     WeightRefinedOrder, exp_degree, exp_from_var, exp_mul,
-                     exp_supported_within, term_key)
+from .orders import (CAPACITY, EXP_LIMIT, MAX_ARITY, SLOT_BITS, VAR_NAMES,
+                     ZERO_EXP, GrevlexOrder, WeightRefinedOrder, exp_degree,
+                     exp_from_var, exp_mul, exp_supported_within,
+                     exponent_limit_error, pack_exponent, term_key,
+                     unpack_exponent)
 from . import linalg
 
 
@@ -284,36 +287,49 @@ class Polynomial:
 
         The matrix is arity x arity over the coefficient field; entry
         (i, j) is the coefficient of variable j in the image of variable i.
-        Each term expands to a product of cached powers of the images; the
-        expansions are summed into one coefficient dict that is sorted
-        once, at the end.
+        Within one call the image of each monomial is expanded once: it is
+        the image of the monomial with one less power of its first
+        variable, times that variable's row.  Images are dicts keyed by
+        packed exponents (`orders.pack_exponent`), so a monomial product
+        is one int addition, and each image's coefficients are reduced
+        once.  Each term's image, scaled by its coefficient, is summed
+        unreduced into one dict that is sorted once, at the end.  No slot
+        of an image exceeds its monomial's total degree, so a term of total
+        degree past EXP_LIMIT raises ValueError before any expansion.
         """
         ring = self.ring
         n = ring.arity
         field = ring.field
         rows = [[field.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
         linalg.mat_inverse(field, rows)  # raises ValueError when singular
-        images = [Polynomial.from_dict(ring, {exp_from_var(j): rows[i][j]
-                                              for j in range(n)})
-                  for i in range(n)]
-        # cache powers of each image to keep repeated exponents cheap
-        powers = [{0: ring.one()} for _ in range(n)]
-
-        def image_power(i, k):
-            cached = powers[i]
-            if k not in cached:
-                cached[k] = image_power(i, k - 1) * images[i]
-            return cached[k]
-
+        top = max((exp_degree(e) for e, _ in self.terms), default=0)
+        if top > EXP_LIMIT:
+            raise exponent_limit_error(top)
+        reduce = field.reduce
+        row_images = [{1 << (SLOT_BITS * j): c for j, c in enumerate(row) if c}
+                      for row in rows]
+        images = {0: {0: field.one}}
         acc = {}
         for e, c in self.terms:
-            term = ring.constant(c)
-            for i in range(n):
-                if e[i]:
-                    term = term * image_power(i, e[i])
-            for te, tc in term.terms:
-                acc[te] = acc.get(te, 0) + tc
-        return Polynomial.from_dict(ring, acc)
+            key = m = pack_exponent(e)
+            chain = []
+            while m not in images:      # peel the first variable
+                i = ((m & -m).bit_length() - 1) // SLOT_BITS
+                chain.append((m, i))
+                m -= 1 << (SLOT_BITS * i)
+            for m, i in reversed(chain):
+                prev = images[m - (1 << (SLOT_BITS * i))]
+                out = {}
+                for q, r in row_images[i].items():
+                    for p, v in prev.items():
+                        k = p + q
+                        out[k] = out.get(k, 0) + v * r
+                images[m] = {p: v for p, v in zip(out, map(reduce, out.values()))
+                             if v}
+            for p, v in images[key].items():
+                acc[p] = acc.get(p, 0) + c * v
+        return Polynomial.from_dict(
+            ring, {unpack_exponent(p): v for p, v in acc.items()})
 
     def __str__(self):
         return polynomial_to_string(self)

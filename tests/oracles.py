@@ -4,7 +4,8 @@ Everything here but `saturate_poly` avoids the package's Groebner engine
 on purpose: graded dimensions come from rank computations on raw
 generator multiples, resultants from a Sylvester determinant, root
 searches from exhaustive enumeration, polynomial text from a
-token-at-a-time recursive-descent parser.  The tests compare engine
+token-at-a-time recursive-descent parser, linear substitutions from
+products of powers of the variables' images.  The tests compare engine
 output against these.  `saturate_poly` is the textbook saturation by
 elimination; it shares the engine's Buchberger but not its divide-out
 route to I : v^infinity, which is held to it.
@@ -13,6 +14,7 @@ route to I : v^infinity, which is held to it.
 import re
 from itertools import combinations_with_replacement
 
+from extremalcurves import linalg
 from extremalcurves.groebner import (IdealBasis, _extension, eliminate,
                                      restrict_to_ring)
 from extremalcurves.orders import ZERO_EXP, exp_from_var, exp_mul
@@ -470,3 +472,35 @@ def saturate_poly(ideal_basis, f):
     gens.append(ext.one() - t * f.in_ring(ext))
     elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
     return restrict_to_ring(elim, ring)
+
+
+def product_substitute_linear(poly, matrix):
+    """Reference for `Polynomial.substitute_linear`: each term expanded
+    as a product of cached powers of the variables' images, built with
+    the ring's `*`, and the expansions summed into one coefficient dict."""
+    ring = poly.ring
+    n = ring.arity
+    field = ring.field
+    rows = [[field.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
+    linalg.mat_inverse(field, rows)  # raises ValueError when singular
+    images = [Polynomial.from_dict(ring, {exp_from_var(j): rows[i][j]
+                                          for j in range(n)})
+              for i in range(n)]
+    # cache powers of each image to keep repeated exponents cheap
+    powers = [{0: ring.one()} for _ in range(n)]
+
+    def image_power(i, k):
+        cached = powers[i]
+        if k not in cached:
+            cached[k] = image_power(i, k - 1) * images[i]
+        return cached[k]
+
+    acc = {}
+    for e, c in poly.terms:
+        term = ring.constant(c)
+        for i in range(n):
+            if e[i]:
+                term = term * image_power(i, e[i])
+        for te, tc in term.terms:
+            acc[te] = acc.get(te, 0) + tc
+    return Polynomial.from_dict(ring, acc)

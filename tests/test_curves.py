@@ -16,6 +16,8 @@ from extremalcurves import groebner
 from extremalcurves.curves import line_xy, quintic_genus_two
 from extremalcurves.groebner import IdealBasis, initial_ideal
 
+import oracles
+
 
 def test_extremal_four_generator_ideal(gf, ring):
     x, y, z, w = ring.gens()
@@ -217,6 +219,19 @@ def test_identity_change_is_a_fixed_point(gf, monkeypatch):
     moved = transform_ideal(curve.ideal, ident)
     assert moved is curve.ideal
     assert moved.groebner() is cached
+
+
+@pytest.mark.parametrize("d", [8, 10])
+def test_ladder_move_matches_the_product_reference(gf, d):
+    # the move of the seeded rational curves on the bench ladder
+    rng = random.Random(d)
+    forms = [BinaryForm.random(gf, d, rng) for _ in range(4)]
+    curve = from_parametrization(gf, forms)
+    moved, change = random_coordinate_change(curve, 0)
+    reference = IdealBasis(curve.ideal.ring, [
+        oracles.product_substitute_linear(g, change.matrix)
+        for g in curve.ideal.generators])
+    assert moved.ideal.generators == reference.generators
 
 
 def test_change_preserves_invariants_and_saturation(gf):

@@ -4,11 +4,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
                             PolyRing, PrimeField, binary_forms_coprime,
-                            curve_ring, ideal, parse_polynomial)
+                            curve_ring, ideal, linalg, parse_polynomial)
 from extremalcurves.orders import (CAPACITY, EXP_LIMIT, BlockEliminationOrder,
                                    GrevlexOrder, WeightRefinedOrder,
                                    int_key_weights, monomial_exponents)
@@ -113,12 +113,16 @@ def test_power_of_a_monomial_past_the_packed_budget(ring):
         ideal(power).groebner()
 
 
-def _coefficient_lists(field):
+def _field_elements(field, nonzero=False):
     if field == QQ:
         element = st.fractions(-9, 9, max_denominator=9)
     else:
         element = st.integers(0, field.characteristic - 1)
-    return st.lists(element, max_size=5)
+    return element.filter(bool) if nonzero else element
+
+
+def _coefficient_lists(field):
+    return st.lists(_field_elements(field), max_size=5)
 
 
 def _convolve(field, a, b):
@@ -245,6 +249,82 @@ def test_substitute_singular_matrix_rejected(ring):
     singular = [[zero] * 4 for _ in range(4)]
     with pytest.raises(ValueError):
         x.substitute_linear(singular)
+
+
+def test_substitute_linear_of_a_high_power(ring):
+    # x^2000 is past the recursion limit of a walk that recurses per power
+    x, y = ring.gen(0), ring.gen(1)
+    one, zero = ring.field.one, ring.field.zero
+    swap = [[zero] * 4 for _ in range(4)]
+    swap[0][1] = swap[1][0] = swap[2][2] = swap[3][3] = one
+    assert (x ** 2000).substitute_linear(swap) == y ** 2000
+    # no slot passes EXP_LIMIT, but the image holds y^32768
+    with pytest.raises(ValueError, match="exponent 32768 exceeds 32767"):
+        ((x * y) ** 16384).substitute_linear(swap)
+
+
+@st.composite
+def _substitution_polys(draw, ring):
+    """The zero polynomial, a constant, or a sum of a few terms of one or
+    of several degrees."""
+    kind = draw(st.sampled_from(["zero", "constant", "homogeneous",
+                                 "inhomogeneous"]))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "constant":
+        return ring.constant(draw(_field_elements(ring.field, nonzero=True)))
+    top = draw(st.integers(1, 5))
+    acc = {}
+    for _ in range(draw(st.integers(1, 6))):
+        d = top if kind == "homogeneous" else draw(st.integers(0, top))
+        e = draw(st.sampled_from(list(monomial_exponents(ring.arity, d))))
+        acc[e] = draw(_field_elements(ring.field))
+    return Polynomial.from_dict(ring, acc)
+
+
+@st.composite
+def _invertible_matrices(draw, field, n):
+    """A dense invertible matrix, or a sparse one: a permutation, a
+    diagonal, or a triangular matrix whose off-diagonal entries are often
+    zero."""
+    kind = draw(st.sampled_from(["dense", "permutation", "diagonal",
+                                 "triangular"]))
+    if kind == "dense":
+        m = [[draw(_field_elements(field)) for _ in range(n)]
+             for _ in range(n)]
+        try:
+            linalg.mat_inverse(field, [[field.coerce(v) for v in row]
+                                       for row in m])
+        except ValueError:
+            reject()
+        return m
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return [[1 if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(_field_elements(field, nonzero=True))
+    if kind == "triangular":
+        upper = draw(st.booleans())
+        for i in range(n):
+            for j in range(n):
+                if (j > i) if upper else (j < i):
+                    m[i][j] = draw(st.just(0) | _field_elements(field))
+    return m
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_substitute_linear_matches_product_reference(field, data):
+    arity = data.draw(st.integers(2, 5), label="arity")
+    ring = PolyRing(field, arity)
+    f = data.draw(_substitution_polys(ring), label="f")
+    m = data.draw(_invertible_matrices(field, arity), label="matrix")
+    assert (f.substitute_linear(m).terms
+            == oracles.product_substitute_linear(f, m).terms)
 
 
 def test_parse_standard_grammar(ring):
