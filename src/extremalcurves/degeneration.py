@@ -11,7 +11,7 @@ a posteriori, so an unlucky draw is detected and retried.
 import random
 from dataclasses import dataclass
 
-from .orders import CAPACITY, WeightRefinedOrder
+from .orders import CAPACITY, GUARD, WeightRefinedOrder, pack_exponent
 from .poly import BinaryForm, Polynomial, binary_forms_coprime
 from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
                        initial_ideal, saturate_irrelevant)
@@ -160,14 +160,49 @@ def _monoid_forms(poly, nu, powers):
             tuple(BinaryForm(field, f) for f in f_coeffs.values()))
 
 
-def _monoid_rows(gb, columns):
-    """Sparse rows {column: coefficient} of the template's normal forms,
-    one row per standard monomial, in order of first appearance."""
-    rows = {}
-    for col, form in enumerate(gb.monomial_normal_forms(columns)):
+def _monoid_kernel(gb, columns):
+    """Kernel of the template's normal forms under a reduced basis, as
+    dense vectors over the columns: the `linalg.nullspace` of the rows
+    {column: coefficient}, one per standard monomial.
+
+    The system is solved only on the columns that division touches: the
+    non-standard columns and the standard ones that their forms hold.  A
+    standard column is its own form, so one that no form holds is alone
+    in its row and zero in every kernel vector.  The touched columns keep
+    their template order, and the reduced row echelon form is unique, so
+    the free columns and the basis vectors are those of the whole system.
+    """
+    field = gb.ring.field
+    leads = [pack_exponent(e) for e in gb.lead_exponents()]
+    divided = []
+    for col, e in enumerate(columns):
+        guarded = pack_exponent(e) | GUARD  # `_divides`, b | GUARD hoisted
+        for lead in leads:
+            if (guarded - lead) & GUARD == GUARD:
+                divided.append(col)
+                break
+    rows = {}       # standard monomial -> {column: coefficient}
+    for col in divided:
+        form = gb.normal_form(gb.ring.monomial(columns[col]))
         for e, c in form.terms:
             rows.setdefault(e, {})[col] = c
-    return list(rows.values())
+    position = {e: col for col, e in enumerate(columns)}
+    for e, row in rows.items():
+        col = position.get(e)
+        if col is not None:
+            row[col] = field.one    # a standard column is its own form
+    touched = sorted(set(divided).union(*rows.values()))
+    index = {col: i for i, col in enumerate(touched)}
+    kernel = linalg.nullspace(
+        field, [{index[col]: c for col, c in row.items()}
+                for row in rows.values()], len(touched))
+    vectors = []
+    for vec in kernel:
+        full = [field.zero] * len(columns)
+        for col, c in zip(touched, vec):
+            full[col] = c
+        vectors.append(full)
+    return vectors
 
 
 def _find_monoid_surface(ideal_basis, d, nu, rng=None):
@@ -176,9 +211,11 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
     The template is reduced by the (d, 2, 1, 1) weight-refined basis, not
     grevlex.  Its leads lie in the initial ideal of the extremal limit
     (Sturmfels, Prop. 1.8), so when the limit certifies one template
-    monomial is not standard, the rows are sparse where grevlex rows are
-    dense, and `initial_ideal` then finds the same basis in the cache.
-    The kernel, and so every candidate, does not depend on the basis.
+    monomial is not standard.  `_monoid_kernel` divides that column alone
+    and solves the system only on the columns its form holds, where
+    grevlex would divide half the template, and `initial_ideal` then
+    finds the same basis in the cache.  The kernel, and so every
+    candidate, does not depend on the basis.
     """
     ring = ideal_basis.ring
     field = ring.field
@@ -186,7 +223,7 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
         WeightRefinedOrder(pipeline_weights(d), CURVE_ARITY))
     columns = monoid_template(d, nu)
     ncols = len(columns)
-    kernel = linalg.nullspace(field, _monoid_rows(gb, columns), ncols)
+    kernel = _monoid_kernel(gb, columns)
     if not kernel:
         raise MonoidSurfaceError(
             "the linear system for the surface has no nonzero solution; "

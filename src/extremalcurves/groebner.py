@@ -38,8 +38,9 @@ key determines its exponent), and a heap of negated keys yields the
 largest of them.  Each step pops the leading term, skips it if it has
 cancelled, and subtracts the scaled reducer tail in the dict, so a step
 costs the size of that tail rather than of the whole remainder.  Normal
-forms, of one polynomial or of each non-standard monomial of a batch
-(`monomial_normal_forms`), exact quotients and S-polynomials all use it.
+forms (`GroebnerBasis.normal_form`, which the monoid-surface kernel calls
+on each template monomial that a lead divides), exact quotients and
+S-polynomials all use it.
 
 Two things keep that step cheap.  The shift is fused into the
 subtraction: `_Remainder.subtract` takes the reducer with the (key,
@@ -124,9 +125,9 @@ from operator import mul
 
 from .fields import ContextMismatchError
 from .orders import (GUARD, MAX_ARITY, SLOT_BITS, BlockEliminationOrder,
-                     GrevlexOrder, WeightRefinedOrder, exponent_limit_error,
-                     int_key_weights, pack_exponent, packed_lcm,
-                     term_key, unpack_exponent)
+                     GrevlexOrder, WeightRefinedOrder, exp_supported_within,
+                     exponent_limit_error, int_key_weights, pack_exponent,
+                     packed_lcm, term_key, unpack_exponent)
 from .hilbert import (_hilbert_function, _numerator_plus, _series_numerator,
                       _trim, hilbert)
 from .poly import Polynomial
@@ -424,37 +425,15 @@ class GroebnerBasis:
     def normal_form(self, f):
         if f.ring.field != self.ring.field:
             raise ContextMismatchError("polynomial and basis fields differ")
+        arity = self.ring.arity
+        # a slot past the basis's arity has key weight 0, so its terms
+        # would collide with others
+        if f.ring.arity > arity and not all(
+                exp_supported_within(e, arity) for e, _ in f.terms):
+            raise ContextMismatchError("exponent outside ring arity")
         rem = _Remainder(self.ring.field, _keyed(f, self.ring.order))
         r = _normal_form_keyed(rem, self.reducers())
         return _from_keyed(self.ring, r).in_ring(f.ring)
-
-    def monomial_normal_forms(self, exponents):
-        """Normal forms of many monomials, one Polynomial per exponent in
-        input order, equal to [normal_form(monomial(e))]: a standard
-        monomial is its own form, and any other is divided alone."""
-        ring, field = self.ring, self.ring.field
-        weights = int_key_weights(ring.order)
-        reducers = self.reducers()
-        leads = [red[0] for red in reducers]
-        exponents = [tuple(e) for e in exponents]
-        packed = [pack_exponent(e) for e in exponents]
-        if any(p >> SLOT_BITS * ring.arity for p in packed):
-            raise ContextMismatchError("exponent outside ring arity")
-        forms = []
-        for e, p in zip(exponents, packed):
-            # a standard monomial skips the division's setup, which made
-            # the batch 4x slower on the fixed ladder's extremal curves
-            guarded = p | GUARD     # `_divides`, with b | GUARD hoisted
-            for lead in leads:
-                if (guarded - lead) & GUARD == GUARD:
-                    rem = _Remainder(
-                        field, ((_packed_key(weights, p), p, field.one),))
-                    forms.append(_from_keyed(
-                        ring, _normal_form_keyed(rem, reducers)))
-                    break
-            else:
-                forms.append(Polynomial(ring, ((e, field.one),)))
-        return forms
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -507,14 +486,35 @@ def buchberger(ideal_basis, order):
 
 
 def is_groebner(gb):
-    """Buchberger criterion: every S-polynomial reduces to zero."""
+    """Buchberger criterion: every S-polynomial reduces to zero.
+
+    Two kinds of pair are skipped.  One whose leads are coprime reduces to
+    zero (Buchberger's first criterion).  And (i, j) is skipped by the
+    chain criterion in its strict form, when a third lead k divides
+    lcm(i, j) and lcm(i, k) != lcm(i, j) != lcm(j, k): S(i, j) is then a
+    combination of S(i, k) and S(j, k), shifted up to lcm(i, j), and
+    their lcms properly divide lcm(i, j).  By induction on the lcm, every
+    S-polynomial has a representation below its lcm once the pairs left
+    reduce to zero, so the verdict is exact (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, section 2.10, Theorem 3 and Proposition 4).
+    """
     field = gb.ring.field
     reducers = gb.reducers()
     weights = int_key_weights(gb.ring.order)
-    n = len(reducers)
+    leads = [red[0] for red in reducers]
+    lcms = [[packed_lcm(a, b) for b in leads] for a in leads]
+    n = len(leads)
     for i in range(n):
         for j in range(i + 1, n):
-            lcm_exp = packed_lcm(reducers[i][0], reducers[j][0])
+            lcm_exp = lcms[i][j]
+            if lcm_exp == leads[i] + leads[j]:
+                continue
+            guarded = lcm_exp | GUARD   # `_divides`, with b | GUARD hoisted
+            # k = i or j never qualifies: lcm(j, i) = lcm(i, j)
+            if any((guarded - leads[k]) & GUARD == GUARD
+                   and lcms[i][k] != lcm_exp and lcms[j][k] != lcm_exp
+                   for k in range(n)):
+                continue
             spair = _spoly(reducers[i], reducers[j],
                            _packed_key(weights, lcm_exp), lcm_exp, field)
             if _normal_form_keyed(spair, reducers):

@@ -2,9 +2,10 @@
 
 A matrix is a list of rows, and a row is a dict {column: value} that
 holds only the nonzero entries.  The monoid-surface systems are built
-this way straight from normal forms: they reach 1761 x 1762 with under
-two nonzeros per row at d = 20, so a dense grid would be almost all
-zeros.
+this way straight from normal forms, on the template columns that
+division touches: on the extremal curve of degree 20 and genus 80 that
+is 165 x 166 with 330 nonzeros, out of a template of 1762 columns, so a
+dense grid would be almost all zeros.
 
 `rref` is Gauss-Jordan elimination over such rows.  A column -> rows
 index lets each pivot touch only the rows that hold its column.  Among

@@ -15,9 +15,11 @@ import re
 from itertools import combinations_with_replacement
 
 from extremalcurves import linalg
-from extremalcurves.groebner import (IdealBasis, _extension, eliminate,
-                                     restrict_to_ring)
-from extremalcurves.orders import ZERO_EXP, exp_from_var, exp_mul
+from extremalcurves.groebner import (IdealBasis, _extension,
+                                     _normal_form_keyed, _packed_key, _spoly,
+                                     eliminate, restrict_to_ring)
+from extremalcurves.orders import (ZERO_EXP, exp_from_var, exp_mul,
+                                   int_key_weights, packed_lcm)
 from extremalcurves.poly import ParseError, Polynomial
 
 CAP = 5
@@ -504,3 +506,20 @@ def product_substitute_linear(poly, matrix):
         for te, tc in term.terms:
             acc[te] = acc.get(te, 0) + tc
     return Polynomial.from_dict(ring, acc)
+
+
+def exhaustive_is_groebner(gb):
+    """Reference Buchberger criterion: every one of the n(n-1)/2
+    S-polynomials of the basis, none skipped, reduces to zero."""
+    field = gb.ring.field
+    reducers = gb.reducers()
+    weights = int_key_weights(gb.ring.order)
+    n = len(reducers)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lcm_exp = packed_lcm(reducers[i][0], reducers[j][0])
+            spair = _spoly(reducers[i], reducers[j],
+                           _packed_key(weights, lcm_exp), lcm_exp, field)
+            if _normal_form_keyed(spair, reducers):
+                return False
+    return True

@@ -16,8 +16,9 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
 from extremalcurves import groebner as groebner_module, linalg
 from extremalcurves.cli import report_to_dict
 from extremalcurves.curves import line_xy
-from extremalcurves.degeneration import (_find_monoid_surface, _monoid_forms,
-                                         _monoid_rows, pipeline_weights)
+from extremalcurves.degeneration import (MonoidSurfaceError,
+                                         _find_monoid_surface, _monoid_forms,
+                                         _monoid_kernel, pipeline_weights)
 from extremalcurves.groebner import GrevlexOrder, GroebnerBasis, IdealBasis
 from extremalcurves.orders import WeightRefinedOrder
 
@@ -291,10 +292,26 @@ MONOID_IDS = [f"{name}-{'qq' if field == QQ else 'gf'}-"
               for name, field, seed in MONOID_CASES]
 
 
-def _check_monoid_rows(name, field, seed, weighted):
-    """The template's rows from `monomial_normal_forms`, against each
-    template monomial reduced by the merge reference, in the grevlex or
-    the pipeline's weight basis."""
+def _reference_kernel(gb, columns):
+    """`linalg.nullspace` of the whole system: every template monomial
+    reduced on its own by the merge reference, one row per standard
+    monomial."""
+    field = gb.ring.field
+    rows = oracles.monoid_rows([g.terms for g in gb.elements], columns,
+                               gb.ring.order.key, field)
+    return linalg.nullspace(field, rows, len(columns))
+
+
+def _non_standard(gb, columns):
+    """The template columns that a lead of the basis divides."""
+    return [e for e in columns
+            if any(all(map(int.__le__, lead, e))
+                   for lead in gb.lead_exponents())]
+
+
+def _check_monoid_kernel(name, field, seed, weighted):
+    """The kernel from `_monoid_kernel`, against the whole system's, in the
+    grevlex or the pipeline's weight basis."""
     curve = fixture(name, field)
     if seed is not None:
         curve, _ = random_coordinate_change(curve, seed=seed)
@@ -302,25 +319,94 @@ def _check_monoid_rows(name, field, seed, weighted):
     gb = curve.ideal.groebner(
         WeightRefinedOrder(pipeline_weights(inv.d), 4) if weighted else None)
     columns = monoid_template(inv.d, inv.nu)
-    rows = _monoid_rows(gb, columns)
-    expected = oracles.monoid_rows([g.terms for g in gb.elements],
-                                   columns,
-                                   gb.ring.order.key, field)
-    assert rows == expected
-    ncols = len(columns)
-    assert (linalg.nullspace(field, rows, ncols)
-            == linalg.nullspace(field, expected, ncols))
+    assert _monoid_kernel(gb, columns) == _reference_kernel(gb, columns)
 
 
 @pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=MONOID_IDS)
 def test_monoid_rows_match_per_monomial_reference(name, field, seed):
-    _check_monoid_rows(name, field, seed, weighted=False)
+    _check_monoid_kernel(name, field, seed, weighted=False)
 
 
 @pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=MONOID_IDS)
 def test_weight_order_monoid_rows_match_per_monomial_reference(name, field,
                                                                seed):
-    _check_monoid_rows(name, field, seed, weighted=True)
+    _check_monoid_kernel(name, field, seed, weighted=True)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["grevlex", "weight"])
+def test_monoid_kernel_frees_a_column_inside_the_ideal(field, weighted):
+    # with the template column x*z*w^(nu-1) added to the ideal its form is
+    # 0: no row holds the column, so its unit vector is a kernel vector
+    curve = fixture("quintic-g2", field)
+    inv = curve.invariants
+    x, z, w = curve.ring.gen(0), curve.ring.gen(2), curve.ring.gen(3)
+    inside = x * z * w ** (inv.nu - 1)
+    basis = IdealBasis(curve.ring, curve.ideal.generators + (inside,))
+    gb = basis.groebner(
+        WeightRefinedOrder(pipeline_weights(inv.d), 4) if weighted else None)
+    columns = monoid_template(inv.d, inv.nu)
+    col = columns.index(inside.lead_exponent)
+    assert gb.normal_form(inside).is_zero
+    kernel = _monoid_kernel(gb, columns)
+    assert kernel == _reference_kernel(gb, columns)
+    unit = [field.zero] * len(columns)
+    unit[col] = field.one
+    assert unit in kernel
+
+
+def test_monoid_kernel_is_empty_when_no_column_is_divided(gf, ring):
+    # leads of degree nu + 2 divide no template column: every column is
+    # alone in its row, and the empty kernel is not retried
+    d, nu = 4, 3
+    z, w = ring.gen(2), ring.gen(3)
+    basis = ideal(z ** (nu + 2) - w ** (nu + 2))
+    weight = WeightRefinedOrder(pipeline_weights(d), 4)
+    columns = monoid_template(d, nu)
+    gb = basis.groebner(weight)
+    assert _non_standard(gb, columns) == []
+    assert _monoid_kernel(gb, columns) == [] == _reference_kernel(gb,
+                                                                  columns)
+    with pytest.raises(MonoidSurfaceError) as err:
+        _find_monoid_surface(basis, d, nu, random.Random(0))
+    assert err.value.retryable is False
+
+
+def _form_product(a, b):
+    field = a.field
+    coeffs = [field.zero] * (a.degree + b.degree + 1)
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            coeffs[i + j] = field.add(coeffs[i + j], field.mul(u, v))
+    return BinaryForm(field, coeffs)
+
+
+def _secant_rational(field, d, k, seed):
+    """A rational curve of degree d whose y and z forms share a factor of
+    degree k: the factor's zeros, k with multiplicity, map onto the line
+    y = z = 0, a k-secant line through (1:0:0:0)."""
+    rng = random.Random(seed)
+    common = BinaryForm.random(field, k, rng)
+    x, w = (BinaryForm.random(field, d, rng) for _ in range(2))
+    y, z = (_form_product(common, BinaryForm.random(field, d - k, rng))
+            for _ in range(2))
+    return from_parametrization(field, [x, y, z, w])
+
+
+@pytest.mark.parametrize("d, k, divided", [(5, 3, 2), (5, 4, 4), (6, 4, 4)])
+def test_monoid_kernel_on_a_shape_failure(gf, d, k, divided):
+    # a k-secant line through (1:0:0:0) makes the first attempt's limit
+    # fail the shape check, and its template has several non-standard
+    # columns under the weight basis
+    curve = _secant_rational(gf, d, k, 0)
+    report = specialize(curve, seed=0)
+    assert report.diagnostics[0][:2] == (0, "shape")
+    inv = curve.invariants
+    gb = curve.ideal.groebner(WeightRefinedOrder(pipeline_weights(d), 4))
+    columns = monoid_template(inv.d, inv.nu)
+    assert len(_non_standard(gb, columns)) == divided
+    assert _monoid_kernel(gb, columns) == _reference_kernel(gb, columns)
 
 
 @pytest.mark.parametrize("name, seed", [("rational-quartic", 12),
@@ -400,7 +486,8 @@ def test_verify_extremal_reads_the_mixed_generator(gf, ring):
         assert (cert.extremal, cert.failure) == (False, "shape")
 
 
-def test_monoid_search_reduces_in_one_batch(gf, monkeypatch):
+def test_monoid_search_divides_only_the_non_standard_columns(gf,
+                                                            monkeypatch):
     moved, _ = random_coordinate_change(fixture("quintic-g2", gf), seed=3)
     inv = moved.invariants
     calls = []
@@ -413,8 +500,12 @@ def test_monoid_search_reduces_in_one_batch(gf, monkeypatch):
     monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
     surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
                                    random.Random(0))
-    # the only per-polynomial reduction left is the membership re-check
-    assert calls == [surface.equation]
+    # one division per non-standard column, then the membership re-check
+    gb = moved.ideal.groebner(WeightRefinedOrder(pipeline_weights(inv.d), 4))
+    divided = _non_standard(gb, monoid_template(inv.d, inv.nu))
+    assert len(divided) == 1
+    assert calls == [gb.ring.monomial(e) for e in divided] + [
+        surface.equation]
 
 
 def test_monoid_search_combines_a_larger_kernel(gf):
@@ -424,8 +515,7 @@ def test_monoid_search_combines_a_larger_kernel(gf):
     curve = fixture("rational-quartic", gf)
     d, nu = curve.invariants.d, curve.invariants.nu + 1
     columns = monoid_template(d, nu)
-    rows = _monoid_rows(curve.ideal.groebner(), columns)
-    kernel = linalg.nullspace(gf, rows, len(columns))
+    kernel = _monoid_kernel(curve.ideal.groebner(), columns)
     assert len(kernel) == 11
     assert any(not any(vec[:nu + 1]) for vec in kernel)
     surface = _find_monoid_surface(curve.ideal, d, nu, random.Random(0))
@@ -468,7 +558,7 @@ def test_monoid_surface_is_the_same_from_either_basis(build, seed, dim,
     field, inv = moved.field, moved.invariants
     columns = monoid_template(inv.d, inv.nu)
     weight = WeightRefinedOrder(pipeline_weights(inv.d), 4)
-    kernels = [linalg.nullspace(field, _monoid_rows(gb, columns), len(columns))
+    kernels = [_monoid_kernel(gb, columns)
                for gb in (moved.ideal.groebner(),
                           moved.ideal.groebner(weight))]
     assert len(kernels[0]) == dim
@@ -506,14 +596,11 @@ ONE_COLUMN_CASES = {
 
 
 @pytest.mark.parametrize("case", ONE_COLUMN_CASES)
-def test_one_template_column_is_not_standard(case, monkeypatch):
+def test_one_template_column_is_not_standard(case):
     # the (d, 2, 1, 1) basis's leads lie in the initial ideal of the
     # limit (x^2, x*y, y^d, x*G - y^(d-1)*F), and of the template only
-    # the lead of x*G - y^(d-1)*F is in there; so `monomial_normal_forms`
-    # divides one column and the kernel is the surface alone.  The
-    # re-check of produced bases is off: on the decic it takes 35 s, and
-    # this test is about the template, not the bases
-    monkeypatch.setattr(groebner_module, "VERIFY_PRODUCED_BASES", False)
+    # the lead of x*G - y^(d-1)*F is in there; so `_monoid_kernel`
+    # divides one column and the kernel is the surface alone
     build, seed = ONE_COLUMN_CASES[case]
     moved, _ = random_coordinate_change(build(), seed=seed)
     report = specialize(moved, seed=0)
@@ -522,14 +609,10 @@ def test_one_template_column_is_not_standard(case, monkeypatch):
     weight = WeightRefinedOrder(pipeline_weights(inv.d), 4)
     gb = report.transformed.groebner(weight)
     columns = monoid_template(inv.d, inv.nu)
-    non_standard = [e for e in columns
-                    if any(all(map(int.__le__, lead, e))
-                           for lead in gb.lead_exponents())]
     mixed = [g.lead_exponent for g in report.limit.groebner(weight)
              if g.lead_exponent in columns]
-    assert non_standard == mixed and len(mixed) == 1
-    kernel = linalg.nullspace(moved.field, _monoid_rows(gb, columns),
-                              len(columns))
+    assert _non_standard(gb, columns) == mixed and len(mixed) == 1
+    kernel = _monoid_kernel(gb, columns)
     assert len(kernel) == 1
 
 

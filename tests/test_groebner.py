@@ -580,6 +580,78 @@ def test_degree_then_key_pairs_give_the_reduced_basis(field, case):
                 for g in reduced] == list(basis)
 
 
+def _criterion_variants(basis):
+    """A basis, then the sets made from it by dropping one element, then
+    those made by adding one to the first tail coefficient of one
+    element; the last two are bases or not."""
+    ring, field = basis.ring, basis.ring.field
+    elements = tuple(basis.elements)
+    yield basis
+    for i in range(len(elements)):
+        yield GroebnerBasis(ring, elements[:i] + elements[i + 1:])
+    for i, g in enumerate(elements):
+        if len(g.terms) > 1:
+            coeffs = dict(g.terms)
+            e = g.terms[1][0]
+            coeffs[e] = field.add(coeffs[e], field.one)
+            yield GroebnerBasis(ring, elements[:i] + (
+                Polynomial.from_dict(ring, coeffs),) + elements[i + 1:])
+
+
+# the criterion with its skipped pairs, against every pair reduced
+IS_GROEBNER_ORDERS = {
+    "grevlex": (lambda d: GrevlexOrder(4), True),
+    "weight": PAIR_ORDER_CASES["weight"],
+    "block7": PAIR_ORDER_CASES["block7"],
+}
+
+
+@pytest.mark.parametrize("case", IS_GROEBNER_ORDERS)
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_is_groebner_matches_the_exhaustive_check(field, case):
+    make_order, homogeneous = IS_GROEBNER_ORDERS[case]
+    rng = random.Random(f"is_groebner:{field}:{case}")
+    verdicts = []
+    for _ in range(8):
+        order = make_order(rng.randint(3, 12))
+        ring = PolyRing(field, order.arity, order)
+        gens = [random_poly(ring, rng, rng.randint(1, 3), terms=4,
+                            homogeneous=homogeneous)
+                for _ in range(rng.randint(2, 4))]
+        gens = [g for g in gens if not g.is_zero]
+        for variant in _criterion_variants(
+                IdealBasis(ring, gens).groebner(order)):
+            verdict = is_groebner(variant)
+            assert verdict == oracles.exhaustive_is_groebner(variant)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_is_groebner_skips_pairs_on_a_curve_basis(field, monkeypatch):
+    # the (6, 2, 1, 1) basis of a moved extremal sextic and the sets made
+    # from it; the chain criterion leaves fewer pairs to reduce than
+    # there are pairs
+    moved, _ = random_coordinate_change(fixture("extremal:6:3", field), 5)
+    basis = moved.ideal.groebner(WeightRefinedOrder((6, 2, 1, 1)))
+    spolys = []
+    spoly = groebner._spoly
+
+    def counting(*args):
+        spolys.append(args)
+        return spoly(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counting)
+    n = len(basis)
+    assert is_groebner(basis)
+    assert 0 < len(spolys) < n * (n - 1) // 2
+    verdicts = [is_groebner(variant) for variant in
+                _criterion_variants(basis)]
+    assert verdicts == [oracles.exhaustive_is_groebner(variant)
+                        for variant in _criterion_variants(basis)]
+    assert False in verdicts
+
+
 # ------------------------------------------------------------ interreduction
 
 def _interreduced(ring, keyed, monkeypatch=None):
@@ -940,9 +1012,18 @@ def _forms(ring, max_terms):
             lambda acc: Polynomial.from_dict(ring, acc))
 
 
-# the batch against one `normal_form` call per monomial.  The generators
-# are homogeneous: Buchberger on random inhomogeneous draws under the
-# block order ran for many minutes
+def _merge_monomial_form(basis, e):
+    """Reference normal form of the monomial x^e under a basis."""
+    field = basis.ring.field
+    return tuple(oracles.merge_normal_form(
+        [(e, field.one)], [g.terms for g in basis], basis.ring.order.key,
+        field))
+
+
+# normal forms of monomials, the way the monoid-surface kernel divides its
+# non-standard template columns, against the merge reference.  The
+# generators are homogeneous: Buchberger on random inhomogeneous draws
+# under the block order ran for many minutes
 @pytest.mark.parametrize("make_order", DIVISION_ORDERS,
                          ids=["grevlex", "weight", "block7"])
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
@@ -962,12 +1043,11 @@ def test_monomial_normal_forms_match_normal_form(field, make_order, data):
     exps = st.tuples(*[st.integers(0, 3)] * ring.arity).map(
         lambda e: e + (0,) * (CAPACITY - ring.arity))
     monomials = data.draw(st.lists(exps, min_size=1, max_size=12))
-    # leads and tail monomials of the basis are inputs too, and so are
-    # repeats
+    # leads and tail monomials of the basis are inputs too
     monomials += [e for g in basis for e, _ in g.terms[:2]]
-    monomials += monomials[:data.draw(st.integers(0, 3))]
-    expected = [basis.normal_form(ring.monomial(e)) for e in monomials]
-    assert basis.monomial_normal_forms(monomials) == expected
+    for e in monomials:
+        assert (basis.normal_form(ring.monomial(e)).terms
+                == _merge_monomial_form(basis, e))
 
 
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
@@ -978,20 +1058,19 @@ def test_monomial_normal_forms_past_leads_with_the_last_variable(field):
         basis = ideal(*gens).groebner()
         # w divides a lead, so some multiples of w are not standard
         assert any(g.lead_exponent[3] for g in basis)
-        monomials = [e for n in range(5) for e in oracles.monomials(4, n)]
-        forms = basis.monomial_normal_forms(monomials)
-        assert forms == [basis.normal_form(ring.monomial(e))
-                         for e in monomials]
+        for e in (e for n in range(5) for e in oracles.monomials(4, n)):
+            assert (basis.normal_form(ring.monomial(e)).terms
+                    == _merge_monomial_form(basis, e))
 
 
 def test_monomial_normal_forms_walk_without_recursion(ring):
     x, w = ring.gen(0), ring.gen(3)
     basis = ideal(x - w).groebner()
     # 1500 division steps, past the interpreter's recursion limit
-    assert basis.monomial_normal_forms([(1500, 0, 0, 0, 0)]) == [w ** 1500]
+    assert basis.normal_form(x ** 1500) == w ** 1500
     # x^20000*w^20000 reduces to w^40000, past the packed budget
     with pytest.raises(ValueError, match="exceeds 32767"):
-        basis.monomial_normal_forms([(20000, 0, 0, 20000, 0)])
+        basis.normal_form(ring.monomial((20000, 0, 0, 20000, 0)))
 
 
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
@@ -1001,8 +1080,9 @@ def test_monomial_normal_forms_on_a_reduced_basis(field):
     basis = ideal(x * z - y * y, x * w - y * z, y * w - z * z).groebner(
         ring.order)
     monomials = list(oracles.monomials(4, 5))
-    forms = basis.monomial_normal_forms(monomials)
-    assert forms == [basis.normal_form(ring.monomial(e)) for e in monomials]
+    forms = [basis.normal_form(ring.monomial(e)) for e in monomials]
+    assert [f.terms for f in forms] == [_merge_monomial_form(basis, e)
+                                        for e in monomials]
     # every standard monomial of degree 5 is an input and its own form:
     # as many as the Hilbert function 3n + 1 of the twisted cubic at 5
     assert len({e for f in forms for e, _ in f.terms}) == 3 * 5 + 1
@@ -1011,23 +1091,29 @@ def test_monomial_normal_forms_on_a_reduced_basis(field):
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
 def test_monomial_normal_forms_of_unit_and_zero_ideals(field):
     ring = curve_ring(field)
-    monomials = list(oracles.monomials(4, 3)) + [(0,) * CAPACITY]
+    monomials = [ring.monomial(e) for e in oracles.monomials(4, 3)]
+    monomials.append(ring.one())
     unit = ideal(ring.gen(0) + ring.one(), ring.gen(0)).groebner()
     assert [str(g) for g in unit] == ["1"]
-    assert all(f.is_zero for f in unit.monomial_normal_forms(monomials))
+    assert all(unit.normal_form(m).is_zero for m in monomials)
     zero = IdealBasis(ring, ()).groebner()
-    assert zero.monomial_normal_forms(monomials) == [ring.monomial(e)
-                                                     for e in monomials]
-    assert zero.monomial_normal_forms([]) == []
+    assert [zero.normal_form(m) for m in monomials] == monomials
 
 
 def test_monomial_normal_forms_reject_foreign_exponents(ring):
     basis = ideal(ring.gen(0)).groebner()
-    outside = (0, 0, 0, 0, 1)
-    with pytest.raises(ContextMismatchError):
-        basis.monomial_normal_forms([outside])
+    # a slot past the basis's arity has key weight 0: t and 1 would share
+    # a key
+    ext = ring.extended(ring.arity + 1)
+    t = ext.gen(ring.arity)
+    for f in (t + ext.one(), ext.gen(1) * t):
+        with pytest.raises(ContextMismatchError):
+            basis.normal_form(f)
+    # a polynomial of the wider ring in the basis's slots is divided
+    assert basis.normal_form(ext.gen(0) * ext.gen(1) + ext.gen(2)) == (
+        ext.gen(2))
     with pytest.raises(ValueError, match="exceeds 32767"):
-        basis.monomial_normal_forms([(0, 40000, 0, 0, 0)])
+        basis.normal_form(ring.monomial((0, 40000, 0, 0, 0)))
 
 
 def test_ideal_equality_is_presentation_independent(ring):
