@@ -7,6 +7,7 @@ wall-clock entropy anywhere.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -82,7 +83,11 @@ def load_ideal_file(path, char_override=None):
     except ValueError as err:
         raise ParseError(f"{path}: {err}") from None
     ring = curve_ring(field)
-    gens = [parse_polynomial(ring, text) for text in generator_lines]
+    try:
+        gens = [parse_polynomial(ring, text) for text in generator_lines]
+    except ZeroDivisionError:
+        raise ParseError(f"{path}: a denominator vanishes modulo "
+                         f"{characteristic}") from None
     basis = IdealBasis(ring, gens)
     if not basis.homogeneous:
         raise ParseError(f"{path}: generators are not homogeneous")
@@ -91,25 +96,21 @@ def load_ideal_file(path, char_override=None):
     return basis
 
 
-def _rao_rows(report):
-    """(n_start, rao, rho) of a report: the certificate's on the general
-    branch; at a = 0 the Rao function and its bound vanish on [1, l];
-    none on the plane branch."""
-    cert = report.certificate
-    if cert is not None:
-        return cert.n_start, cert.rao, cert.rho
-    inv = report.invariants
-    if inv.a == 0:
-        zeros = inv.rho_table()
-        return twist_origin(inv.a), zeros, zeros
-    return None, (), ()
-
-
 def report_to_dict(report):
-    """JSON-ready dictionary for a specialization report."""
+    """JSON-ready dictionary for a specialization report: the one place
+    its polynomials and tables become text, for the printed report and
+    for --json alike."""
     cert = report.certificate
     inv = report.invariants
-    n_start, rao, rho = _rao_rows(report)
+    # the certificate's rows on the general branch; at a = 0 the Rao
+    # function and its bound vanish on [1, l]; none on the plane branch
+    if cert is not None:
+        n_start, rao, rho = cert.n_start, cert.rao, cert.rho
+    elif inv.a == 0:
+        n_start, rao = twist_origin(inv.a), inv.rho_table()
+        rho = rao
+    else:
+        n_start, rao, rho = None, (), ()
     return {
         "d": inv.d,
         "g": inv.g,
@@ -144,26 +145,24 @@ def _print_rows(n_start, **rows):
         print(f"{name:>4}: " + " ".join(f"{v:>3}" for v in values))
 
 
-def _print_report(report):
-    inv = report.invariants
-    print(_invariants_line(inv))
-    print(f"branch: {inv.branch}   retries: {report.retries}   "
-          f"omega: {report.omega}")
-    if report.surface is not None:
-        print(f"surface: {report.surface.equation}")
+def _print_report(table):
+    """The plain-text report, printed from its `report_to_dict` table."""
+    print(_invariants_line(Invariants(table["d"], table["g"])))
+    print(f"branch: {table['branch']}   retries: {table['retries']}   "
+          f"omega: {tuple(table['omega'])}")
+    if table["surface"] is not None:
+        print(f"surface: {table['surface']}")
     print("limit ideal:")
-    for g in report.limit.groebner().elements:
+    for g in table["limit_ideal"]:
         print(f"  {g}")
-    cert = report.certificate
-    if cert is not None:
-        print(f"F = {cert.f_form}")
-        print(f"G = {cert.g_form}")
-    n_start, rao, rho = _rao_rows(report)
-    if n_start is not None:
-        _print_rows(n_start, rao=rao, rho=rho)
-    print(f"extremal: {'true' if report.extremal else 'false'}")
+    if table["F"] is not None:
+        print(f"F = {table['F']}")
+        print(f"G = {table['G']}")
+    if table["n_start"] is not None:
+        _print_rows(table["n_start"], rao=table["rao"], rho=table["rho"])
+    print(f"extremal: {'true' if table['extremal'] else 'false'}")
     print("family:")
-    for line in report.family:
+    for line in table["family"]:
         print(f"  {line}")
 
 
@@ -190,10 +189,11 @@ def _run_specialize(curve, args):
     except SpecializationError as err:
         print(f"error: {err}")
         return EXIT_PIPELINE
-    _print_report(report)
+    table = report_to_dict(report)
+    _print_report(table)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
+            json.dump(table, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return EXIT_OK if report.invariants.branch == "general" else EXIT_BOUNDARY
 
@@ -266,6 +266,7 @@ def cmd_probe(args):
     return EXIT_OK if report.ok else EXIT_PIPELINE
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="extremalcurves",

@@ -205,7 +205,7 @@ def _monoid_kernel(gb, columns):
     return vectors
 
 
-def _find_monoid_surface(ideal_basis, d, nu, rng=None):
+def _find_monoid_surface(ideal_basis, d, nu):
     """Kernel search for a monoid surface through the given curve ideal.
 
     The template is reduced by the (d, 2, 1, 1) weight-refined basis, not
@@ -214,36 +214,23 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
     monomial is not standard.  `_monoid_kernel` divides that column alone
     and solves the system only on the columns its form holds, where
     grevlex would divide half the template, and `initial_ideal` then
-    finds the same basis in the cache.  The kernel, and so every
-    candidate, does not depend on the basis.
+    finds the same basis in the cache.  The candidates are the kernel
+    vectors, which do not depend on the basis; a certifying attempt has
+    exactly one.
     """
     ring = ideal_basis.ring
     field = ring.field
     gb = ideal_basis.groebner(
         WeightRefinedOrder(pipeline_weights(d), CURVE_ARITY))
     columns = monoid_template(d, nu)
-    ncols = len(columns)
     kernel = _monoid_kernel(gb, columns)
     if not kernel:
         raise MonoidSurfaceError(
             "the linear system for the surface has no nonzero solution; "
             "the input invariants are inconsistent with a curve",
             retryable=False)
-    candidates = list(kernel)
-    if rng is not None and len(kernel) > 1:
-        for _ in range(16):
-            combo = [field.zero] * ncols
-            for vec in kernel:
-                s = field.random_element(rng)
-                if field.is_zero(s):
-                    continue
-                combo = [field.add(a, field.mul(s, b))
-                         for a, b in zip(combo, vec)]
-            if any(not field.is_zero(c) for c in combo):
-                candidates.append(combo)
-
     fallback = None
-    for vec in candidates:
+    for vec in kernel:
         # G's coefficients by ascending w-power: the x columns, last first;
         # the first nonzero one is scaled to one
         g_part = [c for c in reversed(vec[:nu + 1]) if not field.is_zero(c)]
@@ -271,14 +258,14 @@ def _find_monoid_surface(ideal_basis, d, nu, rng=None):
     return fallback
 
 
-def find_monoid_surface(curve, rng=None):
+def find_monoid_surface(curve):
     """Monoid surface through a curve; requires disjointness from z = w = 0."""
     inv = curve.invariants
     inv.require_bound()
     if not check_disjoint_line(curve.ideal):
         raise ValueError(
             "the curve meets the line z = w = 0; change coordinates first")
-    return _find_monoid_surface(curve.ideal, inv.d, inv.nu, rng)
+    return _find_monoid_surface(curve.ideal, inv.d, inv.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +415,17 @@ def specialize(curve, seed=0, max_retries=5):
     field = curve.field
     diagnostics = []
     for attempt in range(max_retries + 1):
-        rng = _attempt_rng(seed, attempt)
         if attempt == 0:
             change = CoordinateChange.identity(field)
         else:
-            change = CoordinateChange.random(field, rng)
+            change = CoordinateChange.random(field, _attempt_rng(seed, attempt))
         moved = transform_ideal(curve.ideal, change)
         if not check_disjoint_line(moved):
             diagnostics.append((attempt, "disjointness",
                                 "the curve meets the line z = w = 0"))
             continue
         try:
-            surface = _find_monoid_surface(moved, d, nu, rng)
+            surface = _find_monoid_surface(moved, d, nu)
         except MonoidSurfaceError as err:
             if not err.retryable:
                 raise SpecializationError(str(err), diagnostics) from err

@@ -169,8 +169,7 @@ def test_criterion_monoid_template_dimension():
         if len(columns) != expected:
             ok = False
         # the linear system over the successful coordinates has a solution
-        surface = _find_monoid_surface(report.transformed, d, nu,
-                                       random.Random(1))
+        surface = _find_monoid_surface(report.transformed, d, nu)
         if surface.equation.is_zero:
             ok = False
     rng = random.Random(4040)

@@ -67,6 +67,23 @@ def test_analyze_rejects_exponent_past_budget(tmp_path, capsys):
         "monomial slot holds\n")
 
 
+@pytest.mark.parametrize("header, generator, p", [
+    ("", "1/32003*x*y - z^2", 32003),
+    ("characteristic: 7\n", "7/7*y^2", 7)], ids=["gf32003", "gf7"])
+def test_denominator_vanishing_mod_p_is_invalid_input(tmp_path, capsys,
+                                                      header, generator, p):
+    path = tmp_path / "zero.ideal"
+    path.write_text(f"{header}generators:\n  {generator}\n  x\n",
+                    encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", f"error: {path}: a denominator vanishes modulo {p}\n")
+
+
+def test_main_builds_the_parser_once():
+    assert build_parser() is build_parser()
+
+
 def test_specialize_rational_quartic_json(tmp_path):
     out_json = tmp_path / "report.json"
     code, out = run_cli(["specialize", str(DATA / "rational_quartic.ideal"),
@@ -79,6 +96,20 @@ def test_specialize_rational_quartic_json(tmp_path):
     assert payload["d"] == 4 and payload["g"] == 0
     assert payload["branch"] == "general"
     assert "extremal: true" in out
+
+
+@pytest.mark.parametrize("source, seed", [
+    ("rational_quartic.ideal", "42"),   # general: surface, F, G and rows
+    ("twisted_cubic.ideal", "0"),       # ACM-boundary: rows of zeros
+    ("plane_quartic.ideal", "0")],      # plane: no rows
+    ids=["general", "acm-boundary", "plane"])
+def test_json_flag_prints_the_same_report(tmp_path, source, seed):
+    argv = ["specialize", str(DATA / source), "--seed", seed]
+    plain = run_cli(argv)
+    out_json = tmp_path / "report.json"
+    assert run_cli(argv + ["--json", str(out_json)]) == plain
+    assert json.loads(out_json.read_text(encoding="utf-8"))["seed"] == int(
+        seed)
 
 
 def test_specialize_boundary_exit_code():

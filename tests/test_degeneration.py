@@ -265,7 +265,7 @@ def test_monoid_surface_on_moved_quartic(gf):
     curve = fixture("rational-quartic", gf)
     moved, _ = random_coordinate_change(curve, seed=12)
     assert check_disjoint_line(moved.ideal)
-    surface = find_monoid_surface(moved, rng=random.Random(0))
+    surface = find_monoid_surface(moved)
     assert surface.equation.degree == curve.invariants.nu + 1
     assert moved.ideal.contains(surface.equation)
     assert not surface.g_form.is_zero
@@ -369,7 +369,7 @@ def test_monoid_kernel_is_empty_when_no_column_is_divided(gf, ring):
     assert _monoid_kernel(gb, columns) == [] == _reference_kernel(gb,
                                                                   columns)
     with pytest.raises(MonoidSurfaceError) as err:
-        _find_monoid_surface(basis, d, nu, random.Random(0))
+        _find_monoid_surface(basis, d, nu)
     assert err.value.retryable is False
 
 
@@ -414,8 +414,7 @@ def test_monoid_kernel_on_a_shape_failure(gf, d, k, divided):
 def test_surface_equation_is_built_from_its_forms(gf, name, seed):
     moved, _ = random_coordinate_change(fixture(name, gf), seed=seed)
     inv = moved.invariants
-    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
-                                   random.Random(0))
+    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu)
     ring = moved.ring
     x, y = ring.gen(0), ring.gen(1)
     expected = x * surface.g_form.to_polynomial(ring)
@@ -498,8 +497,7 @@ def test_monoid_search_divides_only_the_non_standard_columns(gf,
         return normal_form(self, f)
 
     monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
-    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
-                                   random.Random(0))
+    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu)
     # one division per non-standard column, then the membership re-check
     gb = moved.ideal.groebner(WeightRefinedOrder(pipeline_weights(inv.d), 4))
     divided = _non_standard(gb, monoid_template(inv.d, inv.nu))
@@ -508,21 +506,23 @@ def test_monoid_search_divides_only_the_non_standard_columns(gf,
         surface.equation]
 
 
-def test_monoid_search_combines_a_larger_kernel(gf):
+def test_monoid_search_on_a_larger_kernel(gf):
     # one degree above nu the rational quartic's kernel has dimension 11
-    # and holds vectors with G = 0, so the seeded combinations, the skip
-    # of candidates without G and the fallback all run
+    # and holds vectors with G = 0, which are skipped; no vector has a
+    # coprime G and F_(d-1), so the search falls back to the first with G
     curve = fixture("rational-quartic", gf)
     d, nu = curve.invariants.d, curve.invariants.nu + 1
     columns = monoid_template(d, nu)
     kernel = _monoid_kernel(curve.ideal.groebner(), columns)
     assert len(kernel) == 11
     assert any(not any(vec[:nu + 1]) for vec in kernel)
-    surface = _find_monoid_surface(curve.ideal, d, nu, random.Random(0))
+    surface = _find_monoid_surface(curve.ideal, d, nu)
     assert curve.ideal.contains(surface.equation)
     assert not surface.g_form.is_zero
-    assert _find_monoid_surface(curve.ideal, d, nu,
-                                random.Random(0)) == surface
+    first = next(vec for vec in kernel if any(vec[:nu + 1]))
+    assert ({e for e, c in zip(columns, first) if c}
+            == {e for e, _ in surface.equation.terms})
+    assert _find_monoid_surface(curve.ideal, d, nu) == surface
 
 
 def _dense_ci24(field, seed):
@@ -538,7 +538,7 @@ def _dense_ci24(field, seed):
 
 # moved curves and the dimension of their monoid kernel; over GF(7) the
 # dense CI(2, 4) moved by seed 0 has a kernel of dimension 12, so the
-# seeded random combinations run
+# search walks several kernel vectors
 SURFACE_BASIS_CASES = [
     (lambda: fixture("quintic-g2", PrimeField()), 3, 1),
     (lambda: fixture("extremal:6:3", PrimeField()), 5, 1),
@@ -563,14 +563,12 @@ def test_monoid_surface_is_the_same_from_either_basis(build, seed, dim,
                           moved.ideal.groebner(weight))]
     assert len(kernels[0]) == dim
     assert kernels[0] == kernels[1]
-    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu,
-                                   random.Random(0))
+    surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu)
     # the same search with every basis request answered in grevlex
     groebner = IdealBasis.groebner
     monkeypatch.setattr(IdealBasis, "groebner",
                         lambda self, order=None: groebner(self))
-    assert _find_monoid_surface(moved.ideal, inv.d, inv.nu,
-                                random.Random(0)) == surface
+    assert _find_monoid_surface(moved.ideal, inv.d, inv.nu) == surface
 
 
 def _seeded_rational(d):
@@ -600,7 +598,7 @@ def test_one_template_column_is_not_standard(case):
     # the (d, 2, 1, 1) basis's leads lie in the initial ideal of the
     # limit (x^2, x*y, y^d, x*G - y^(d-1)*F), and of the template only
     # the lead of x*G - y^(d-1)*F is in there; so `_monoid_kernel`
-    # divides one column and the kernel is the surface alone
+    # divides one column and the kernel is the reported surface alone
     build, seed = ONE_COLUMN_CASES[case]
     moved, _ = random_coordinate_change(build(), seed=seed)
     report = specialize(moved, seed=0)
@@ -614,6 +612,8 @@ def test_one_template_column_is_not_standard(case):
     assert _non_standard(gb, columns) == mixed and len(mixed) == 1
     kernel = _monoid_kernel(gb, columns)
     assert len(kernel) == 1
+    assert ({e for e, c in zip(columns, kernel[0]) if c}
+            == {e for e, _ in report.surface.equation.terms})
 
 
 def test_initial_ideal_finds_the_monoid_stage_basis(gf, monkeypatch):
@@ -629,7 +629,7 @@ def test_initial_ideal_finds_the_monoid_stage_basis(gf, monkeypatch):
 
     monkeypatch.setattr(groebner_module, "buchberger", recording)
     assert check_disjoint_line(moved.ideal)
-    _find_monoid_surface(moved.ideal, inv.d, inv.nu, random.Random(0))
+    _find_monoid_surface(moved.ideal, inv.d, inv.nu)
     assert orders == [GrevlexOrder(4), WeightRefinedOrder(omega, 4)]
     initial_ideal(moved.ideal, omega)
     assert len(orders) == 2
