@@ -61,7 +61,7 @@ def load_ideal_file(path, char_override=None):
                 in_generators = True
                 if tail.strip():
                     generator_lines.extend(
-                        p for p in tail.split(",") if p.strip())
+                        (lineno, p) for p in tail.split(",") if p.strip())
         elif sep and key in _KNOWN_KEYS and in_generators:
             raise ParseError(f"{path}:{lineno}: header key after generators")
         elif sep and not in_generators and key.isidentifier() and " " not in head.strip():
@@ -71,7 +71,7 @@ def load_ideal_file(path, char_override=None):
                 raise ParseError(
                     f"{path}:{lineno}: generator before 'generators:' header")
             entry = line.lstrip("-").strip() if line.startswith("- ") else line
-            generator_lines.append(entry)
+            generator_lines.append((lineno, entry))
     if not generator_lines:
         raise ParseError(f"{path}: no generators found")
     if char_override is not None:
@@ -83,11 +83,15 @@ def load_ideal_file(path, char_override=None):
     except ValueError as err:
         raise ParseError(f"{path}: {err}") from None
     ring = curve_ring(field)
-    try:
-        gens = [parse_polynomial(ring, text) for text in generator_lines]
-    except ZeroDivisionError:
-        raise ParseError(f"{path}: a denominator vanishes modulo "
-                         f"{characteristic}") from None
+    gens = []
+    for lineno, text in generator_lines:
+        try:
+            gens.append(parse_polynomial(ring, text))
+        except ParseError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
+        except ZeroDivisionError:
+            raise ParseError(f"{path}: a denominator vanishes modulo "
+                             f"{characteristic}") from None
     basis = IdealBasis(ring, gens)
     if not basis.homogeneous:
         raise ParseError(f"{path}: generators are not homogeneous")

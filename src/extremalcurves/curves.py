@@ -218,11 +218,17 @@ class CurveIdeal:
 
 
 def _extremal_generators(ring, d, f_form, g_form):
-    """x^2, x*y, y^d and x*G - y^(d-1)*F."""
-    x, y = ring.gen(0), ring.gen(1)
-    y_top = y ** (d - 1)
-    return (x * x, x * y, y_top * y,
-            x * g_form.to_polynomial(ring) - y_top * f_form.to_polynomial(ring))
+    """x^2, x*y, y^d and x*G - y^(d-1)*F, the last built from its terms."""
+    pad = ZERO_EXP[CURVE_ARITY:]
+    neg = ring.field.neg
+    nu, a = g_form.degree, f_form.degree
+    mixed = {(1, 0, nu - i, i) + pad: c for i, c in enumerate(g_form.coeffs)}
+    mixed.update(((0, d - 1, a - i, i) + pad, neg(c))
+                 for i, c in enumerate(f_form.coeffs))
+    return (ring.monomial((2, 0, 0, 0) + pad),
+            ring.monomial((1, 1, 0, 0) + pad),
+            ring.monomial((0, d, 0, 0) + pad),
+            Polynomial.from_dict(ring, mixed))
 
 
 def extremal_curve(field, d, g, f_form, g_form):

@@ -11,10 +11,10 @@ a posteriori, so an unlucky draw is detected and retried.
 import random
 from dataclasses import dataclass
 
-from .orders import CAPACITY, GUARD, WeightRefinedOrder, pack_exponent
+from .orders import CAPACITY, ZERO_EXP, WeightRefinedOrder
 from .poly import BinaryForm, Polynomial, binary_forms_coprime
-from .groebner import (IdealBasis, ideal_equal, ideal_quotient_poly,
-                       initial_ideal, saturate_irrelevant)
+from .groebner import (IdealBasis, ideal_quotient_poly, initial_ideal,
+                       saturate_irrelevant)
 from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
                       _trim, hilbert)
 from .curves import (CURVE_ARITY, CoordinateChange, Invariants,
@@ -121,8 +121,11 @@ class MonoidSurface:
 
 
 def monoid_template(d, nu):
-    """Exponent columns of the search space: x*z^i*w^(nu-i) and
-    y^j*z^i*w^(nu+1-j-i); the dimension is (nu+1)(d+1)+1-(d-1)(d-2)/2."""
+    """Exponent columns of the search space, laid out in blocks: first the
+    x-columns x*z^i*w^(nu-i) for i = 0..nu, then for j = 0..d-1 the
+    y-columns y^j*z^i*w^(m-i) with m = nu+1-j and i = 0..m, the block of
+    y^j starting at index `_y_start(nu, j)`; the dimension is
+    (nu+1)(d+1)+1-(d-1)(d-2)/2."""
     columns = []
     for i in range(nu + 1):
         e = [0] * CAPACITY
@@ -138,6 +141,46 @@ def monoid_template(d, nu):
     if len(columns) != expected:
         raise AssertionError("template dimension count failed")
     return columns
+
+
+def _y_start(nu, j):
+    """Index of y^j*w^(nu+1-j), the first column of the template's y^j
+    block: nu+1 x-columns, then nu+2-k columns for each y^k with k < j.
+    At j = d it is the template's dimension."""
+    return nu + 1 + j * (nu + 2) - j * (j - 1) // 2
+
+
+def _template_index(e, d, nu):
+    """Index in `monoid_template(d, nu)` of exponent e, or None when e is
+    not a template column."""
+    if sum(e) != nu + 1:
+        return None
+    if e[0] == 1 and e[1] == 0:
+        return e[2]
+    if e[0] == 0 and e[1] < d:
+        return _y_start(nu, e[1]) + e[2]
+    return None
+
+
+def _divided_columns(leads, d, nu):
+    """{index: exponent} of the template columns that some lead divides,
+    by ascending index.  Read off the layout, without testing each column:
+    a lead (lx, ly, lz, lw) divides x*z^i*w^(nu-i) exactly when lx <= 1,
+    ly = 0 and lz <= i <= nu-lw, and y^j*z^i*w^(m-i) exactly when lx = 0,
+    j >= ly and lz <= i <= m-lw."""
+    pad = ZERO_EXP[CURVE_ARITY:]
+    found = {}
+    for lx, ly, lz, lw, *_ in leads:
+        if lx <= 1 and ly == 0:
+            for i in range(lz, nu - lw + 1):
+                found[i] = (1, 0, i, nu - i) + pad
+        if lx == 0:
+            # the y^j blocks with m = nu+1-j >= lz+lw
+            for j in range(ly, min(d - 1, nu + 1 - lz - lw) + 1):
+                m, start = nu + 1 - j, _y_start(nu, j)
+                for i in range(lz, m - lw + 1):
+                    found[start + i] = (0, j, i, m - i) + pad
+    return {col: found[col] for col in sorted(found)}
 
 
 def _monoid_forms(poly, nu, powers):
@@ -160,35 +203,31 @@ def _monoid_forms(poly, nu, powers):
             tuple(BinaryForm(field, f) for f in f_coeffs.values()))
 
 
-def _monoid_kernel(gb, columns):
+def _monoid_kernel(gb, d, nu):
     """Kernel of the template's normal forms under a reduced basis, as
-    dense vectors over the columns: the `linalg.nullspace` of the rows
-    {column: coefficient}, one per standard monomial.
+    dense vectors over the columns of `monoid_template(d, nu)`: the
+    `linalg.nullspace` of the rows {column: coefficient}, one per standard
+    monomial.
 
-    The system is solved only on the columns that division touches: the
-    non-standard columns and the standard ones that their forms hold.  A
-    standard column is its own form, so one that no form holds is alone
-    in its row and zero in every kernel vector.  The touched columns keep
-    their template order, and the reduced row echelon form is unique, so
-    the free columns and the basis vectors are those of the whole system.
+    The columns that a lead divides are read off the template's layout
+    (`_divided_columns`), so the work grows with the leads and those
+    columns, not with the template.  The system is solved only on the
+    columns that division touches: the non-standard columns and the
+    standard ones that their forms hold.  A standard column is its own
+    form, so one that no form holds is alone in its row and zero in every
+    kernel vector.  The touched columns keep their template order, and
+    the reduced row echelon form is unique, so the free columns and the
+    basis vectors are those of the whole system.
     """
     field = gb.ring.field
-    leads = [pack_exponent(e) for e in gb.lead_exponents()]
-    divided = []
-    for col, e in enumerate(columns):
-        guarded = pack_exponent(e) | GUARD  # `_divides`, b | GUARD hoisted
-        for lead in leads:
-            if (guarded - lead) & GUARD == GUARD:
-                divided.append(col)
-                break
+    divided = _divided_columns(gb.lead_exponents(), d, nu)
     rows = {}       # standard monomial -> {column: coefficient}
-    for col in divided:
-        form = gb.normal_form(gb.ring.monomial(columns[col]))
-        for e, c in form.terms:
-            rows.setdefault(e, {})[col] = c
-    position = {e: col for col, e in enumerate(columns)}
+    for col, e in divided.items():
+        form = gb.normal_form(gb.ring.monomial(e))
+        for t, c in form.terms:
+            rows.setdefault(t, {})[col] = c
     for e, row in rows.items():
-        col = position.get(e)
+        col = _template_index(e, d, nu)
         if col is not None:
             row[col] = field.one    # a standard column is its own form
     touched = sorted(set(divided).union(*rows.values()))
@@ -198,7 +237,7 @@ def _monoid_kernel(gb, columns):
                 for row in rows.values()], len(touched))
     vectors = []
     for vec in kernel:
-        full = [field.zero] * len(columns)
+        full = [field.zero] * _y_start(nu, d)
         for col, c in zip(touched, vec):
             full[col] = c
         vectors.append(full)
@@ -222,13 +261,13 @@ def _find_monoid_surface(ideal_basis, d, nu):
     field = ring.field
     gb = ideal_basis.groebner(
         WeightRefinedOrder(pipeline_weights(d), CURVE_ARITY))
-    columns = monoid_template(d, nu)
-    kernel = _monoid_kernel(gb, columns)
+    kernel = _monoid_kernel(gb, d, nu)
     if not kernel:
         raise MonoidSurfaceError(
             "the linear system for the surface has no nonzero solution; "
             "the input invariants are inconsistent with a curve",
             retryable=False)
+    columns = monoid_template(d, nu)
     fallback = None
     for vec in kernel:
         # G's coefficients by ascending w-power: the x columns, last first;
@@ -293,7 +332,27 @@ def _fail(inv, clause):
 def verify_extremal_shape(ideal_basis, d, g):
     """Check that an ideal is exactly x^2, x*y, y^d, x*G - y^(d-1)*F with
     coprime forms of degrees a+l and a, and that its Rao dimensions meet
-    the sharp bound at every twist."""
+    the sharp bound at every twist.
+
+    The rebuilt ideal is compared with the input through its grevlex
+    basis, known in closed form.  Lemma: for d >= 2, a >= 1 and nonzero G
+    and F, the four polynomials x^2, x*y, y^d and h = x*G - y^(d-1)*F,
+    made monic, are a reduced Groebner basis in every term order.  Proof,
+    by Buchberger's criterion (Cox, Little & O'Shea, Ideals, Varieties,
+    and Algorithms, sections 2.6 and 2.9):
+    - if the lead of h is an x-term, S(x^2, h) = -x*tail(h) has each term
+      divisible by x^2 or x*y, and S(x*y, h) = -y*tail(h) each by x*y or
+      y^d, so both reduce to zero; the leads of y^d and h are coprime;
+    - if it is a y-term, S(y^d, h) and S(x*y, h) are y*tail(h) and
+      x*tail(h) up to sign, and reduce to zero in the same way; the leads
+      of x^2 and h are coprime;
+    - every other pair is a pair of monomials.
+    It is reduced: no term of h is divisible by x^2, x*y or y^d, and the
+    lead of h has a factor z or w (nu = a+d-2 >= 1 and a >= 1), so it
+    divides none of them.  Hence the rebuilt ideal's grevlex basis is its
+    own generators in ascending order, and the two ideals are equal
+    exactly when the input's grevlex basis is that tuple.
+    """
     ring = ideal_basis.ring
     inv = Invariants(d, g)
     if d < 2 or inv.a <= 0:
@@ -318,8 +377,10 @@ def verify_extremal_shape(ideal_basis, d, g):
         return _fail(inv, "shape")
     if not binary_forms_coprime(f_form, g_form):
         return _fail(inv, "coprimality")
-    rebuilt = IdealBasis(ring, _extremal_generators(ring, d, f_form, g_form))
-    if not ideal_equal(ideal_basis, rebuilt):
+    grevlex = ideal_basis.groebner()
+    rebuilt = IdealBasis(grevlex.ring, _extremal_generators(
+        grevlex.ring, d, f_form, g_form))
+    if grevlex.elements != rebuilt.generators:
         return _fail(inv, "ideal-equality")
     rao = _rao_dims(a, inv.l)
     bound = inv.rho_table()

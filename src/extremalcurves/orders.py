@@ -184,8 +184,7 @@ class WeightRefinedOrder:
         self.weights = weights
 
     def weight_degree(self, e):
-        w = self.weights
-        return sum(e[i] * w[i] for i in range(self.arity))
+        return sum(map(mul, self.weights, e))
 
     def key(self, e):
         return (self.weight_degree(e),) + _grevlex_key(e, self.arity)

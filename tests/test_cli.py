@@ -80,6 +80,21 @@ def test_denominator_vanishing_mod_p_is_invalid_input(tmp_path, capsys,
         "", f"error: {path}: a denominator vanishes modulo {p}\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("characteristic: 32003\nvariables: x y z w\ngenerators:\n"
+     "  x*y - * z\n  x\n", 4, "unexpected token '*'"),
+    ("characteristic: 0\ngenerators:\n  - x\n  # a comment\n\n"
+     "  - 1/0*y^2\n", 6, "malformed fraction coefficient"),
+    ("generators: x, y - * z\n", 1, "unexpected token '*'")],
+    ids=["malformed", "zero-denominator-qq", "header-line"])
+def test_generator_parse_errors_name_the_file_and_line(tmp_path, capsys,
+                                                       text, line, message):
+    path = tmp_path / "bad.ideal"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {path}:{line}: {message}\n")
+
+
 def test_main_builds_the_parser_once():
     assert build_parser() is build_parser()
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             PolyRing, PrimeField, SpecializationError,
@@ -15,12 +16,15 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             specialize, verify_extremal_shape)
 from extremalcurves import groebner as groebner_module, linalg
 from extremalcurves.cli import report_to_dict
-from extremalcurves.curves import line_xy
+from extremalcurves.curves import _extremal_generators, line_xy
 from extremalcurves.degeneration import (MonoidSurfaceError,
+                                         _divided_columns,
                                          _find_monoid_surface, _monoid_forms,
-                                         _monoid_kernel, pipeline_weights)
-from extremalcurves.groebner import GrevlexOrder, GroebnerBasis, IdealBasis
-from extremalcurves.orders import WeightRefinedOrder
+                                         _monoid_kernel, _template_index,
+                                         _y_start, pipeline_weights)
+from extremalcurves.groebner import (GrevlexOrder, GroebnerBasis, IdealBasis,
+                                     buchberger)
+from extremalcurves.orders import ZERO_EXP, WeightRefinedOrder
 
 import oracles
 from test_poly import random_poly
@@ -302,11 +306,10 @@ def _reference_kernel(gb, columns):
     return linalg.nullspace(field, rows, len(columns))
 
 
-def _non_standard(gb, columns):
-    """The template columns that a lead of the basis divides."""
+def _non_standard(leads, columns):
+    """The template columns that one of the leads divides."""
     return [e for e in columns
-            if any(all(map(int.__le__, lead, e))
-                   for lead in gb.lead_exponents())]
+            if any(all(map(int.__le__, lead, e)) for lead in leads)]
 
 
 def _check_monoid_kernel(name, field, seed, weighted):
@@ -319,7 +322,8 @@ def _check_monoid_kernel(name, field, seed, weighted):
     gb = curve.ideal.groebner(
         WeightRefinedOrder(pipeline_weights(inv.d), 4) if weighted else None)
     columns = monoid_template(inv.d, inv.nu)
-    assert _monoid_kernel(gb, columns) == _reference_kernel(gb, columns)
+    assert (_monoid_kernel(gb, inv.d, inv.nu)
+            == _reference_kernel(gb, columns))
 
 
 @pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=MONOID_IDS)
@@ -349,7 +353,7 @@ def test_monoid_kernel_frees_a_column_inside_the_ideal(field, weighted):
     columns = monoid_template(inv.d, inv.nu)
     col = columns.index(inside.lead_exponent)
     assert gb.normal_form(inside).is_zero
-    kernel = _monoid_kernel(gb, columns)
+    kernel = _monoid_kernel(gb, inv.d, inv.nu)
     assert kernel == _reference_kernel(gb, columns)
     unit = [field.zero] * len(columns)
     unit[col] = field.one
@@ -365,12 +369,49 @@ def test_monoid_kernel_is_empty_when_no_column_is_divided(gf, ring):
     weight = WeightRefinedOrder(pipeline_weights(d), 4)
     columns = monoid_template(d, nu)
     gb = basis.groebner(weight)
-    assert _non_standard(gb, columns) == []
-    assert _monoid_kernel(gb, columns) == [] == _reference_kernel(gb,
-                                                                  columns)
+    assert _non_standard(gb.lead_exponents(), columns) == []
+    assert _monoid_kernel(gb, d, nu) == [] == _reference_kernel(gb, columns)
     with pytest.raises(MonoidSurfaceError) as err:
         _find_monoid_surface(basis, d, nu)
     assert err.value.retryable is False
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_template_layout_in_closed_form(d):
+    # `_y_start` and `_template_index` against the template as built, on
+    # every exponent of its degree
+    for nu in range(d - 2, d + 3):
+        columns = monoid_template(d, nu)
+        assert _y_start(nu, d) == len(columns)
+        for j in range(d):
+            assert columns[_y_start(nu, j)] == (0, j, 0, nu + 1 - j) + ZERO_EXP[4:]
+        for e in oracles.monomials(4, nu + 1):
+            expected = columns.index(e) if e in columns else None
+            assert _template_index(e, d, nu) == expected
+
+
+_LEAD = st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 8),
+                  st.integers(0, 8))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(d=st.integers(2, 6), a=st.integers(0, 4),
+       leads=st.lists(_LEAD, max_size=5))
+@example(d=4, a=1, leads=[(0, 0, 1, 2)])      # divides x-columns too
+@example(d=3, a=0, leads=[(0, 0, 0, 0)])      # the unit lead
+@example(d=5, a=2, leads=[(2, 0, 0, 1), (1, 1, 1, 0), (1, 0, 2, 0)])
+def test_divided_columns_match_the_scan(d, a, leads):
+    # the divided columns read off the layout are those that the scan of
+    # every column finds, in the same order; leads with lx = ly = 0 divide
+    # x-columns as well as y-columns, and lx >= 2 or lx, ly > 0 divide none
+    # or only x-columns
+    nu = a + d - 2
+    columns = monoid_template(d, nu)
+    padded = [lead + ZERO_EXP[4:] for lead in leads]
+    divided = _divided_columns(padded, d, nu)
+    expected = _non_standard(padded, columns)
+    assert list(divided.values()) == expected
+    assert [columns[col] for col in divided] == expected
 
 
 def _form_product(a, b):
@@ -405,8 +446,9 @@ def test_monoid_kernel_on_a_shape_failure(gf, d, k, divided):
     inv = curve.invariants
     gb = curve.ideal.groebner(WeightRefinedOrder(pipeline_weights(d), 4))
     columns = monoid_template(inv.d, inv.nu)
-    assert len(_non_standard(gb, columns)) == divided
-    assert _monoid_kernel(gb, columns) == _reference_kernel(gb, columns)
+    assert len(_non_standard(gb.lead_exponents(), columns)) == divided
+    assert (_monoid_kernel(gb, inv.d, inv.nu)
+            == _reference_kernel(gb, columns))
 
 
 @pytest.mark.parametrize("name, seed", [("rational-quartic", 12),
@@ -500,7 +542,8 @@ def test_monoid_search_divides_only_the_non_standard_columns(gf,
     surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu)
     # one division per non-standard column, then the membership re-check
     gb = moved.ideal.groebner(WeightRefinedOrder(pipeline_weights(inv.d), 4))
-    divided = _non_standard(gb, monoid_template(inv.d, inv.nu))
+    divided = _non_standard(gb.lead_exponents(),
+                            monoid_template(inv.d, inv.nu))
     assert len(divided) == 1
     assert calls == [gb.ring.monomial(e) for e in divided] + [
         surface.equation]
@@ -513,7 +556,7 @@ def test_monoid_search_on_a_larger_kernel(gf):
     curve = fixture("rational-quartic", gf)
     d, nu = curve.invariants.d, curve.invariants.nu + 1
     columns = monoid_template(d, nu)
-    kernel = _monoid_kernel(curve.ideal.groebner(), columns)
+    kernel = _monoid_kernel(curve.ideal.groebner(), d, nu)
     assert len(kernel) == 11
     assert any(not any(vec[:nu + 1]) for vec in kernel)
     surface = _find_monoid_surface(curve.ideal, d, nu)
@@ -556,9 +599,8 @@ def test_monoid_surface_is_the_same_from_either_basis(build, seed, dim,
     moved, _ = random_coordinate_change(build(), seed=seed)
     assert check_disjoint_line(moved.ideal)
     field, inv = moved.field, moved.invariants
-    columns = monoid_template(inv.d, inv.nu)
     weight = WeightRefinedOrder(pipeline_weights(inv.d), 4)
-    kernels = [_monoid_kernel(gb, columns)
+    kernels = [_monoid_kernel(gb, inv.d, inv.nu)
                for gb in (moved.ideal.groebner(),
                           moved.ideal.groebner(weight))]
     assert len(kernels[0]) == dim
@@ -609,8 +651,9 @@ def test_one_template_column_is_not_standard(case):
     columns = monoid_template(inv.d, inv.nu)
     mixed = [g.lead_exponent for g in report.limit.groebner(weight)
              if g.lead_exponent in columns]
-    assert _non_standard(gb, columns) == mixed and len(mixed) == 1
-    kernel = _monoid_kernel(gb, columns)
+    assert _non_standard(gb.lead_exponents(), columns) == mixed
+    assert len(mixed) == 1
+    kernel = _monoid_kernel(gb, inv.d, inv.nu)
     assert len(kernel) == 1
     assert ({e for e, c in zip(columns, kernel[0]) if c}
             == {e for e, _ in report.surface.equation.terms})
@@ -701,6 +744,68 @@ def test_verify_extremal_wrong_ideal_clause(gf, ring):
     # x^2 does not lie in the rational quartic's ideal
     quartic = fixture("rational-quartic", gf).ideal
     assert verify_extremal_shape(quartic, 4, 0).failure == "membership"
+
+
+def _sparse_form(field, degree, rng):
+    """A nonzero binary form with about a third of its coefficients set."""
+    while True:
+        form = BinaryForm(field, [field.random_element(rng)
+                                  if rng.random() < 0.35 else field.zero
+                                  for _ in range(degree + 1)])
+        if not form.is_zero:
+            return form
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@pytest.mark.parametrize("d", range(2, 6))
+def test_rebuilt_generators_are_their_own_reduced_basis(field, d):
+    # the lemma behind the certificate's comparison: x^2, x*y, y^d and
+    # x*G - y^(d-1)*F, made monic, are a reduced basis in every term
+    # order, for dense, sparse and non-coprime forms
+    rng = random.Random(d)
+    ring = curve_ring(field)
+    x, y = ring.gen(0), ring.gen(1)
+    orders = [GrevlexOrder(4), WeightRefinedOrder(pipeline_weights(d), 4)]
+    while len(orders) < 4:
+        weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(4)]
+        if any(weights):
+            orders.append(WeightRefinedOrder(weights, 4))
+    for a in (1, 2, 3):
+        nu = a + d - 2
+        common = BinaryForm.random(field, 1, rng)
+        pairs = [
+            (BinaryForm.random(field, a, rng),
+             BinaryForm.random(field, nu, rng)),
+            (_sparse_form(field, a, rng), _sparse_form(field, nu, rng)),
+            (_form_product(common, BinaryForm.random(field, a - 1, rng)),
+             _form_product(common, BinaryForm.random(field, nu - 1, rng)))]
+        for f_form, g_form in pairs:
+            gens = _extremal_generators(ring, d, f_form, g_form)
+            assert gens == (x * x, x * y, y ** d,
+                            x * g_form.to_polynomial(ring)
+                            - y ** (d - 1) * f_form.to_polynomial(ring))
+            for order in orders:
+                basis = buchberger(IdealBasis(ring, gens), order)
+                assert (basis.elements
+                        == IdealBasis(ring.with_order(order), gens).generators)
+
+
+def test_verify_extremal_ideal_equality_clause(gf, monkeypatch):
+    # the rebuild is made from the limit's own weight basis, so only a
+    # rebuild that differs from it fails the comparison
+    from extremalcurves import degeneration
+    curve = fixture("extremal:6:3", gf)
+    assert verify_extremal_shape(curve.ideal, 6, 3).extremal
+    rebuild = degeneration._extremal_generators
+
+    def perturbed(ring, d, f_form, g_form):
+        doubled = BinaryForm(gf, [gf.add(c, c) for c in f_form.coeffs])
+        return rebuild(ring, d, doubled, g_form)
+
+    monkeypatch.setattr(degeneration, "_extremal_generators", perturbed)
+    cert = verify_extremal_shape(curve.ideal, 6, 3)
+    assert (cert.extremal, cert.failure) == (False, "ideal-equality")
 
 
 # ------------------------------------------------------------------- families
