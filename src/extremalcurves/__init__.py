@@ -9,15 +9,14 @@ with its extremal certificates.
 from .fields import (QQ, DEFAULT_MODULUS, ContextMismatchError, PrimeField,
                      RationalField, field_of_characteristic)
 from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, BlockEliminationOrder,
-                     GrevlexOrder, WeightRefinedOrder, compare_monomials)
+                     GrevlexOrder, WeightRefinedOrder)
 from .poly import (BinaryForm, ParseError, PolyRing, Polynomial,
                    binary_forms_coprime, parse_polynomial,
                    polynomial_to_string)
 from .groebner import (GroebnerBasis, IdealBasis, buchberger, divide_exact,
                        eliminate, ideal, ideal_equal, ideal_intersect,
                        ideal_quotient, ideal_quotient_poly, initial_ideal,
-                       is_groebner, restrict_to_ring, saturate_irrelevant,
-                       saturate_variable)
+                       is_groebner, saturate_irrelevant, saturate_variable)
 from .hilbert import HilbertData, hilbert
 from .curves import (CoordinateChange, CurveIdeal, Invariants,
                      complete_intersection, curve_ring, extremal_curve,

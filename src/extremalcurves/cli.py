@@ -241,6 +241,9 @@ def cmd_rho(args):
 
 
 def cmd_demo(args):
+    if args.json and not args.specialize:
+        raise ValueError("--json needs --specialize, whose certificate "
+                         "it writes")
     field = field_of_characteristic(args.char if args.char is not None
                                     else DEFAULT_MODULUS)
     try:

@@ -118,9 +118,6 @@ class PrimeField:
     def random_element(self, rng):
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -188,10 +185,6 @@ class RationalField:
     def random_element(self, rng):
         # small integers keep coefficient growth tame in exact runs
         return Fraction(rng.randint(-9, 9))
-
-    def random_nonzero(self, rng):
-        n = rng.randint(1, 9)
-        return Fraction(-n if rng.randint(0, 1) else n)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -660,10 +660,6 @@ def eliminate(ideal_basis, front):
     return IdealBasis(ring, kept)
 
 
-def restrict_to_ring(ideal_basis, ring):
-    return IdealBasis(ring, [g.in_ring(ring) for g in ideal_basis.generators])
-
-
 def _extension(ring):
     if ring.arity >= MAX_ARITY:
         raise ValueError("no auxiliary variable slot left for this construction")
@@ -682,7 +678,7 @@ def ideal_intersect(a, b):
     gens = [t * f.in_ring(ext) for f in a.generators]
     gens += [(one - t) * g.in_ring(ext) for g in b.generators]
     elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
-    return restrict_to_ring(elim, ring)
+    return IdealBasis(ring, elim.generators)
 
 
 def divide_exact(f, g):

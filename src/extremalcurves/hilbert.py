@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .orders import GrevlexOrder, exp_degree
+from .orders import GrevlexOrder
 
 
 def _minimalize(exps):
     out = []
-    for m in sorted(exps, key=exp_degree):
+    for m in sorted(exps, key=sum):
         if all(any(g[i] > m[i] for i in range(len(m))) for g in out):
             out.append(m)
     return out
@@ -61,14 +61,14 @@ def _series_numerator(gens):
     gens = _minimalize(gens)
     if not gens:
         return [1]
-    if any(exp_degree(m) == 0 for m in gens):
+    if any(sum(m) == 0 for m in gens):
         return [0]
     mixed = [m for m in gens if _support_size(m) > 1]
     if len(mixed) <= 1:
         pure = [m for m in gens if _support_size(m) == 1]
         num = [1]
         for p in pure:
-            num = _poly_mul_int(num, _one_minus_power(exp_degree(p)))
+            num = _poly_mul_int(num, _one_minus_power(sum(p)))
         if mixed:
             m = mixed[0]
             quot = [1]
@@ -76,7 +76,7 @@ def _series_numerator(gens):
                 slot = next(i for i, v in enumerate(p) if v)
                 # minimality forces m[slot] < p[slot]
                 quot = _poly_mul_int(quot, _one_minus_power(p[slot] - m[slot]))
-            shifted = [0] * exp_degree(m) + quot
+            shifted = [0] * sum(m) + quot
             num = _poly_add_int(num, [-c for c in shifted])
         return _trim(num)
     counts = {}
@@ -101,7 +101,7 @@ def _numerator_plus(numerator, gens, m):
     colon = _series_numerator(
         [tuple(a - b if a > b else 0 for a, b in zip(g, m)) for g in gens])
     return _trim(_poly_add_int(
-        numerator, [0] * exp_degree(m) + [-c for c in colon]))
+        numerator, [0] * sum(m) + [-c for c in colon]))
 
 
 def _hilbert_function(numerator, arity, n):

@@ -31,9 +31,6 @@ MAX_ARITY = len(VAR_NAMES)
 
 ZERO_EXP = (0,) * CAPACITY
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
 def exp_from_var(index, power=1):
     if not 0 <= index < MAX_ARITY:
         raise ValueError(f"variable slot {index} out of range")
@@ -44,10 +41,6 @@ def exp_from_var(index, power=1):
 
 def exp_mul(a, b):
     return tuple(a[i] + b[i] for i in range(CAPACITY))
-
-
-def exp_degree(e):
-    return sum(e)
 
 
 def exp_supported_within(e, arity):
@@ -240,19 +233,3 @@ class BlockEliminationOrder:
 
     def __repr__(self):
         return f"BlockEliminationOrder(front={self.front}, arity={self.arity})"
-
-
-def compare_monomials(u, v, order):
-    """Compare two exponents under an order; returns LESS, EQUAL or GREATER."""
-    for e in (u, v):
-        if len(e) != CAPACITY:
-            raise ValueError("exponent has wrong capacity")
-        if not exp_supported_within(e, order.arity):
-            raise ContextMismatchError(
-                "exponent uses variables outside the order's arity")
-    ku, kv = order.key(u), order.key(v)
-    if ku < kv:
-        return LESS
-    if ku > kv:
-        return GREATER
-    return EQUAL

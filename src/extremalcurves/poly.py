@@ -21,10 +21,9 @@ import re
 
 from .fields import ContextMismatchError
 from .orders import (CAPACITY, EXP_LIMIT, MAX_ARITY, SLOT_BITS, VAR_NAMES,
-                     ZERO_EXP, GrevlexOrder, WeightRefinedOrder, exp_degree,
-                     exp_from_var, exp_mul, exp_supported_within,
-                     exponent_limit_error, pack_exponent, term_key,
-                     unpack_exponent)
+                     ZERO_EXP, GrevlexOrder, WeightRefinedOrder, exp_from_var,
+                     exp_mul, exp_supported_within, exponent_limit_error,
+                     pack_exponent, term_key, unpack_exponent)
 from . import linalg
 
 
@@ -77,12 +76,6 @@ class PolyRing:
         if self.field.is_zero(c):
             return self.zero()
         return Polynomial(self, ((exponent, c),))
-
-    def constant(self, value):
-        c = self.field.coerce(value)
-        if self.field.is_zero(c):
-            return self.zero()
-        return Polynomial(self, ((ZERO_EXP, c),))
 
     def with_order(self, order):
         if order == self.order:
@@ -159,13 +152,13 @@ class Polynomial:
         """Total degree in the standard grading."""
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
-        return max(exp_degree(e) for e, _ in self.terms)
+        return max(sum(e) for e, _ in self.terms)
 
     @property
     def is_homogeneous(self):
         if not self.terms:
             return True
-        degs = {exp_degree(e) for e, _ in self.terms}
+        degs = {sum(e) for e, _ in self.terms}
         return len(degs) == 1
 
     def __eq__(self, other):
@@ -242,13 +235,6 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(lc))
 
-    def weight_degree(self, weights):
-        """Maximal weight of a monomial of the polynomial."""
-        if not self.terms:
-            raise ValueError("weight degree of the zero polynomial is undefined")
-        grade = WeightRefinedOrder(weights, self.ring.arity).weight_degree
-        return max(grade(e) for e, _ in self.terms)
-
     def initial_form(self, weights):
         """Sum of the terms of maximal weight degree."""
         if not self.terms:
@@ -302,7 +288,7 @@ class Polynomial:
         field = ring.field
         rows = [[field.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
         linalg.mat_inverse(field, rows)  # raises ValueError when singular
-        top = max((exp_degree(e) for e, _ in self.terms), default=0)
+        top = max((sum(e) for e, _ in self.terms), default=0)
         if top > EXP_LIMIT:
             raise exponent_limit_error(top)
         reduce = field.reduce
@@ -477,10 +463,6 @@ class BinaryForm:
         self.field = field
         self.degree = len(coeffs) - 1
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, field, degree):
-        return cls(field, (field.zero,) * (degree + 1))
 
     @classmethod
     def monomial(cls, field, degree, w_power, coeff=1):

@@ -1,26 +1,32 @@
 """Independent brute-force oracles.
 
-Everything here but `saturate_poly` avoids the package's Groebner engine
-on purpose: graded dimensions come from rank computations on raw
-generator multiples, resultants from a Sylvester determinant, root
-searches from exhaustive enumeration, polynomial text from a
-token-at-a-time recursive-descent parser, linear substitutions from
-products of powers of the variables' images.  The tests compare engine
-output against these.  `saturate_poly` is the textbook saturation by
-elimination; it shares the engine's Buchberger but not its divide-out
-route to I : v^infinity, which is held to it.
+Everything here but `saturate_poly` and `weight_basis_extremal_check`
+avoids the package's Groebner engine on purpose: graded dimensions come
+from rank computations on raw generator multiples, resultants from a
+Sylvester determinant, root searches from exhaustive enumeration,
+polynomial text from a token-at-a-time recursive-descent parser, linear
+substitutions from products of powers of the variables' images.  The
+tests compare engine output against these.  `saturate_poly` is the
+textbook saturation by elimination; it shares the engine's Buchberger but
+not its divide-out route to I : v^infinity, which is held to it.
+`weight_basis_extremal_check` reads the extremal shape off the (d, 2, 1, 1)
+basis and compares a rebuilt ideal with the input, where the certificate
+reads the grevlex basis alone.
 """
 
 import re
 from itertools import combinations_with_replacement
 
 from extremalcurves import linalg
+from extremalcurves.curves import Invariants, _extremal_generators
+from extremalcurves.degeneration import _monoid_forms, _rao_dims
 from extremalcurves.groebner import (IdealBasis, _extension,
                                      _normal_form_keyed, _packed_key, _spoly,
-                                     eliminate, restrict_to_ring)
-from extremalcurves.orders import (ZERO_EXP, exp_from_var, exp_mul,
-                                   int_key_weights, packed_lcm)
-from extremalcurves.poly import ParseError, Polynomial
+                                     eliminate)
+from extremalcurves.orders import (ZERO_EXP, WeightRefinedOrder,
+                                   exp_from_var, exp_mul, int_key_weights,
+                                   packed_lcm)
+from extremalcurves.poly import ParseError, Polynomial, binary_forms_coprime
 
 CAP = 5
 
@@ -473,7 +479,7 @@ def saturate_poly(ideal_basis, f):
     gens = [g.in_ring(ext) for g in ideal_basis.generators]
     gens.append(ext.one() - t * f.in_ring(ext))
     elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
-    return restrict_to_ring(elim, ring)
+    return IdealBasis(ring, elim.generators)
 
 
 def product_substitute_linear(poly, matrix):
@@ -499,7 +505,7 @@ def product_substitute_linear(poly, matrix):
 
     acc = {}
     for e, c in poly.terms:
-        term = ring.constant(c)
+        term = ring.monomial(ZERO_EXP, c)
         for i in range(n):
             if e[i]:
                 term = term * image_power(i, e[i])
@@ -523,3 +529,35 @@ def exhaustive_is_groebner(gb):
             if _normal_form_keyed(spair, reducers):
                 return False
     return True
+
+
+def weight_basis_extremal_check(ideal_basis, d, g):
+    """(extremal, failure, F, G) of the extremal-shape certificate with its
+    clauses read off the (d, 2, 1, 1) weight-order basis and the ideal
+    compared with one rebuilt from F and G through their grevlex bases."""
+    ring = ideal_basis.ring
+    inv = Invariants(d, g)
+    if d < 2 or inv.a <= 0:
+        return False, "invariants", None, None
+    x, y = ring.gen(0), ring.gen(1)
+    monomial_gens = (x * x, x * y, y ** d)
+    gb = ideal_basis.groebner(WeightRefinedOrder((d, 2, 1, 1), 4))
+    if not all(gb.contains(m) for m in monomial_gens):
+        return False, "membership", None, None
+    others = [e for e in gb.elements
+              if e.terms not in {m.terms for m in monomial_gens}]
+    forms = None
+    if len(gb.elements) == 4 and len(others) == 1:
+        forms = _monoid_forms(others[0], inv.nu, (d - 1,))
+    if forms is None or forms[0].is_zero or forms[1][0].is_zero:
+        return False, "shape", None, None
+    g_form, (f_form,) = forms
+    if not binary_forms_coprime(f_form, g_form):
+        return False, "coprimality", None, None
+    grevlex = ideal_basis.groebner()
+    rebuilt = IdealBasis(ring, _extremal_generators(ring, d, f_form, g_form))
+    if grevlex.elements != rebuilt.groebner().elements:
+        return False, "ideal-equality", None, None
+    if _rao_dims(inv.a, inv.l) != inv.rho_table():
+        return False, "rao-table", None, None
+    return True, None, f_form, g_form

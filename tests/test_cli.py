@@ -223,6 +223,14 @@ def test_demo_chained_specialize():
     assert "extremal: true" in out
 
 
+def test_demo_json_without_specialize_is_invalid(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(["demo", "extremal:4:0", "--json", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", "error: --json needs --specialize, whose certificate it writes\n")
+    assert not path.exists()
+
+
 def test_demo_roundtrip_reparses_to_same_ideal():
     gf = PrimeField()
     ring = curve_ring(gf)

@@ -77,7 +77,7 @@ def test_degenerate_parametrization_rejected(gf):
     su = BinaryForm.monomial(gf, 2, 1)
     u2 = BinaryForm.monomial(gf, 2, 2)
     with pytest.raises(ValueError):
-        from_parametrization(gf, (s2, su, u2, BinaryForm.zero(gf, 2)))
+        from_parametrization(gf, (s2, su, u2, BinaryForm(gf, [gf.zero] * 3)))
     # all four share the zero (0 : 1)
     with pytest.raises(ValueError):
         from_parametrization(gf, (s2, s2, su, su))

@@ -13,9 +13,10 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             ideal_equal, ideal_intersect, initial_ideal,
                             monoid_template, parse_polynomial,
                             random_coordinate_change, rao_dims_extremal,
-                            specialize, verify_extremal_shape)
+                            saturate_irrelevant, specialize,
+                            verify_extremal_shape)
 from extremalcurves import groebner as groebner_module, linalg
-from extremalcurves.cli import report_to_dict
+from extremalcurves.cli import load_ideal_file, report_to_dict
 from extremalcurves.curves import _extremal_generators, line_xy
 from extremalcurves.degeneration import (MonoidSurfaceError,
                                          _divided_columns,
@@ -27,6 +28,7 @@ from extremalcurves.groebner import (GrevlexOrder, GroebnerBasis, IdealBasis,
 from extremalcurves.orders import ZERO_EXP, WeightRefinedOrder
 
 import oracles
+from test_cli import DATA
 from test_poly import random_poly
 
 
@@ -735,7 +737,7 @@ def test_verify_extremal_boundary_rejected(gf, ring):
 def test_verify_extremal_wrong_ideal_clause(gf, ring):
     x, y, z, w = ring.gens()
     for extra in (z ** 4, z ** 5):
-        # the weight-order basis has six elements, not four
+        # the grevlex basis has six elements, not four
         not_extremal = ideal(x * x, x * y, y ** 4, x * w ** 3 - y ** 3 * z,
                              extra)
         cert = verify_extremal_shape(not_extremal, 4, 0)
@@ -760,9 +762,9 @@ def _sparse_form(field, degree, rng):
                          ids=["gf32003", "gf7", "qq"])
 @pytest.mark.parametrize("d", range(2, 6))
 def test_rebuilt_generators_are_their_own_reduced_basis(field, d):
-    # the lemma behind the certificate's comparison: x^2, x*y, y^d and
-    # x*G - y^(d-1)*F, made monic, are a reduced basis in every term
-    # order, for dense, sparse and non-coprime forms
+    # the lemma behind the certificate's reading of the grevlex basis:
+    # x^2, x*y, y^d and x*G - y^(d-1)*F, made monic, are a reduced basis
+    # in every term order, for dense, sparse and non-coprime forms
     rng = random.Random(d)
     ring = curve_ring(field)
     x, y = ring.gen(0), ring.gen(1)
@@ -791,21 +793,118 @@ def test_rebuilt_generators_are_their_own_reduced_basis(field, d):
                         == IdealBasis(ring.with_order(order), gens).generators)
 
 
-def test_verify_extremal_ideal_equality_clause(gf, monkeypatch):
-    # the rebuild is made from the limit's own weight basis, so only a
-    # rebuild that differs from it fails the comparison
+def _near_extremal_ideals(field, d, rng):
+    """(ideal, g) for x^2, x*y, y^d, h = x*G - y^(d-1)*F with coprime,
+    sparse and non-coprime pairs, a = 1..3, each also with G or F zero, a
+    stray term on h, an extra generator z^k or y^d dropped."""
+    ring = curve_ring(field)
+    x, y, z, w = ring.gens()
+    for a in (1, 2, 3):
+        nu = a + d - 2
+        g = (d - 2) * (d - 3) // 2 - a
+        common = BinaryForm.random(field, 1, rng)
+        pairs = [
+            (BinaryForm.random(field, a, rng),
+             BinaryForm.random(field, nu, rng)),
+            (_sparse_form(field, a, rng), _sparse_form(field, nu, rng)),
+            (_form_product(common, BinaryForm.random(field, a - 1, rng)),
+             _form_product(common, BinaryForm.random(field, nu - 1, rng)))]
+        zero_f = BinaryForm(field, [field.zero] * (a + 1))
+        zero_g = BinaryForm(field, [field.zero] * (nu + 1))
+        for f_form, g_form in pairs:
+            sq, xy, yd, h = _extremal_generators(ring, d, f_form, g_form)
+            variants = [
+                (sq, xy, yd, h),
+                _extremal_generators(ring, d, f_form, zero_g),
+                _extremal_generators(ring, d, zero_f, g_form),
+                (sq, xy, yd, h + z ** (nu + 1)),
+                (sq, xy, yd, h + y * w ** nu),
+                (sq, xy, yd, h + x * x * w ** (nu - 1)),   # reduces away
+                (sq, xy, yd, h, z ** (nu + 1)),
+                (sq, xy, yd, h, z ** (nu + 2)),
+                (sq, xy, h)]
+            for gens in variants:
+                yield IdealBasis(ring, gens), g
+
+
+def _certificate_summary(ideal_basis, d, g):
+    cert = verify_extremal_shape(ideal_basis, d, g)
+    return cert.extremal, cert.failure, cert.f_form, cert.g_form
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_certificate_matches_the_weight_basis_reference(field, d):
+    # every clause read off the grevlex basis gives the verdict, failing
+    # clause and forms of the weight-basis certificate with its rebuild
+    rng = random.Random(100 + d)
+    failures = set()
+    for basis, g in _near_extremal_ideals(field, d, rng):
+        expected = oracles.weight_basis_extremal_check(basis, d, g)
+        assert _certificate_summary(basis, d, g) == expected
+        failures.add(expected[1])
+    assert failures == {None, "membership", "shape", "coprimality"}
+
+
+def test_certificate_matches_the_reference_on_data_and_limits(gf):
+    # the loader refuses the inhomogeneous and malformed files
+    cases = []
+    for path in sorted(DATA.glob("*.ideal")):
+        try:
+            cases.append(load_ideal_file(path))
+        except ValueError:
+            continue
+    assert len(cases) == 6
+    for name, seed in (("rational-quartic", 1), ("extremal:6:3", 2),
+                       ("quintic-g2", 3)):
+        moved, _ = random_coordinate_change(fixture(name, gf), seed)
+        cases.append(saturate_irrelevant(initial_ideal(
+            moved.ideal, pipeline_weights(moved.degree))))
+    verdicts = set()
+    for basis in cases:
+        for d in range(2, 7):
+            for a in range(4):
+                g = (d - 2) * (d - 3) // 2 - a
+                expected = oracles.weight_basis_extremal_check(basis, d, g)
+                assert _certificate_summary(basis, d, g) == expected
+                verdicts.add(expected[1])
+    assert {None, "invariants", "coprimality"} <= verdicts
+
+
+def test_certificate_asks_only_for_the_grevlex_basis(gf, monkeypatch):
     from extremalcurves import degeneration
+    requested, runs, certified = [], [], []
+    groebner = IdealBasis.groebner
+    buchberger_run = groebner_module.buchberger
+    certify = degeneration.verify_extremal_shape
+
+    def recording_groebner(self, order=None):
+        requested.append((id(self), order or GrevlexOrder(self.ring.arity)))
+        return groebner(self, order)
+
+    def counting_buchberger(*args):
+        runs.append(args)
+        return buchberger_run(*args)
+
+    def recording_certify(limit, d, g):
+        requested.clear()
+        runs.clear()
+        cert = certify(limit, d, g)
+        assert set(requested) == {(id(limit), GrevlexOrder(4))}
+        assert runs == []
+        certified.append(cert)
+        return cert
+
+    monkeypatch.setattr(IdealBasis, "groebner", recording_groebner)
+    monkeypatch.setattr(groebner_module, "buchberger", counting_buchberger)
+    monkeypatch.setattr(degeneration, "verify_extremal_shape",
+                        recording_certify)
+    moved, _ = random_coordinate_change(fixture("extremal:6:3", gf), 1)
+    assert specialize(moved).extremal
     curve = fixture("extremal:6:3", gf)
-    assert verify_extremal_shape(curve.ideal, 6, 3).extremal
-    rebuild = degeneration._extremal_generators
-
-    def perturbed(ring, d, f_form, g_form):
-        doubled = BinaryForm(gf, [gf.add(c, c) for c in f_form.coeffs])
-        return rebuild(ring, d, doubled, g_form)
-
-    monkeypatch.setattr(degeneration, "_extremal_generators", perturbed)
-    cert = verify_extremal_shape(curve.ideal, 6, 3)
-    assert (cert.extremal, cert.failure) == (False, "ideal-equality")
+    assert recording_certify(curve.ideal, 6, 3).extremal
+    assert [cert.extremal for cert in certified] == [True, True]
 
 
 # ------------------------------------------------------------------- families

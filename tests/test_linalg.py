@@ -18,7 +18,7 @@ def _nonzero(field, rnd):
     if field == QQ:
         return Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 5),
                         rnd.randint(1, 4))
-    return field.random_nonzero(rnd)
+    return rnd.randrange(1, field.p)
 
 
 def _sparse_matrix(field, rnd, nrows, ncols, density, duplicates):
