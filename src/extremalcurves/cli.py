@@ -17,8 +17,9 @@ from .groebner import IdealBasis, ideal_equal, saturate_irrelevant
 from .hilbert import hilbert
 from .curves import (CurveIdeal, Invariants, curve_ring, fixture,
                      twist_origin)
-from .degeneration import (SpecializationError, condition_star_probe,
-                           specialize, verify_extremal_shape)
+from .degeneration import (SpecializationError, check_retries,
+                           condition_star_probe, specialize,
+                           verify_extremal_shape)
 
 EXIT_OK = 0
 EXIT_BOUNDARY = 2
@@ -203,6 +204,7 @@ def _run_specialize(curve, args):
 
 
 def cmd_specialize(args):
+    check_retries(args.retries)
     basis = load_ideal_file(args.path, args.char)
     curve = CurveIdeal.from_ideal(basis)
     return _run_specialize(curve, args)
@@ -241,6 +243,7 @@ def cmd_rho(args):
 
 
 def cmd_demo(args):
+    check_retries(args.retries)
     if args.json and not args.specialize:
         raise ValueError("--json needs --specialize, whose certificate "
                          "it writes")

@@ -109,14 +109,14 @@ def check_disjoint_line(ideal_basis):
 class MonoidSurface:
     """Surface equation x*G - sum_j y^j * F_j of degree nu+1 through the curve.
 
-    `g_form` has degree nu; `f_forms[j]` has degree nu+1-j for j = 0..d-1.
-    The (d,2,1,1)-initial form of the equation is x*G - y^(d-1)*F_(d-1)
-    whenever both survive.
+    `g_form` is G, of degree nu; `f_form` is the lead form F_(d-1), of
+    degree nu+2-d.  The (d,2,1,1)-initial form of the equation is
+    x*G - y^(d-1)*F_(d-1) whenever both survive.
     """
 
     equation: Polynomial
     g_form: BinaryForm
-    f_forms: tuple
+    f_form: BinaryForm
 
 
 def monoid_template(d, nu):
@@ -203,10 +203,11 @@ def _monoid_forms(poly, nu, powers):
 
 
 def _monoid_kernel(gb, d, nu):
-    """Kernel of the template's normal forms under a reduced basis, as
-    dense vectors over the columns of `monoid_template(d, nu)`: the
+    """Kernel of the template's normal forms under a reduced basis: the
     `linalg.nullspace` of the rows {column: coefficient}, one per standard
-    monomial.
+    monomial.  Each kernel vector is given by its nonzero entries
+    (column, exponent, coefficient), in the order of the columns of
+    `monoid_template(d, nu)`.
 
     The columns that a lead divides are read off the template's layout
     (`_divided_columns`), so the work grows with the leads and those
@@ -219,9 +220,9 @@ def _monoid_kernel(gb, d, nu):
     basis vectors are those of the whole system.
     """
     field = gb.ring.field
-    divided = _divided_columns(gb.lead_exponents(), d, nu)
+    exponents = _divided_columns(gb.lead_exponents(), d, nu)
     rows = {}       # standard monomial -> {column: coefficient}
-    for col, e in divided.items():
+    for col, e in exponents.items():
         form = gb.normal_form(gb.ring.monomial(e))
         for t, c in form.terms:
             rows.setdefault(t, {})[col] = c
@@ -229,18 +230,44 @@ def _monoid_kernel(gb, d, nu):
         col = _template_index(e, d, nu)
         if col is not None:
             row[col] = field.one    # a standard column is its own form
-    touched = sorted(set(divided).union(*rows.values()))
+            exponents[col] = e
+    touched = sorted(exponents)
     index = {col: i for i, col in enumerate(touched)}
     kernel = linalg.nullspace(
         field, [{index[col]: c for col, c in row.items()}
                 for row in rows.values()], len(touched))
-    vectors = []
-    for vec in kernel:
-        full = [field.zero] * _y_start(nu, d)
-        for col, c in zip(touched, vec):
-            full[col] = c
-        vectors.append(full)
-    return vectors
+    return [[(col, exponents[col], c) for col, c in zip(touched, vec) if c]
+            for vec in kernel]
+
+
+def _kernel_surface(ring, entries, d, nu):
+    """The surface of one kernel vector, given by its entries as
+    `_monoid_kernel` lists them, scaled so that G's coefficient of lowest
+    w-power is one; None when G = 0.  Its x-columns come first, and the
+    last of them has the lowest w-power."""
+    field = ring.field
+    x_coeffs = [c for col, _, c in entries if col <= nu]
+    if not x_coeffs:
+        return None
+    unit = field.inv(x_coeffs[-1])
+    terms = {}
+    g_coeffs = [field.zero] * (nu + 1)
+    f_coeffs = [field.zero] * (nu + 3 - d)
+    for _, e, c in entries:
+        c = terms[e] = field.mul(unit, c)
+        if e[0]:
+            g_coeffs[e[3]] = c
+        elif e[1] == d - 1:
+            f_coeffs[e[3]] = field.neg(c)
+    return MonoidSurface(Polynomial.from_dict(ring, terms),
+                         BinaryForm(field, g_coeffs),
+                         BinaryForm(field, f_coeffs))
+
+
+def _coprime_lead(surface):
+    """True when the surface's G and F_(d-1) share no zero."""
+    return (not surface.f_form.is_zero
+            and binary_forms_coprime(surface.g_form, surface.f_form))
 
 
 def _find_monoid_surface(ideal_basis, d, nu):
@@ -253,11 +280,13 @@ def _find_monoid_surface(ideal_basis, d, nu):
     and solves the system only on the columns its form holds, where
     grevlex would divide half the template, and `initial_ideal` then
     finds the same basis in the cache.  The candidates are the kernel
-    vectors, which do not depend on the basis; a certifying attempt has
-    exactly one.
+    vectors with G != 0, which do not depend on the basis; the first
+    whose G and F_(d-1) are coprime is preferred, else the first.  A
+    certifying attempt has exactly one kernel vector, which is the
+    surface either way, so it runs no coprimality test here: that is the
+    certificate's clause.
     """
     ring = ideal_basis.ring
-    field = ring.field
     gb = ideal_basis.groebner(
         WeightRefinedOrder(pipeline_weights(d), CURVE_ARITY))
     kernel = _monoid_kernel(gb, d, nu)
@@ -266,34 +295,19 @@ def _find_monoid_surface(ideal_basis, d, nu):
             "the linear system for the surface has no nonzero solution; "
             "the input invariants are inconsistent with a curve",
             retryable=False)
-    columns = monoid_template(d, nu)
-    fallback = None
-    for vec in kernel:
-        # G's coefficients by ascending w-power: the x columns, last first;
-        # the first nonzero one is scaled to one
-        g_part = [c for c in reversed(vec[:nu + 1]) if not field.is_zero(c)]
-        if not g_part:
-            continue
-        unit = field.inv(g_part[0])
-        equation = Polynomial.from_dict(ring, {
-            e: field.mul(unit, c) for e, c in zip(columns, vec)
-            if not field.is_zero(c)})
-        surface = MonoidSurface(equation,
-                                *_monoid_forms(equation, nu, range(d)))
-        lead_f = surface.f_forms[-1]
-        if not lead_f.is_zero and binary_forms_coprime(surface.g_form, lead_f):
-            fallback = surface
-            break
-        if fallback is None:
-            fallback = surface
-    if fallback is None:
+    surfaces = filter(None, (_kernel_surface(ring, entries, d, nu)
+                             for entries in kernel))
+    surface = next(surfaces, None)
+    if surface is None:
         raise MonoidSurfaceError(
             "every surface in the kernel has vanishing lead form; "
             "these coordinates do not separate the curve from the vertex",
             retryable=True)
-    if not gb.contains(fallback.equation):
+    if len(kernel) > 1 and not _coprime_lead(surface):
+        surface = next(filter(_coprime_lead, surfaces), surface)
+    if not gb.contains(surface.equation):
         raise AssertionError("surface equation failed the membership re-check")
-    return fallback
+    return surface
 
 
 def find_monoid_surface(curve):
@@ -450,6 +464,13 @@ def _boundary_report(curve, inv, seed):
         certificate=None, family=family, extremal=True)
 
 
+def check_retries(max_retries):
+    """ValueError for a negative number of retries."""
+    if max_retries < 0:
+        raise ValueError(
+            f"the number of retries must be >= 0, got {max_retries}")
+
+
 def specialize(curve, seed=0, max_retries=5):
     """Degenerate a curve to an extremal curve and certify the limit.
 
@@ -459,9 +480,7 @@ def specialize(curve, seed=0, max_retries=5):
     seeded random coordinate change.  A negative `max_retries` is a
     ValueError.
     """
-    if max_retries < 0:
-        raise ValueError(
-            f"the number of retries must be >= 0, got {max_retries}")
+    check_retries(max_retries)
     inv = curve.invariants
     if inv.branch != "general":
         return _boundary_report(curve, inv, seed)

@@ -423,11 +423,15 @@ def _monomial_string(e):
 
 
 def polynomial_to_string(f):
-    if not f.terms:
+    return _terms_to_string(f.ring.field, f.terms)
+
+
+def _terms_to_string(field, terms):
+    """Text of (exponent, nonzero coefficient) terms in the order given."""
+    if not terms:
         return "0"
-    field = f.ring.field
     pieces = []
-    for idx, (e, c) in enumerate(f.terms):
+    for idx, (e, c) in enumerate(terms):
         neg, mag = field.sign_split(c)
         mono = _monomial_string(e)
         if not mono:
@@ -526,10 +530,12 @@ class BinaryForm:
         return hash((self.field, self.degree, self.coeffs))
 
     def __str__(self):
-        ring = PolyRing(self.field, 4)
-        if self.is_zero:
-            return "0"
-        return str(self.to_polynomial(ring))
+        # z^(m-i)*w^i descends in grevlex as i ascends, so the terms are
+        # already in the order `to_polynomial` would sort them into
+        m = self.degree
+        return _terms_to_string(self.field, [
+            ((0, 0, m - i, i) + ZERO_EXP[4:], c)
+            for i, c in enumerate(self.coeffs) if c])
 
     def __repr__(self):
         return f"BinaryForm({self})"
@@ -538,26 +544,27 @@ class BinaryForm:
 def _univariate_gcd(field, a, b):
     """Euclid on ascending coefficient lists; returns a trimmed list.
 
-    Each step of a mod b cancels a's lead exactly and updates the other
-    coefficients with plain - and *, one `field.reduce` apiece."""
+    Reduction is lazy: each step of a mod b reduces only a's lead, the
+    coefficient it divides by b's, and updates the others with plain -
+    and *; the remainder is reduced once, when the roles swap."""
     reduce = field.reduce
 
-    def trim(v):
+    def trimmed(v):
+        v = [reduce(c) for c in v]
         while v and not v[-1]:
             v.pop()
         return v
 
-    a, b = trim(list(a)), trim(list(b))
+    a, b = trimmed(a), trimmed(b)
     while b:
         inv_lead = field.inv(b[-1])
         tail = b[:-1]
         while len(a) > len(tail):
             factor = reduce(a.pop() * inv_lead)
-            shift = len(a) - len(tail)
-            for i, c in enumerate(tail, shift):
-                a[i] = reduce(a[i] - factor * c)
-            trim(a)
-        a, b = b, a
+            if factor:
+                for i, c in enumerate(tail, len(a) - len(tail)):
+                    a[i] -= factor * c
+        a, b = b, trimmed(a)
     return a
 
 

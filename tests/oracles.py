@@ -11,7 +11,9 @@ textbook saturation by elimination; it shares the engine's Buchberger but
 not its divide-out route to I : v^infinity, which is held to it.
 `weight_basis_extremal_check` reads the extremal shape off the (d, 2, 1, 1)
 basis and compares a rebuilt ideal with the input, where the certificate
-reads the grevlex basis alone.
+reads the grevlex basis alone.  `dense_monoid_surface` builds the monoid
+surface from the dense kernel over the whole template, where the search
+reads only the kernel's nonzero entries.
 """
 
 import re
@@ -19,7 +21,8 @@ from itertools import combinations_with_replacement
 
 from extremalcurves import linalg
 from extremalcurves.curves import Invariants, _extremal_generators
-from extremalcurves.degeneration import _monoid_forms, _rao_dims
+from extremalcurves.degeneration import (_monoid_forms, _rao_dims,
+                                         monoid_template)
 from extremalcurves.groebner import (IdealBasis, _extension,
                                      _normal_form_keyed, _packed_key, _spoly,
                                      eliminate)
@@ -361,6 +364,46 @@ def monoid_rows(basis_terms, exponents, key, field):
                 rows.append({})
             rows[r][col] = c
     return rows
+
+
+def monoid_kernel(gb, columns):
+    """`linalg.nullspace` of the whole monoid-surface system, as dense
+    vectors over the columns: every template monomial reduced on its own
+    by `merge_normal_form`, one row per standard monomial."""
+    field = gb.ring.field
+    rows = monoid_rows([g.terms for g in gb.elements], columns,
+                       gb.ring.order.key, field)
+    return linalg.nullspace(field, rows, len(columns))
+
+
+def dense_monoid_surface(ideal_basis, order, d, nu):
+    """(equation, G, F_(d-1)) of the monoid surface through an ideal,
+    chosen from the dense kernel over the whole template under the ideal's
+    basis in the given order, or None when every kernel vector has
+    G = 0: each vector is scaled so that G's coefficient of lowest w-power
+    is one, its equation built column by column and all d forms F_j read
+    back from it; the first vector with G != 0 whose G and F_(d-1) are
+    coprime is taken, else the first with G != 0."""
+    ring = ideal_basis.ring
+    field = ring.field
+    columns = monoid_template(d, nu)
+    fallback = None
+    for vec in monoid_kernel(ideal_basis.groebner(order), columns):
+        g_part = [c for c in reversed(vec[:nu + 1]) if not field.is_zero(c)]
+        if not g_part:
+            continue
+        unit = field.inv(g_part[0])
+        equation = Polynomial.from_dict(ring, {
+            e: field.mul(unit, c) for e, c in zip(columns, vec)
+            if not field.is_zero(c)})
+        g_form, f_forms = _monoid_forms(equation, nu, range(d))
+        surface = equation, g_form, f_forms[-1]
+        if (not f_forms[-1].is_zero
+                and binary_forms_coprime(g_form, f_forms[-1])):
+            return surface
+        if fallback is None:
+            fallback = surface
+    return fallback
 
 
 _GRAMMAR_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]|\^|\*|\+|-|/|\S)")

@@ -142,12 +142,19 @@ def test_specialize_retry_exhaustion_exit_code():
 
 @pytest.mark.parametrize("argv", [
     ["specialize", str(DATA / "rational_quartic.ideal")],
-    ["demo", "rational-quartic", "--specialize"]], ids=["specialize", "demo"])
+    ["specialize", str(DATA / "no_such_file.ideal")],
+    ["demo", "rational-quartic", "--specialize"],
+    ["demo", "extremal:4:0"],
+    ["demo", "no-such-fixture"]],
+    ids=["specialize", "specialize-missing-file", "demo", "demo-alone",
+         "demo-unknown-fixture"])
 def test_negative_retries_is_invalid_input(argv, capsys):
+    # refused up front: before the file is read or the fixture built, and
+    # by `demo` without --specialize too
     code = main(argv + ["--retries", "-1"])
     assert code == EXIT_INVALID
-    assert capsys.readouterr().err == (
-        "error: the number of retries must be >= 0, got -1\n")
+    assert capsys.readouterr() == (
+        "", "error: the number of retries must be >= 0, got -1\n")
 
 
 def test_verify_extremal_good_and_bad():

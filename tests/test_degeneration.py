@@ -15,7 +15,7 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             random_coordinate_change, rao_dims_extremal,
                             saturate_irrelevant, specialize,
                             verify_extremal_shape)
-from extremalcurves import groebner as groebner_module, linalg
+from extremalcurves import groebner as groebner_module
 from extremalcurves.cli import load_ideal_file, report_to_dict
 from extremalcurves.curves import _extremal_generators, line_xy
 from extremalcurves.degeneration import (MonoidSurfaceError,
@@ -260,8 +260,7 @@ def test_monoid_surface_on_extremal_curve(gf, ring):
     x, y, z, w = ring.gens()
     assert surface.equation == x * w ** 3 - y ** 3 * z
     assert surface.g_form == BinaryForm.monomial(gf, 3, 3)
-    assert surface.f_forms[-1] == BinaryForm.monomial(gf, 1, 0)
-    assert all(f.is_zero for f in surface.f_forms[:-1])
+    assert surface.f_form == BinaryForm.monomial(gf, 1, 0)
     # the initial form of the equation is the extremal mixed generator
     assert surface.equation.initial_form((4, 2, 1, 1)) == surface.equation
 
@@ -279,7 +278,7 @@ def test_monoid_surface_on_moved_quartic(gf):
     init = surface.equation.initial_form(w_vec)
     x, y = moved.ring.gen(0), moved.ring.gen(1)
     expected = (x * surface.g_form.to_polynomial(moved.ring)
-                - y ** 3 * surface.f_forms[-1].to_polynomial(moved.ring))
+                - y ** 3 * surface.f_form.to_polynomial(moved.ring))
     assert init == expected
 
 
@@ -299,13 +298,10 @@ MONOID_IDS = [f"{name}-{'qq' if field == QQ else 'gf'}-"
 
 
 def _reference_kernel(gb, columns):
-    """`linalg.nullspace` of the whole system: every template monomial
-    reduced on its own by the merge reference, one row per standard
-    monomial."""
-    field = gb.ring.field
-    rows = oracles.monoid_rows([g.terms for g in gb.elements], columns,
-                               gb.ring.order.key, field)
-    return linalg.nullspace(field, rows, len(columns))
+    """The whole system's kernel (`oracles.monoid_kernel`), each vector
+    as its nonzero (column, exponent, coefficient) entries."""
+    return [[(col, columns[col], c) for col, c in enumerate(vec) if c]
+            for vec in oracles.monoid_kernel(gb, columns)]
 
 
 def _non_standard(leads, columns):
@@ -357,9 +353,7 @@ def test_monoid_kernel_frees_a_column_inside_the_ideal(field, weighted):
     assert gb.normal_form(inside).is_zero
     kernel = _monoid_kernel(gb, inv.d, inv.nu)
     assert kernel == _reference_kernel(gb, columns)
-    unit = [field.zero] * len(columns)
-    unit[col] = field.one
-    assert unit in kernel
+    assert [(col, inside.lead_exponent, field.one)] in kernel
 
 
 def test_monoid_kernel_is_empty_when_no_column_is_divided(gf, ring):
@@ -461,12 +455,61 @@ def test_surface_equation_is_built_from_its_forms(gf, name, seed):
     surface = _find_monoid_surface(moved.ideal, inv.d, inv.nu)
     ring = moved.ring
     x, y = ring.gen(0), ring.gen(1)
-    expected = x * surface.g_form.to_polynomial(ring)
-    for j, f in enumerate(surface.f_forms):
-        expected = expected - y ** j * f.to_polynomial(ring)
-    assert surface.equation == expected
+    # G and F_(d-1) are the equation's x- and y^(d-1)-parts, and what is
+    # left holds the powers y^j with j < d-1 alone
+    g_form, f_forms = _monoid_forms(surface.equation, inv.nu, range(inv.d))
+    assert (g_form, f_forms[-1]) == (surface.g_form, surface.f_form)
+    rest = (surface.equation - x * surface.g_form.to_polynomial(ring)
+            + y ** (inv.d - 1) * surface.f_form.to_polynomial(ring))
+    assert all(e[0] == 0 and e[1] < inv.d - 1 for e, _ in rest.terms)
     # scaled so that G's coefficient of lowest w-power is one
     assert next(c for c in surface.g_form.coeffs if c) == gf.one
+
+
+def _surface_forms(ideal_basis, d, nu):
+    """(equation, G, F_(d-1)) of `_find_monoid_surface`, or None when it
+    finds no surface."""
+    try:
+        surface = _find_monoid_surface(ideal_basis, d, nu)
+    except MonoidSurfaceError:
+        return None
+    return surface.equation, surface.g_form, surface.f_form
+
+
+def _check_dense_surface(curve, weighted, monkeypatch):
+    """The surface built from the kernel's entries, against the one built
+    from the dense kernel over the whole template, in the grevlex or the
+    pipeline's weight basis."""
+    inv = curve.invariants
+    order = (WeightRefinedOrder(pipeline_weights(inv.d), 4) if weighted
+             else None)
+    expected = oracles.dense_monoid_surface(curve.ideal, order, inv.d,
+                                            inv.nu)
+    if not weighted:
+        # the search with every basis request answered in grevlex
+        groebner = IdealBasis.groebner
+        monkeypatch.setattr(IdealBasis, "groebner",
+                            lambda self, order=None: groebner(self))
+    assert _surface_forms(curve.ideal, inv.d, inv.nu) == expected
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["grevlex", "weight"])
+@pytest.mark.parametrize("name, field, seed", MONOID_CASES, ids=MONOID_IDS)
+def test_surface_matches_the_dense_construction(name, field, seed, weighted,
+                                               monkeypatch):
+    curve = fixture(name, field)
+    if seed is not None:
+        curve, _ = random_coordinate_change(curve, seed=seed)
+    _check_dense_surface(curve, weighted, monkeypatch)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["grevlex", "weight"])
+@pytest.mark.parametrize("d, k", [(5, 3), (5, 4), (6, 4)])
+def test_shape_failure_surface_matches_the_dense_construction(gf, d, k,
+                                                              weighted,
+                                                              monkeypatch):
+    _check_dense_surface(_secant_rational(gf, d, k, 0), weighted,
+                         monkeypatch)
 
 
 @pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
@@ -557,15 +600,15 @@ def test_monoid_search_on_a_larger_kernel(gf):
     # coprime G and F_(d-1), so the search falls back to the first with G
     curve = fixture("rational-quartic", gf)
     d, nu = curve.invariants.d, curve.invariants.nu + 1
-    columns = monoid_template(d, nu)
     kernel = _monoid_kernel(curve.ideal.groebner(), d, nu)
     assert len(kernel) == 11
-    assert any(not any(vec[:nu + 1]) for vec in kernel)
+    # a vector with G = 0 has no entry in the x-columns 0..nu
+    assert any(entries[0][0] > nu for entries in kernel)
     surface = _find_monoid_surface(curve.ideal, d, nu)
     assert curve.ideal.contains(surface.equation)
     assert not surface.g_form.is_zero
-    first = next(vec for vec in kernel if any(vec[:nu + 1]))
-    assert ({e for e, c in zip(columns, first) if c}
+    first = next(entries for entries in kernel if entries[0][0] <= nu)
+    assert ({e for _, e, _ in first}
             == {e for e, _ in surface.equation.terms})
     assert _find_monoid_surface(curve.ideal, d, nu) == surface
 
@@ -657,7 +700,7 @@ def test_one_template_column_is_not_standard(case):
     assert len(mixed) == 1
     kernel = _monoid_kernel(gb, inv.d, inv.nu)
     assert len(kernel) == 1
-    assert ({e for e, c in zip(columns, kernel[0]) if c}
+    assert ({e for _, e, _ in kernel[0]}
             == {e for e, _ in report.surface.equation.terms})
 
 
@@ -716,6 +759,34 @@ def test_verify_extremal_tests_coprimality_once(gf, monkeypatch):
     with pytest.raises(ValueError, match="no common zero"):
         degeneration.rao_dims_extremal(z, BinaryForm.monomial(gf, 3, 0),
                                        1, 2)
+
+
+@pytest.mark.parametrize("build, seed", [
+    (lambda gf: extremal_curve(gf, 8, 5, *random_coprime_pair(
+        gf, 10, 6, random.Random(8))), None),
+    (lambda gf: fixture("extremal:6:3", gf), None),
+    (lambda gf: fixture("extremal:6:3", gf), 5)],
+    ids=["random-8-5-fixed", "extremal63-fixed", "extremal63-moved5"])
+def test_a_certified_attempt_tests_coprimality_once(gf, build, seed,
+                                                    monkeypatch):
+    # the one kernel vector is the surface without a test; the
+    # certificate's coprimality clause is the one call
+    from extremalcurves import degeneration
+    curve = build(gf)
+    if seed is not None:
+        curve, _ = random_coordinate_change(curve, seed=seed)
+    calls = []
+    coprime = degeneration.binary_forms_coprime
+
+    def counting(*forms):
+        calls.append(forms)
+        return coprime(*forms)
+
+    monkeypatch.setattr(degeneration, "binary_forms_coprime", counting)
+    report = specialize(curve, seed=0)
+    assert report.extremal and report.retries == 0
+    cert = report.certificate
+    assert calls == [(cert.f_form, cert.g_form)]
 
 
 def test_verify_extremal_non_coprime_clause(gf, ring):

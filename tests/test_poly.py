@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from extremalcurves import (QQ, BinaryForm, ContextMismatchError, ParseError,
                             PolyRing, PrimeField, binary_forms_coprime,
@@ -131,8 +131,8 @@ def _field_elements(field, nonzero=False):
     return element.filter(bool) if nonzero else element
 
 
-def _coefficient_lists(field):
-    return st.lists(_field_elements(field), max_size=5)
+def _coefficient_lists(field, max_size=5):
+    return st.lists(_field_elements(field), max_size=max_size)
 
 
 def _convolve(field, a, b):
@@ -150,8 +150,13 @@ def _convolve(field, a, b):
 @given(data=st.data())
 def test_univariate_gcd_matches_field_method_euclid(field, data):
     # a common factor times two cofactors, so that most gcds are not 1;
-    # a list may end in zeros, which both trim
-    common, a, b = (data.draw(_coefficient_lists(field)) for _ in range(3))
+    # a list may end in zeros, which both trim.  Over a prime field the
+    # degrees reach about 120, so the remainder sequences are long; over
+    # QQ the coefficients of the remainders grow with the degree, which is
+    # kept below 20
+    size = 10 if field == QQ else 60
+    common, a, b = (data.draw(_coefficient_lists(field, size))
+                    for _ in range(3))
     if data.draw(st.booleans()):
         a, b = _convolve(field, common, a), _convolve(field, common, b)
     assert _univariate_gcd(field, a, b) == oracles.euclid_gcd(field, a, b)
@@ -478,6 +483,29 @@ def test_in_ring_keeps_or_resorts_terms(ring):
     moved = f.in_ring(weighted)
     assert moved.terms == (f.terms[1], f.terms[0], f.terms[2])
     assert moved.in_ring(ring) == f
+
+
+# coefficients that every field in the tests coerces: ints, rich in 0, 1
+# and -1, and fractions whose denominators are prime to 7 and to 32003
+_FORM_COEFFICIENTS = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40000, 40000),
+              st.fractions(-9, 9, max_denominator=6)),
+    min_size=1, max_size=9)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), PrimeField(7), QQ],
+                         ids=["gf32003", "gf7", "qq"])
+@settings(max_examples=200, deadline=None, database=None)
+@given(coeffs=_FORM_COEFFICIENTS)
+@example(coeffs=[0, 0, 0, 0])           # the zero form
+@example(coeffs=[-1])                   # degree 0
+@example(coeffs=[0, 0, 1, -1, 0])       # zeros at both ends
+@example(coeffs=[1, -1, 1, -1])
+def test_binary_form_text_matches_its_polynomial(field, coeffs):
+    # the form's text is written from its coefficients; it is the text of
+    # the polynomial in z and w, "0" for the zero form
+    form = BinaryForm(field, coeffs)
+    assert str(form) == str(form.to_polynomial(PolyRing(field, 4)))
 
 
 def test_binary_coprime_trivial_cases(gf):
