@@ -11,8 +11,7 @@ from .fields import (QQ, DEFAULT_MODULUS, ContextMismatchError, PrimeField,
 from .orders import (CAPACITY, MAX_ARITY, VAR_NAMES, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder)
 from .poly import (BinaryForm, ParseError, PolyRing, Polynomial,
-                   binary_forms_coprime, parse_polynomial,
-                   polynomial_to_string)
+                   binary_forms_coprime, parse_polynomial)
 from .groebner import (GroebnerBasis, IdealBasis, buchberger, divide_exact,
                        eliminate, ideal, ideal_equal, ideal_intersect,
                        ideal_quotient, ideal_quotient_poly, initial_ideal,

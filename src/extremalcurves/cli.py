@@ -107,11 +107,11 @@ def report_to_dict(report):
     for --json alike."""
     cert = report.certificate
     inv = report.invariants
-    # the certificate's rows on the general branch; at a = 0 the Rao
-    # function and its bound vanish on [1, l]; none on the plane branch
+    # the certificate's rows on the general branch, zeros on [1, l] on the
+    # ACM boundary (a = 0) and none on the plane branch, whatever its a
     if cert is not None:
         n_start, rao, rho = cert.n_start, cert.rao, cert.rho
-    elif inv.a == 0:
+    elif inv.branch == "ACM-boundary":
         n_start, rao = twist_origin(inv.a), inv.rho_table()
         rho = rao
     else:

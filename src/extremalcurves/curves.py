@@ -45,10 +45,6 @@ class CoordinateChange:
         self.matrix = tuple(tuple(r) for r in rows)
 
     @classmethod
-    def identity(cls, field):
-        return cls(field, linalg.mat_identity(field, CURVE_ARITY))
-
-    @classmethod
     def random(cls, field, rng):
         """Entry-wise uniform draw, rejecting singular matrices."""
         while True:
@@ -59,28 +55,16 @@ class CoordinateChange:
             except ValueError:
                 pass
 
-    @property
-    def is_identity(self):
-        ident = linalg.mat_identity(self.field, CURVE_ARITY)
-        return self.matrix == tuple(tuple(r) for r in ident)
-
-    def apply(self, poly):
-        return poly.substitute_linear(self.matrix)
-
     def __repr__(self):
         return f"CoordinateChange({self.matrix})"
 
 
 def transform_ideal(ideal_basis, change):
-    """Image of an ideal under a coordinate change.
-
-    The identity returns the input object itself, so Groebner bases
-    already cached on it are reused.
-    """
-    if change.is_identity:
-        return ideal_basis
+    """Image of an ideal under a coordinate change: a new `IdealBasis` of
+    each generator's image under `Polynomial.substitute_linear`."""
     return IdealBasis(ideal_basis.ring,
-                      [change.apply(g) for g in ideal_basis.generators])
+                      [g.substitute_linear(change.matrix)
+                       for g in ideal_basis.generators])
 
 
 @dataclass(frozen=True)

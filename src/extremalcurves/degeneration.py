@@ -122,8 +122,8 @@ class MonoidSurface:
 def monoid_template(d, nu):
     """Exponent columns of the search space, laid out in blocks: first the
     x-columns x*z^i*w^(nu-i) for i = 0..nu, then for j = 0..d-1 the
-    y-columns y^j*z^i*w^(m-i) with m = nu+1-j and i = 0..m, the block of
-    y^j starting at index `_y_start(nu, j)`; the dimension is
+    y-columns y^j*z^i*w^(m-i) with m = nu+1-j and i = 0..m; the order is
+    that of `_column_order`, and the dimension is
     (nu+1)(d+1)+1-(d-1)(d-2)/2."""
     columns = []
     for i in range(nu + 1):
@@ -142,44 +142,39 @@ def monoid_template(d, nu):
     return columns
 
 
-def _y_start(nu, j):
-    """Index of y^j*w^(nu+1-j), the first column of the template's y^j
-    block: nu+1 x-columns, then nu+2-k columns for each y^k with k < j.
-    At j = d it is the template's dimension."""
-    return nu + 1 + j * (nu + 2) - j * (j - 1) // 2
+def _column_order(e):
+    """Sort key of a template column, the order of `monoid_template`: the
+    x-block, then the y^j blocks by ascending j, each by ascending
+    z-power."""
+    return (1 - e[0], e[1], e[2])
 
 
-def _template_index(e, d, nu):
-    """Index in `monoid_template(d, nu)` of exponent e, or None when e is
-    not a template column."""
-    if sum(e) != nu + 1:
-        return None
-    if e[0] == 1 and e[1] == 0:
-        return e[2]
-    if e[0] == 0 and e[1] < d:
-        return _y_start(nu, e[1]) + e[2]
-    return None
+def _in_template(e, d, nu):
+    """True when exponent e is a column of `monoid_template(d, nu)`."""
+    x, y, z, w, *rest = e
+    return (x + y + z + w == nu + 1 and not any(rest)
+            and (x == 1 and y == 0 or x == 0 and y < d))
 
 
 def _divided_columns(leads, d, nu):
-    """{index: exponent} of the template columns that some lead divides,
-    by ascending index.  Read off the layout, without testing each column:
-    a lead (lx, ly, lz, lw) divides x*z^i*w^(nu-i) exactly when lx <= 1,
-    ly = 0 and lz <= i <= nu-lw, and y^j*z^i*w^(m-i) exactly when lx = 0,
+    """The template columns that some lead divides, in template order.
+    Read off the layout, without testing each column: a lead
+    (lx, ly, lz, lw) divides x*z^i*w^(nu-i) exactly when lx <= 1, ly = 0
+    and lz <= i <= nu-lw, and y^j*z^i*w^(m-i) exactly when lx = 0,
     j >= ly and lz <= i <= m-lw."""
     pad = ZERO_EXP[CURVE_ARITY:]
-    found = {}
+    found = set()
     for lx, ly, lz, lw, *_ in leads:
         if lx <= 1 and ly == 0:
-            for i in range(lz, nu - lw + 1):
-                found[i] = (1, 0, i, nu - i) + pad
+            found.update((1, 0, i, nu - i) + pad
+                         for i in range(lz, nu - lw + 1))
         if lx == 0:
             # the y^j blocks with m = nu+1-j >= lz+lw
             for j in range(ly, min(d - 1, nu + 1 - lz - lw) + 1):
-                m, start = nu + 1 - j, _y_start(nu, j)
-                for i in range(lz, m - lw + 1):
-                    found[start + i] = (0, j, i, m - i) + pad
-    return {col: found[col] for col in sorted(found)}
+                m = nu + 1 - j
+                found.update((0, j, i, m - i) + pad
+                             for i in range(lz, m - lw + 1))
+    return sorted(found, key=_column_order)
 
 
 def _monoid_forms(poly, nu, powers):
@@ -206,8 +201,7 @@ def _monoid_kernel(gb, d, nu):
     """Kernel of the template's normal forms under a reduced basis: the
     `linalg.nullspace` of the rows {column: coefficient}, one per standard
     monomial.  Each kernel vector is given by its nonzero entries
-    (column, exponent, coefficient), in the order of the columns of
-    `monoid_template(d, nu)`.
+    (exponent, coefficient), in the order of `monoid_template(d, nu)`.
 
     The columns that a lead divides are read off the template's layout
     (`_divided_columns`), so the work grows with the leads and those
@@ -220,24 +214,21 @@ def _monoid_kernel(gb, d, nu):
     basis vectors are those of the whole system.
     """
     field = gb.ring.field
-    exponents = _divided_columns(gb.lead_exponents(), d, nu)
+    divided = _divided_columns(gb.lead_exponents(), d, nu)
     rows = {}       # standard monomial -> {column: coefficient}
-    for col, e in exponents.items():
+    for e in divided:
         form = gb.normal_form(gb.ring.monomial(e))
         for t, c in form.terms:
-            rows.setdefault(t, {})[col] = c
-    for e, row in rows.items():
-        col = _template_index(e, d, nu)
-        if col is not None:
-            row[col] = field.one    # a standard column is its own form
-            exponents[col] = e
-    touched = sorted(exponents)
-    index = {col: i for i, col in enumerate(touched)}
+            rows.setdefault(t, {})[e] = c
+    standard = [t for t in rows if _in_template(t, d, nu)]
+    for t in standard:
+        rows[t][t] = field.one      # a standard column is its own form
+    touched = sorted(divided + standard, key=_column_order)
+    index = {e: i for i, e in enumerate(touched)}
     kernel = linalg.nullspace(
-        field, [{index[col]: c for col, c in row.items()}
+        field, [{index[e]: c for e, c in row.items()}
                 for row in rows.values()], len(touched))
-    return [[(col, exponents[col], c) for col, c in zip(touched, vec) if c]
-            for vec in kernel]
+    return [[(e, c) for e, c in zip(touched, vec) if c] for vec in kernel]
 
 
 def _kernel_surface(ring, entries, d, nu):
@@ -246,14 +237,14 @@ def _kernel_surface(ring, entries, d, nu):
     w-power is one; None when G = 0.  Its x-columns come first, and the
     last of them has the lowest w-power."""
     field = ring.field
-    x_coeffs = [c for col, _, c in entries if col <= nu]
+    x_coeffs = [c for e, c in entries if e[0]]
     if not x_coeffs:
         return None
     unit = field.inv(x_coeffs[-1])
     terms = {}
     g_coeffs = [field.zero] * (nu + 1)
     f_coeffs = [field.zero] * (nu + 3 - d)
-    for _, e, c in entries:
+    for e, c in entries:
         c = terms[e] = field.mul(unit, c)
         if e[0]:
             g_coeffs[e[3]] = c
@@ -264,27 +255,21 @@ def _kernel_surface(ring, entries, d, nu):
                          BinaryForm(field, f_coeffs))
 
 
-def _coprime_lead(surface):
-    """True when the surface's G and F_(d-1) share no zero."""
-    return (not surface.f_form.is_zero
-            and binary_forms_coprime(surface.g_form, surface.f_form))
-
-
 def _find_monoid_surface(ideal_basis, d, nu):
-    """Kernel search for a monoid surface through the given curve ideal.
+    """Kernel search for a monoid surface through the given curve ideal:
+    the surface of the first kernel vector with G != 0.
 
     The template is reduced by the (d, 2, 1, 1) weight-refined basis, not
     grevlex.  Its leads lie in the initial ideal of the extremal limit
-    (Sturmfels, Prop. 1.8), so when the limit certifies one template
-    monomial is not standard.  `_monoid_kernel` divides that column alone
-    and solves the system only on the columns its form holds, where
-    grevlex would divide half the template, and `initial_ideal` then
-    finds the same basis in the cache.  The candidates are the kernel
-    vectors with G != 0, which do not depend on the basis; the first
-    whose G and F_(d-1) are coprime is preferred, else the first.  A
-    certifying attempt has exactly one kernel vector, which is the
-    surface either way, so it runs no coprimality test here: that is the
-    certificate's clause.
+    (Sturmfels, Prop. 1.8), so `_monoid_kernel` divides only the template
+    columns in there, where grevlex would divide half the template, and
+    `initial_ideal` then finds the same basis in the cache.
+
+    One vector is enough.  Every template polynomial in the ideal has its
+    (d, 2, 1, 1) lead among the leads of the saturated limit, and when the
+    limit certifies those leads hold one template monomial, the lead of
+    x*G - y^(d-1)*F.  So a certifying attempt's kernel has one vector,
+    and no other choice could reach a report.
     """
     ring = ideal_basis.ring
     gb = ideal_basis.groebner(
@@ -295,16 +280,13 @@ def _find_monoid_surface(ideal_basis, d, nu):
             "the linear system for the surface has no nonzero solution; "
             "the input invariants are inconsistent with a curve",
             retryable=False)
-    surfaces = filter(None, (_kernel_surface(ring, entries, d, nu)
-                             for entries in kernel))
-    surface = next(surfaces, None)
+    surface = next(filter(None, (_kernel_surface(ring, entries, d, nu)
+                                 for entries in kernel)), None)
     if surface is None:
         raise MonoidSurfaceError(
             "every surface in the kernel has vanishing lead form; "
             "these coordinates do not separate the curve from the vertex",
             retryable=True)
-    if len(kernel) > 1 and not _coprime_lead(surface):
-        surface = next(filter(_coprime_lead, surfaces), surface)
     if not gb.contains(surface.equation):
         raise AssertionError("surface equation failed the membership re-check")
     return surface
@@ -475,10 +457,10 @@ def specialize(curve, seed=0, max_retries=5):
     """Degenerate a curve to an extremal curve and certify the limit.
 
     Dispatches the two boundary genera to trivial families.  Otherwise the
-    first attempt keeps the given coordinates (so weight-homogeneous inputs
-    are their own limit with zero retries) and each retry draws a fresh
-    seeded random coordinate change.  A negative `max_retries` is a
-    ValueError.
+    first attempt runs on the input ideal itself, with the bases cached on
+    it (so weight-homogeneous inputs are their own limit with zero
+    retries), and each retry draws a fresh seeded random coordinate
+    change.  A negative `max_retries` is a ValueError.
     """
     check_retries(max_retries)
     inv = curve.invariants
@@ -491,10 +473,10 @@ def specialize(curve, seed=0, max_retries=5):
     diagnostics = []
     for attempt in range(max_retries + 1):
         if attempt == 0:
-            change = CoordinateChange.identity(field)
+            moved = curve.ideal
         else:
-            change = CoordinateChange.random(field, _attempt_rng(seed, attempt))
-        moved = transform_ideal(curve.ideal, change)
+            moved = transform_ideal(curve.ideal, CoordinateChange.random(
+                field, _attempt_rng(seed, attempt)))
         if not check_disjoint_line(moved):
             diagnostics.append((attempt, "disjointness",
                                 "the curve meets the line z = w = 0"))

@@ -17,11 +17,6 @@ unique, so the pivot rule changes the cost and never the result.
 """
 
 
-def mat_identity(field, n):
-    one, zero = field.one, field.zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def rref(field, rows, ncols):
     """Reduced row echelon form of sparse rows with nonzero values.
 

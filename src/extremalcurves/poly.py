@@ -318,10 +318,10 @@ class Polynomial:
             ring, {unpack_exponent(p): v for p, v in acc.items()})
 
     def __str__(self):
-        return polynomial_to_string(self)
+        return _terms_to_string(self.ring.field, self.terms)
 
     def __repr__(self):
-        return f"<{polynomial_to_string(self)}>"
+        return f"<{self}>"
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +420,6 @@ def _monomial_string(e):
         elif e[i] > 1:
             parts.append(f"{VAR_NAMES[i]}^{e[i]}")
     return "*".join(parts)
-
-
-def polynomial_to_string(f):
-    return _terms_to_string(f.ring.field, f.terms)
 
 
 def _terms_to_string(field, terms):

@@ -378,16 +378,14 @@ def monoid_kernel(gb, columns):
 
 def dense_monoid_surface(ideal_basis, order, d, nu):
     """(equation, G, F_(d-1)) of the monoid surface through an ideal,
-    chosen from the dense kernel over the whole template under the ideal's
+    read from the dense kernel over the whole template under the ideal's
     basis in the given order, or None when every kernel vector has
-    G = 0: each vector is scaled so that G's coefficient of lowest w-power
-    is one, its equation built column by column and all d forms F_j read
-    back from it; the first vector with G != 0 whose G and F_(d-1) are
-    coprime is taken, else the first with G != 0."""
+    G = 0: the first vector with G != 0 is scaled so that G's coefficient
+    of lowest w-power is one, its equation built column by column and all
+    d forms F_j read back from it."""
     ring = ideal_basis.ring
     field = ring.field
     columns = monoid_template(d, nu)
-    fallback = None
     for vec in monoid_kernel(ideal_basis.groebner(order), columns):
         g_part = [c for c in reversed(vec[:nu + 1]) if not field.is_zero(c)]
         if not g_part:
@@ -397,13 +395,8 @@ def dense_monoid_surface(ideal_basis, order, d, nu):
             e: field.mul(unit, c) for e, c in zip(columns, vec)
             if not field.is_zero(c)})
         g_form, f_forms = _monoid_forms(equation, nu, range(d))
-        surface = equation, g_form, f_forms[-1]
-        if (not f_forms[-1].is_zero
-                and binary_forms_coprime(g_form, f_forms[-1])):
-            return surface
-        if fallback is None:
-            fallback = surface
-    return fallback
+        return equation, g_form, f_forms[-1]
+    return None
 
 
 _GRAMMAR_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]|\^|\*|\+|-|/|\S)")

@@ -116,15 +116,23 @@ def test_specialize_rational_quartic_json(tmp_path):
 @pytest.mark.parametrize("source, seed", [
     ("rational_quartic.ideal", "42"),   # general: surface, F, G and rows
     ("twisted_cubic.ideal", "0"),       # ACM-boundary: rows of zeros
-    ("plane_quartic.ideal", "0")],      # plane: no rows
-    ids=["general", "acm-boundary", "plane"])
+    ("plane_quartic.ideal", "0"),       # plane: no rows
+    ("generators:\n  x\n  y*z\n", "0")],  # plane: no rows, at a = 0 too
+    ids=["general", "acm-boundary", "plane", "plane-conic"])
 def test_json_flag_prints_the_same_report(tmp_path, source, seed):
-    argv = ["specialize", str(DATA / source), "--seed", seed]
+    path = DATA / source
+    if not source.endswith(".ideal"):
+        path = tmp_path / "conic.ideal"
+        path.write_text(source, encoding="utf-8")
+    argv = ["specialize", str(path), "--seed", seed]
     plain = run_cli(argv)
     out_json = tmp_path / "report.json"
     assert run_cli(argv + ["--json", str(out_json)]) == plain
-    assert json.loads(out_json.read_text(encoding="utf-8"))["seed"] == int(
-        seed)
+    payload = json.loads(out_json.read_text(encoding="utf-8"))
+    assert payload["seed"] == int(seed)
+    plane = payload["branch"] == "plane"
+    assert (payload["n_start"] is None) == plane
+    assert ("rao:" in plain[1]) == (not plane)
 
 
 def test_specialize_boundary_exit_code():

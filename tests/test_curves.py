@@ -5,14 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from extremalcurves import (BinaryForm, CoordinateChange, CurveIdeal,
-                            PrimeField,
+from extremalcurves import (BinaryForm, CurveIdeal, PrimeField,
                             complete_intersection, extremal_curve,
                             fixture, fixture_names, from_parametrization,
                             hilbert, ideal, ideal_equal, link,
-                            random_coordinate_change, saturate_irrelevant,
-                            transform_ideal)
-from extremalcurves import groebner
+                            random_coordinate_change, saturate_irrelevant)
 from extremalcurves.curves import line_xy, quintic_genus_two
 from extremalcurves.groebner import IdealBasis, initial_ideal
 
@@ -204,21 +201,6 @@ def test_random_change_deterministic(gf):
     assert ideal_equal(moved1.ideal, moved2.ideal)
     moved3, _ = random_coordinate_change(curve, seed=100)
     assert not ideal_equal(moved1.ideal, moved3.ideal)
-
-
-def test_identity_change_is_a_fixed_point(gf, monkeypatch):
-    curve = fixture("twisted-cubic", gf)
-    ident = CoordinateChange.identity(gf)
-    assert ident.is_identity
-    cached = curve.ideal.groebner()
-
-    def no_new_basis(*args, **kwargs):
-        raise AssertionError("the cached grevlex basis was not reused")
-
-    monkeypatch.setattr(groebner, "buchberger", no_new_basis)
-    moved = transform_ideal(curve.ideal, ident)
-    assert moved is curve.ideal
-    assert moved.groebner() is cached
 
 
 @pytest.mark.parametrize("d", [8, 10])

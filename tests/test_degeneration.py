@@ -16,13 +16,15 @@ from extremalcurves import (QQ, BinaryForm, CurveIdeal, Invariants,
                             saturate_irrelevant, specialize,
                             verify_extremal_shape)
 from extremalcurves import groebner as groebner_module
+from extremalcurves import degeneration as degeneration_module
 from extremalcurves.cli import load_ideal_file, report_to_dict
-from extremalcurves.curves import _extremal_generators, line_xy
-from extremalcurves.degeneration import (MonoidSurfaceError,
-                                         _divided_columns,
-                                         _find_monoid_surface, _monoid_forms,
-                                         _monoid_kernel, _template_index,
-                                         _y_start, pipeline_weights)
+from extremalcurves.curves import (CoordinateChange, _extremal_generators,
+                                   line_xy, transform_ideal)
+from extremalcurves.degeneration import (MonoidSurfaceError, _attempt_rng,
+                                         _column_order, _divided_columns,
+                                         _find_monoid_surface, _in_template,
+                                         _monoid_forms, _monoid_kernel,
+                                         pipeline_weights)
 from extremalcurves.groebner import (GrevlexOrder, GroebnerBasis, IdealBasis,
                                      buchberger)
 from extremalcurves.orders import ZERO_EXP, WeightRefinedOrder
@@ -299,8 +301,8 @@ MONOID_IDS = [f"{name}-{'qq' if field == QQ else 'gf'}-"
 
 def _reference_kernel(gb, columns):
     """The whole system's kernel (`oracles.monoid_kernel`), each vector
-    as its nonzero (column, exponent, coefficient) entries."""
-    return [[(col, columns[col], c) for col, c in enumerate(vec) if c]
+    as its nonzero (exponent, coefficient) entries."""
+    return [[(e, c) for e, c in zip(columns, vec) if c]
             for vec in oracles.monoid_kernel(gb, columns)]
 
 
@@ -349,11 +351,10 @@ def test_monoid_kernel_frees_a_column_inside_the_ideal(field, weighted):
     gb = basis.groebner(
         WeightRefinedOrder(pipeline_weights(inv.d), 4) if weighted else None)
     columns = monoid_template(inv.d, inv.nu)
-    col = columns.index(inside.lead_exponent)
     assert gb.normal_form(inside).is_zero
     kernel = _monoid_kernel(gb, inv.d, inv.nu)
     assert kernel == _reference_kernel(gb, columns)
-    assert [(col, inside.lead_exponent, field.one)] in kernel
+    assert [(inside.lead_exponent, field.one)] in kernel
 
 
 def test_monoid_kernel_is_empty_when_no_column_is_divided(gf, ring):
@@ -374,16 +375,21 @@ def test_monoid_kernel_is_empty_when_no_column_is_divided(gf, ring):
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_template_layout_in_closed_form(d):
-    # `_y_start` and `_template_index` against the template as built, on
-    # every exponent of its degree
+    # `_column_order` and `_in_template` against the template as built:
+    # the key sorts the columns into template order, and membership is
+    # tested on every exponent of its degree and on a few others
+    pad = ZERO_EXP[4:]
     for nu in range(d - 2, d + 3):
         columns = monoid_template(d, nu)
-        assert _y_start(nu, d) == len(columns)
-        for j in range(d):
-            assert columns[_y_start(nu, j)] == (0, j, 0, nu + 1 - j) + ZERO_EXP[4:]
+        assert sorted(columns, key=_column_order) == columns
         for e in oracles.monomials(4, nu + 1):
-            expected = columns.index(e) if e in columns else None
-            assert _template_index(e, d, nu) == expected
+            assert _in_template(e, d, nu) == (e in columns)
+        t_slot = (0, 0, 0, nu + 1) + (1,) + pad[1:]    # w^(nu+1)*t
+        wrong_degree = (1, 0, 0, nu + 1) + pad     # x*w^(nu+1)
+        for e in ((2, 0, 0, 0) + pad, (1, 1, 0, 0) + pad,
+                  (0, d, 0, 0) + pad, t_slot, wrong_degree):
+            assert e not in columns
+            assert not _in_template(e, d, nu)
 
 
 _LEAD = st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 8),
@@ -404,10 +410,7 @@ def test_divided_columns_match_the_scan(d, a, leads):
     nu = a + d - 2
     columns = monoid_template(d, nu)
     padded = [lead + ZERO_EXP[4:] for lead in leads]
-    divided = _divided_columns(padded, d, nu)
-    expected = _non_standard(padded, columns)
-    assert list(divided.values()) == expected
-    assert [columns[col] for col in divided] == expected
+    assert _divided_columns(padded, d, nu) == _non_standard(padded, columns)
 
 
 def _form_product(a, b):
@@ -596,19 +599,19 @@ def test_monoid_search_divides_only_the_non_standard_columns(gf,
 
 def test_monoid_search_on_a_larger_kernel(gf):
     # one degree above nu the rational quartic's kernel has dimension 11
-    # and holds vectors with G = 0, which are skipped; no vector has a
-    # coprime G and F_(d-1), so the search falls back to the first with G
+    # and holds vectors with G = 0, which are skipped; the search takes
+    # the first vector with G != 0
     curve = fixture("rational-quartic", gf)
     d, nu = curve.invariants.d, curve.invariants.nu + 1
     kernel = _monoid_kernel(curve.ideal.groebner(), d, nu)
     assert len(kernel) == 11
-    # a vector with G = 0 has no entry in the x-columns 0..nu
-    assert any(entries[0][0] > nu for entries in kernel)
+    # a vector with G = 0 has no entry in the x-columns, which come first
+    assert any(not entries[0][0][0] for entries in kernel)
     surface = _find_monoid_surface(curve.ideal, d, nu)
     assert curve.ideal.contains(surface.equation)
     assert not surface.g_form.is_zero
-    first = next(entries for entries in kernel if entries[0][0] <= nu)
-    assert ({e for _, e, _ in first}
+    first = next(entries for entries in kernel if entries[0][0][0])
+    assert ({e for e, _ in first}
             == {e for e, _ in surface.equation.terms})
     assert _find_monoid_surface(curve.ideal, d, nu) == surface
 
@@ -700,7 +703,7 @@ def test_one_template_column_is_not_standard(case):
     assert len(mixed) == 1
     kernel = _monoid_kernel(gb, inv.d, inv.nu)
     assert len(kernel) == 1
-    assert ({e for _, e, _ in kernel[0]}
+    assert ({e for e, _ in kernel[0]}
             == {e for e, _ in report.surface.equation.terms})
 
 
@@ -1046,6 +1049,39 @@ def test_specialize_extremal_is_fixed_point(gf):
         assert report.retries == 0
         assert ideal_equal(report.limit, curve.ideal)
         assert report.invariants.branch == "general"
+
+
+def test_first_attempt_runs_on_the_input(gf, monkeypatch):
+    # attempt 0 works on the input ideal itself, with its cached grevlex
+    # basis; a retry works on the image under its seeded change
+    curve = fixture("extremal:6:3", gf)
+    cached = curve.ideal.groebner()
+    calls = []
+    buchberger = groebner_module.buchberger
+
+    def recording(ideal_basis, order):
+        calls.append((ideal_basis, order))
+        return buchberger(ideal_basis, order)
+
+    def no_move(*args):
+        raise AssertionError("attempt 0 moved the input")
+
+    monkeypatch.setattr(degeneration_module, "transform_ideal", no_move)
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
+    report = specialize(curve, seed=0)
+    assert report.retries == 0
+    assert report.transformed is curve.ideal
+    assert report.transformed.groebner() is cached
+    assert all(not (basis is curve.ideal and order == GrevlexOrder(4))
+               for basis, order in calls)
+    monkeypatch.undo()
+
+    curve = fixture("rational-quartic", gf)
+    report = specialize(curve, seed=0)
+    assert report.retries == 1
+    change = CoordinateChange.random(gf, _attempt_rng(0, 1))
+    assert (report.transformed.generators
+            == transform_ideal(curve.ideal, change).generators)
 
 
 def test_specialize_rational_quartic(gf):
