@@ -34,10 +34,14 @@ def load_ideal_file(path, char_override=None):
 
     Format: optional `characteristic:` and `variables:` header lines, then
     `generators:` followed by one polynomial per line (leading `-` list
-    markers and `#` comments allowed).  Unknown keys are rejected.
+    markers and `#` comments allowed).  Unknown keys are rejected.  The
+    text is UTF-8, perhaps led by a byte-order mark.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            raw_lines = handle.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: {err}") from None
     characteristic = None
     generator_lines = []
     in_generators = False

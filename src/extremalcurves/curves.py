@@ -34,14 +34,13 @@ def twist_origin(a):
 class CoordinateChange:
     """Invertible linear change of the four coordinates."""
 
-    __slots__ = ("field", "matrix")
+    __slots__ = ("matrix",)
 
     def __init__(self, field, matrix):
         rows = [[field.coerce(v) for v in row] for row in matrix]
         if len(rows) != CURVE_ARITY or any(len(r) != CURVE_ARITY for r in rows):
             raise ValueError("a 4x4 matrix is required")
         linalg.mat_inverse(field, rows)  # ValueError when singular
-        self.field = field
         self.matrix = tuple(tuple(r) for r in rows)
 
     @classmethod

@@ -13,16 +13,19 @@ low-weight pair of high degree first, and its remainders are large.
 Under grevlex the key puts the degree first already, so nothing changes
 there.  The inhomogeneous block-order inputs use the lcm's degree too.
 
-The kernel works on "keyed" term lists: (key, exponent, coeff) triples
-sorted descending, where the exponent is packed into one int
+The kernel works on "keyed" term lists: (K, coeff) pairs sorted
+descending.  K is one int: the order's key tuple encoded as an int that
+is linear in the exponent (`orders.int_key_weights`), times
+2^KEY_SHIFT, plus the exponent packed into one int
 (`orders.pack_exponent`, SLOT_BITS bits per slot with a guard bit on
-top) and the key is the order's key tuple encoded as one int that is
-linear in the exponent (`orders.int_key_weights`).  Multiplying by a
-monomial therefore adds one int to every key and one to every exponent
-and never re-sorts (`_offsets`); a divides b exactly when
+top).  So K sorts as the key does, K & MASK gives back the packed
+exponent, and K is one dot product with `orders.packed_key_weights`.
+Multiplying by a monomial therefore adds one int to every K and never
+re-sorts (`_offsets`); a divides b exactly when
 ((b | GUARD) - a) & GUARD == GUARD, since each slot's guard bit survives
-the subtraction only if that slot does not borrow.  Tuples appear only at
-the edges: `_keyed` packs a Polynomial, `_from_keyed` and `divide_exact`
+the subtraction only if that slot does not borrow, and no slot borrows
+into the key above it, so b may be a whole K.  Tuples appear only at the
+edges: `_keyed` keys a Polynomial, `_from_keyed` and `divide_exact`
 unpack.
 
 No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents,
@@ -33,24 +36,23 @@ limit; nothing wraps into the next slot.
 
 Division reduces the remainder in place, as in heap division (Monagan &
 Pearce 2009) and geobuckets (Yan 1998).  A `_Remainder` keeps the terms
-still to be handled in key -> coefficient and key -> exponent dicts (a
-key determines its exponent), and a heap of negated keys yields the
-largest of them.  Each step pops the leading term, skips it if it has
-cancelled, and subtracts the scaled reducer tail in the dict, so a step
-costs the size of that tail rather than of the whole remainder.  Normal
-forms (`GroebnerBasis.normal_form`, which the monoid-surface kernel calls
-on each template monomial that a lead divides), exact quotients and
-S-polynomials all use it.
+still to be handled in a K -> coefficient dict, and a heap of negated Ks
+yields the largest of them.  Each step pops the leading term, skips it
+if it has cancelled, and subtracts the scaled reducer tail in the dict,
+so a step costs the size of that tail rather than of the whole
+remainder.  Normal forms (`GroebnerBasis.normal_form`, which the
+monoid-surface kernel calls on each template monomial that a lead
+divides), exact quotients and S-polynomials all use it.
 
 Two things keep that step cheap.  The shift is fused into the
-subtraction: `_Remainder.subtract` takes the reducer with the (key,
-exponent) its lead must reach, adds the two offsets to each tail term as
-it goes, and so never builds a shifted copy of the tail.  And reduction
-is lazy: a remainder coefficient is kept as the plain sum old - scale * c
-(an unreduced int over GF(p), a Fraction over QQ) with no field-method
-call, and `pop` brings each coefficient back with `field.reduce` once,
-when its term reaches the top, and skips it there if it has cancelled.
-Only fully reduced coefficients leave the kernel.
+subtraction: `_Remainder.subtract` takes the reducer with the K its lead
+must reach, adds the one offset to each tail term as it goes, and so
+never builds a shifted copy of the tail.  And reduction is lazy: a
+remainder coefficient is kept as the plain sum old - scale * c (an
+unreduced int over GF(p), a Fraction over QQ) with no field-method call,
+and `pop` brings each coefficient back with `field.reduce` once, when
+its term reaches the top, and skips it there if it has cancelled.  Only
+fully reduced coefficients leave the kernel.
 
 Interreduction reduces only the tails that can change.  `_reduce_basis`
 keeps the elements whose leads no other lead divides; reducing one of
@@ -121,104 +123,103 @@ polynomial, and only when none has it intersects all of them.
 """
 
 from heapq import heapify, heappop, heappush
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 
 from .fields import ContextMismatchError
-from .orders import (GUARD, MAX_ARITY, SLOT_BITS, BlockEliminationOrder,
+from .orders import (EXP_LIMIT, GUARD, MASK, MAX_ARITY, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder, exp_supported_within,
-                     exponent_limit_error, int_key_weights, pack_exponent,
-                     packed_lcm, term_key, unpack_exponent)
+                     exponent_limit_error, packed_key_weights, packed_lcm,
+                     term_key, unpack_exponent)
 from .hilbert import (_hilbert_function, _numerator_plus, _series_numerator,
                       _trim, hilbert)
 from .poly import Polynomial
 
 def _keyed(poly, order):
-    weights = int_key_weights(order)
-    lst = [(sum(map(mul, weights, e)), pack_exponent(e), c)
-           for (e, c) in poly.terms]
-    lst.sort(reverse=True)      # keys are distinct, so only they compare
+    """(K, coeff) terms of a Polynomial, sorted descending; ValueError,
+    naming the largest slot of the first term past EXP_LIMIT, if any."""
+    terms = poly.terms
+    if max(chain.from_iterable(map(itemgetter(0), terms)),
+           default=0) > EXP_LIMIT:
+        raise exponent_limit_error(next(
+            top for top in (max(e) for e, _ in terms) if top > EXP_LIMIT))
+    weights = packed_key_weights(order)
+    lst = [(sum(map(mul, weights, e)), c) for (e, c) in terms]
+    lst.sort(reverse=True)      # Ks are distinct, so only they compare
     return lst
 
 
 def _from_keyed(ring, keyed):
-    return Polynomial(ring, tuple((unpack_exponent(e), c)
-                                  for (_, e, c) in keyed))
-
-
-def _packed_key(weights, p):
-    return sum(map(mul, weights, unpack_exponent(p)))
+    return Polynomial(ring, tuple((unpack_exponent(k & MASK), c)
+                                  for (k, c) in keyed))
 
 
 def _divides(a, b):
     return ((b | GUARD) - a) & GUARD == GUARD
 
 
-def _offsets(reducer, key, exp):
-    """(key offset, exponent offset) of the monomial taking a reducer's
-    lead to (key, exp); ValueError if a shifted tail slot would pass
-    EXP_LIMIT."""
-    lead_exp, lead_key, _, tail_lcm = reducer
-    se = exp - lead_exp
-    if (tail_lcm + se) & GUARD:
-        raise exponent_limit_error(max(unpack_exponent(tail_lcm + se)))
-    return key - lead_key, se
+def _offsets(reducer, k):
+    """K offset of the monomial taking a reducer's lead to K k; ValueError
+    if a shifted tail slot would pass EXP_LIMIT."""
+    lead_exp, lead_k, _, tail_lcm = reducer
+    top = tail_lcm + (k & MASK) - lead_exp
+    if top & GUARD:
+        raise exponent_limit_error(max(unpack_exponent(top)))
+    return k - lead_k
 
 
 class _Remainder:
-    """Polynomial under division: key -> coefficient, key -> exponent and
-    a heap of negated keys.
+    """Polynomial under division: K -> coefficient and a heap of negated
+    Ks.
 
     The heap holds each dict key once, so pops come in descending order.
     Coefficients are stored unreduced; `pop` reduces each one once, and
     a term that has cancelled is skipped there.
     """
 
-    __slots__ = ("reduce", "coeffs", "exps", "heap")
+    __slots__ = ("reduce", "coeffs", "heap")
 
     def __init__(self, field, keyed=()):
         self.reduce = field.reduce
-        self.coeffs = {k: c for (k, _, c) in keyed}
-        self.exps = {k: e for (k, e, _) in keyed}
-        self.heap = [-k for (k, _, _) in keyed]
+        self.coeffs = dict(keyed)
+        self.heap = [-k for (k, _) in keyed]
         heapify(self.heap)
 
     def pop(self):
-        """Largest nonzero (key, exponent, coeff) term, or None."""
-        heap, coeffs, exps = self.heap, self.coeffs, self.exps
+        """Largest nonzero (K, coeff) term, or None."""
+        heap, coeffs = self.heap, self.coeffs
         reduce = self.reduce
         while heap:
             k = -heappop(heap)
             c = reduce(coeffs.pop(k))
-            e = exps.pop(k)
             if c:
-                return k, e, c
+                return k, c
         return None
 
-    def subtract(self, scale, reducer, key, exp):
+    def subtract(self, scale, reducer, k):
         """Subtract scale times the reducer's tail, shifted so that its lead
-        lands on (key, exp), in place."""
-        sk, se = _offsets(reducer, key, exp)
-        coeffs, exps, heap = self.coeffs, self.exps, self.heap
+        lands on K k, in place."""
+        shift = _offsets(reducer, k)
+        coeffs, heap = self.coeffs, self.heap
         neg = -scale
-        for (k, e, c) in reducer[2]:
-            k += sk
-            old = coeffs.get(k)
+        for (t, c) in reducer[2]:
+            t += shift
+            old = coeffs.get(t)
             if old is None:
-                coeffs[k] = neg * c
-                exps[k] = e + se
-                heappush(heap, -k)
+                coeffs[t] = neg * c
+                heappush(heap, -t)
             else:
-                coeffs[k] = old + neg * c
+                coeffs[t] = old + neg * c
 
 
 def _normal_form_keyed(rem, reducers):
     """Keyed remainder of `rem` under division by monic reducers."""
     out = []
     while (top := rem.pop()) is not None:
-        guarded = top[1] | GUARD    # `_divides`, with b | GUARD hoisted
+        guarded = top[0] | GUARD    # `_divides`, with b | GUARD hoisted
         for red in reducers:
             if (guarded - red[0]) & GUARD == GUARD:
-                rem.subtract(top[2], red, top[0], top[1])
+                rem.subtract(top[1], red, top[0])
                 break
         else:
             out.append(top)
@@ -226,30 +227,31 @@ def _normal_form_keyed(rem, reducers):
 
 
 def _monicize(terms, field):
-    c = terms[0][2]
+    c = terms[0][1]
     if c == field.one:
         return terms
     inv = field.inv(c)
     f_mul = field.mul
-    return [(k, e, f_mul(inv, v)) for (k, e, v) in terms]
+    return [(k, f_mul(inv, v)) for (k, v) in terms]
 
 
 def _as_reducer(terms):
-    """(lead_exp, lead_key, tail, tail_lcm) of a keyed list; tail_lcm is
-    the slotwise maximum of the tail's exponents, for `_offsets`."""
+    """(lead_exp, lead K, tail, tail_lcm) of a keyed list; tail_lcm is the
+    slotwise maximum of the tail's exponents, for `_offsets`."""
     tail = terms[1:]
     tail_lcm = 0
-    for (_, e, _) in tail:
-        tail_lcm = packed_lcm(tail_lcm, e)
-    return (terms[0][1], terms[0][0], tail, tail_lcm)
+    for (k, _) in tail:
+        tail_lcm = packed_lcm(tail_lcm, k & MASK)
+    lead = terms[0][0]
+    return (lead & MASK, lead, tail, tail_lcm)
 
 
-def _spoly(a, b, lcm_key, lcm_exp, field):
-    """S-polynomial of two monic reducers with the given lead lcm, as a
-    _Remainder."""
+def _spoly(a, b, lcm_k, field):
+    """S-polynomial of two monic reducers whose leads have the lcm with K
+    lcm_k, as a _Remainder."""
     spoly = _Remainder(field)
-    spoly.subtract(-field.one, a, lcm_key, lcm_exp)
-    spoly.subtract(field.one, b, lcm_key, lcm_exp)
+    spoly.subtract(-field.one, a, lcm_k)
+    spoly.subtract(field.one, b, lcm_k)
     return spoly
 
 
@@ -258,7 +260,7 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
     with its parallel reducers: the inputs first, then each element in the
     order found.  Gebauer-Moeller pair updates.
 
-    A pair is (total degree of the lcm, key of the lcm, i, j, lcm), so the
+    A pair is (total degree of the lcm, K of the lcm, i, j, lcm), so the
     smallest tuple is the pair of lowest degree, the order's smallest lcm
     among those, with a deterministic index tie-break.  Under grevlex the
     key already puts the degree first and nothing changes; the weight and
@@ -276,7 +278,7 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
     reducers = []   # parallel reducers
     leads = []      # packed lead exponents
     pairs = set()
-    weights = int_key_weights(order)
+    weights = packed_key_weights(order)
     lead_exps = []  # unpacked leads, for the numerator of L
     numerator = [1]
 
@@ -284,7 +286,7 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
         # Gebauer-Moeller: prune old pairs, build minimal new ones
         nonlocal pairs, numerator
         new_terms = _monicize(new_terms, field)
-        lm_new = new_terms[0][1]
+        lm_new = new_terms[0][0] & MASK
         if target is not None:
             lead = unpack_exponent(lm_new)
             numerator = _numerator_plus(numerator, lead_exps, lead)
@@ -309,11 +311,11 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
         for cand in sorted(candidates):
             if all(not _divides(prev[2], cand[2]) for prev in minimal):
                 minimal.append(cand)
-        for deg, lcm_key, lcm_exp in minimal:
+        for deg, lcm_k, lcm_exp in minimal:
             members = groups[lcm_exp]
             if any(lcm_exp == leads[i] + lm_new for i in members):
                 continue  # coprime leads: S-polynomial reduces to zero
-            kept.add((deg, lcm_key, min(members), m, lcm_exp))
+            kept.add((deg, lcm_k, min(members), m, lcm_exp))
         pairs = kept
         G.append(new_terms)
         reducers.append(_as_reducer(new_terms))
@@ -339,10 +341,9 @@ def _buchberger_core(keyed_inputs, order, field, target=None):
                 pairs = {p for p in pairs if p[0] != degree}
                 continue
         pairs.discard(pair)
-        _, lcm_key, i, j, lcm_exp = pair
+        _, lcm_k, i, j, _ = pair
         remainder = _normal_form_keyed(
-            _spoly(reducers[i], reducers[j], lcm_key, lcm_exp, field),
-            reducers)
+            _spoly(reducers[i], reducers[j], lcm_k, field), reducers)
         if remainder:
             update(remainder)
             if target is not None:
@@ -366,12 +367,12 @@ def _reduce_basis(G, reducers, field, start):
     when any kept lead below it does (the module docstring).  An element
     left as it is keeps its reducer.
     """
-    kept, leads = [], []    # indices into G, (key, exponent) of their leads
+    kept, leads = [], []    # indices into G, (K, exponent) of their leads
     for i in sorted(range(len(G)), key=lambda i: G[i][0][0]):
-        key, lm, _ = G[i][0]
-        if all(not _divides(lead, lm) for (_, lead) in leads):
+        k = G[i][0][0]
+        if all(not _divides(lead, k) for (_, lead) in leads):
             kept.append(i)
-            leads.append((key, lm))
+            leads.append((k, k & MASK))
     basis = [G[i] for i in kept]
     out = [reducers[i] for i in kept]
     for idx, i in enumerate(kept):
@@ -385,11 +386,11 @@ def _reduce_basis(G, reducers, field, start):
 
 
 def _tail_reducible(tail, leads):
-    """Whether a lead divides a term of a keyed tail; `leads` are (key,
-    exponent) pairs by ascending key, and a lead above a term cannot divide
+    """Whether a lead divides a term of a keyed tail; `leads` are (K,
+    exponent) pairs by ascending K, and a lead above a term cannot divide
     it."""
-    for (k, e, _) in tail:
-        guarded = e | GUARD
+    for (k, _) in tail:
+        guarded = k | GUARD
         for (key, lead) in leads:
             if key > k:
                 break
@@ -500,7 +501,7 @@ def is_groebner(gb):
     """
     field = gb.ring.field
     reducers = gb.reducers()
-    weights = int_key_weights(gb.ring.order)
+    weights = packed_key_weights(gb.ring.order)
     leads = [red[0] for red in reducers]
     lcms = [[packed_lcm(a, b) for b in leads] for a in leads]
     n = len(leads)
@@ -515,8 +516,8 @@ def is_groebner(gb):
                    and lcms[i][k] != lcm_exp and lcms[j][k] != lcm_exp
                    for k in range(n)):
                 continue
-            spair = _spoly(reducers[i], reducers[j],
-                           _packed_key(weights, lcm_exp), lcm_exp, field)
+            lcm_k = sum(map(mul, weights, unpack_exponent(lcm_exp)))
+            spair = _spoly(reducers[i], reducers[j], lcm_k, field)
             if _normal_form_keyed(spair, reducers):
                 return False
     return True
@@ -573,7 +574,7 @@ class IdealBasis:
             keyed = []
             for g in cached.elements:
                 terms = _keyed(g, order)
-                if unpack_exponent(terms[0][1]) != g.lead_exponent:
+                if unpack_exponent(terms[0][0] & MASK) != g.lead_exponent:
                     break
                 keyed.append(terms)
             else:
@@ -694,12 +695,12 @@ def divide_exact(f, g):
     rem = _Remainder(field, _keyed(f, ring.order))
     quotient = {}
     while (top := rem.pop()) is not None:
-        k0, e0, c0 = top
-        if not _divides(lead_exp, e0):
+        k0, c0 = top
+        if not _divides(lead_exp, k0):
             raise ValueError("polynomial is not divisible")
         q = field.div(c0, lead_coeff)
-        quotient[unpack_exponent(e0 - lead_exp)] = q
-        rem.subtract(q, divisor, k0, e0)
+        quotient[unpack_exponent((k0 & MASK) - lead_exp)] = q
+        rem.subtract(q, divisor, k0)
     return Polynomial.from_dict(ring, quotient)
 
 
@@ -740,10 +741,9 @@ def _saturate_last_variable(ideal_basis):
     powers = [min(e[last] for e, _ in g.terms) for g in gb]
     if not any(powers):
         return ideal_basis
-    # dividing by v^k shifts every int key and packed exponent by k units
-    key_v, exp_v = int_key_weights(grevlex)[last], 1 << SLOT_BITS * last
-    divided = [[(key - k * key_v, e - k * exp_v, c)
-                for key, e, c in _keyed(g, grevlex)]
+    # dividing by v^k shifts every K by k units
+    unit = packed_key_weights(grevlex)[last]
+    divided = [[(key - k * unit, c) for key, c in _keyed(g, grevlex)]
                for g, k in zip(gb, powers)]
     reduced, _ = _reduce_basis(divided, [_as_reducer(g) for g in divided],
                                ring.field, len(divided))

@@ -16,7 +16,10 @@ no slot may exceed EXP_LIMIT.  It encodes a key tuple as one int too:
 the exponent is a mixed-radix reading of the key tuple, each radix one
 more than the width of the range its component spans over exponents
 within EXP_LIMIT, so the int is linear in the exponent and compares
-exactly as the tuple does.
+exactly as the tuple does.  The kernel carries each term as one int K,
+that int key times 2^KEY_SHIFT plus the packed exponent:
+`packed_key_weights(order)` gives its per-slot integers.  K sorts as the
+key does, K & MASK is the packed exponent, and K is linear too.
 """
 
 from functools import lru_cache
@@ -51,6 +54,8 @@ def exp_supported_within(e, arity):
 SLOT_BITS = 16
 EXP_LIMIT = (1 << (SLOT_BITS - 1)) - 1
 GUARD = sum(1 << (SLOT_BITS * i + SLOT_BITS - 1) for i in range(CAPACITY))
+KEY_SHIFT = SLOT_BITS * CAPACITY
+MASK = (1 << KEY_SHIFT) - 1             # the packed exponent's bits
 _SLOTS = Struct(f"<{CAPACITY}H")        # one unsigned 16-bit field a slot
 
 
@@ -92,6 +97,15 @@ def int_key_weights(order):
             weights[i] += unit[j] * radix
         radix *= EXP_LIMIT * sum(abs(unit[j]) for unit in units) + 1
     return tuple(weights)
+
+
+@lru_cache(maxsize=None)
+def packed_key_weights(order):
+    """Integers c, one per slot of the order's arity, with sum(c[i] * e[i])
+    equal to the int key of e times 2^KEY_SHIFT plus `pack_exponent(e)`,
+    for exponents within the arity whose slots stay within EXP_LIMIT."""
+    return tuple((k << KEY_SHIFT) + (1 << SLOT_BITS * i)
+                 for i, k in enumerate(int_key_weights(order)[:order.arity]))
 
 
 def term_key(order, exponents):

@@ -18,6 +18,7 @@ the currency of the monoid-surface constructions.
 """
 
 import re
+from functools import lru_cache
 
 from .fields import ContextMismatchError
 from .orders import (CAPACITY, EXP_LIMIT, MAX_ARITY, SLOT_BITS, VAR_NAMES,
@@ -328,18 +329,85 @@ class Polynomial:
 # text grammar: integer or a/b coefficients, variables x y z w t,
 # optional '*', '^' powers, e.g.  x*w^3 - y^3*z + 2*z^4
 #
-# _TERM matches one whole signed term: an optional sign, then factors
-# joined by whitespace or '*', each a number with an optional /denominator
-# or a letter with an optional ^power; whitespace may separate any two
-# tokens.  _FACTORS.findall splits the term into (number, denominator,
-# letter, power) tuples.  Where a match stops short, the error is named
-# from the token it stopped at.
+# Text in the printed form, the one `Polynomial.__str__` writes, is read
+# with one match a term (`_read_printed`): terms joined by " + " or " - ",
+# the first perhaps led by '-'; a term is a bare c or a/b, or an optional
+# c* or a/b* and then the ring's letters in slot order, each at most
+# once, each with an optional ^k, joined by '*' (or by nothing, which the
+# general grammar reads the same way).  Such text is text of the general
+# grammar too, with the same meaning, so that reader only saves time.
+# Any other text, and a fraction whose denominator vanishes, goes to the
+# general reader, `_read_general`, which names the error if there is one.
+#
+# _TERM matches one whole signed term of the general grammar: an optional
+# sign, then factors joined by whitespace or '*', each a number with an
+# optional /denominator or a letter with an optional ^power; whitespace
+# may separate any two tokens.  _FACTORS.findall splits the term into
+# (number, denominator, letter, power) tuples.  Where a match stops
+# short, the error is named from the token it stopped at.
 # ---------------------------------------------------------------------------
 
 _FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|[A-Za-z](?:\s*\^\s*\d+)?)"
 _TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*?\s*{_FACTOR})*)\s*")
 _FACTORS = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z])(?:\s*\^\s*(\d+))?")
 _TOKEN = re.compile(r"\s*(\d+|\S)?")
+# a printed letter's power from its group: None when the letter is
+# absent, "" when it is bare, "^k" for k; int() reads one outside the table
+_POWERS = {None: 0, "": 1, **{f"^{k}": k for k in range(256)}}
+
+
+@lru_cache(maxsize=None)
+def _printed_term(arity):
+    """(regex, its power groups, zero padding) of one printed-form term,
+    with the separator before it, in a ring of the given arity.
+
+    The groups are the text's leading '-', the sign of a " + " or " - "
+    separator, the numerator, the denominator, then one power a letter.
+    A term starts with a digit or a letter, and a '*' is taken only with
+    the letter after it, so no term starts or ends with '*'; a '*' left
+    out between two factors means the same in the general grammar."""
+    letters = "".join(VAR_NAMES[:arity])
+    powers = "".join(rf"(?:\*?{v}(\^[0-9]+|))?" for v in letters)
+    regex = re.compile(rf"(?:^(-?)| ([+-]) )(?=[0-9{letters}])"
+                       rf"(?:([0-9]+)(?:/([0-9]+))?)?{powers}")
+    return regex, tuple(range(5, 5 + arity)), ZERO_EXP[arity:]
+
+
+def _read_printed(ring, text):
+    """Exponent -> unreduced coefficient sums of text in the printed form,
+    or None for any other text."""
+    term, slots, pad = _printed_term(ring.arity)
+    field = ring.field
+    one = field.one
+    power = _POWERS.__getitem__
+    total = {}
+    pos, end = 0, len(text)
+    while True:
+        m = term.match(text, pos)
+        if m is None:
+            return None
+        lead, sign, num, den = m.group(1, 2, 3, 4)
+        if num is None:
+            coeff = one
+        elif den is None:
+            coeff = one * int(num)
+        else:
+            try:
+                coeff = field.div(field.coerce(int(num)),
+                                  field.coerce(int(den)))
+            except ZeroDivisionError:
+                return None
+        powers = m.group(*slots)
+        try:
+            exp = tuple(map(power, powers)) + pad
+        except KeyError:
+            exp = tuple(0 if p is None else int(p[1:]) if p else 1
+                        for p in powers) + pad
+        total[exp] = total.get(exp, 0) + (-coeff if (lead or sign) == "-"
+                                          else coeff)
+        pos = m.end()
+        if pos == end:
+            return total
 
 
 def _missing_term(text, pos):
@@ -377,6 +445,15 @@ def _after_term(text, pos, last):
 
 def parse_polynomial(ring, text):
     """Parse the polynomial grammar into a canonical Polynomial."""
+    total = _read_printed(ring, text)
+    if total is None:
+        total = _read_general(ring, text)
+    return Polynomial.from_dict(ring, total)
+
+
+def _read_general(ring, text):
+    """Exponent -> unreduced coefficient sums of text in the general
+    grammar; ParseError names the first token that does not fit."""
     field = ring.field
     names = {name: i for i, name in enumerate(ring.var_names())}
     total = {}
@@ -409,7 +486,7 @@ def parse_polynomial(ring, text):
             break
         if text[pos] not in "+-":
             raise _after_term(text, pos, factors[-1])
-    return Polynomial.from_dict(ring, total)
+    return total
 
 
 def _monomial_string(e):

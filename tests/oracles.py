@@ -18,17 +18,17 @@ reads only the kernel's nonzero entries.
 
 import re
 from itertools import combinations_with_replacement
+from operator import mul
 
 from extremalcurves import linalg
 from extremalcurves.curves import Invariants, _extremal_generators
 from extremalcurves.degeneration import (_monoid_forms, _rao_dims,
                                          monoid_template)
 from extremalcurves.groebner import (IdealBasis, _extension,
-                                     _normal_form_keyed, _packed_key, _spoly,
-                                     eliminate)
+                                     _normal_form_keyed, _spoly, eliminate)
 from extremalcurves.orders import (ZERO_EXP, WeightRefinedOrder,
-                                   exp_from_var, exp_mul, int_key_weights,
-                                   packed_lcm)
+                                   exp_from_var, exp_mul, packed_key_weights,
+                                   packed_lcm, unpack_exponent)
 from extremalcurves.poly import ParseError, Polynomial, binary_forms_coprime
 
 CAP = 5
@@ -555,13 +555,13 @@ def exhaustive_is_groebner(gb):
     S-polynomials of the basis, none skipped, reduces to zero."""
     field = gb.ring.field
     reducers = gb.reducers()
-    weights = int_key_weights(gb.ring.order)
+    weights = packed_key_weights(gb.ring.order)
     n = len(reducers)
     for i in range(n):
         for j in range(i + 1, n):
             lcm_exp = packed_lcm(reducers[i][0], reducers[j][0])
-            spair = _spoly(reducers[i], reducers[j],
-                           _packed_key(weights, lcm_exp), lcm_exp, field)
+            lcm_k = sum(map(mul, weights, unpack_exponent(lcm_exp)))
+            spair = _spoly(reducers[i], reducers[j], lcm_k, field)
             if _normal_form_keyed(spair, reducers):
                 return False
     return True

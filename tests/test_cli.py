@@ -95,6 +95,24 @@ def test_generator_parse_errors_name_the_file_and_line(tmp_path, capsys,
     assert capsys.readouterr() == ("", f"error: {path}:{line}: {message}\n")
 
 
+def test_byte_order_mark_is_read(tmp_path):
+    text = (DATA / "twisted_cubic.ideal").read_text(encoding="utf-8")
+    path = tmp_path / "bom.ideal"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert run_cli(["analyze", str(path)]) == run_cli(
+        ["analyze", str(DATA / "twisted_cubic.ideal")])
+
+
+def test_non_utf8_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "latin1.ideal"
+    path.write_bytes(b"generators:\n  x*y - z^2 # \xe9\n  x\n")
+    assert main(["analyze", str(path)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "can't decode byte 0xe9" in err
+
+
 def test_main_builds_the_parser_once():
     assert build_parser() is build_parser()
 

@@ -666,7 +666,7 @@ def _interreduced(ring, keyed, monkeypatch=None):
 
         def counted(rem, divisors):
             out = reduce(rem, divisors)
-            normalized.append(out[0][1])
+            normalized.append(out[0][0])
             return out
 
         monkeypatch.setattr(groebner, "_normal_form_keyed", counted)
@@ -729,14 +729,14 @@ def test_reduce_basis_reaches_both_kinds_of_tail(field, make_order,
     gens = [y + w, y + z, y]
     G, normalized = _interreduced(
         ring, [groebner._keyed(g, order) for g in gens], monkeypatch)
-    found = [g[0][1] for g in G[len(gens):]]
+    found = [g[0][0] for g in G[len(gens):]]
     assert any(lead in found for lead in normalized)
     # no pair of x*z and x^2 + x*z leaves a remainder, so the input x^2 +
     # x*z is reduced by the input before it and by nothing found
     gens = [x * z, x * x + x * z]
     G, normalized = _interreduced(
         ring, [groebner._keyed(g, order) for g in gens], monkeypatch)
-    assert len(G) == len(gens) and normalized == [G[1][0][1]]
+    assert len(G) == len(gens) and normalized == [G[1][0][0]]
     # `buchberger` passes its inputs, which IdealBasis sorts so, as inputs
     assert groebner.buchberger(IdealBasis(ring, gens), order).elements == (
         x * z, x * x)

@@ -1,9 +1,10 @@
 """Packed exponents and int order keys against the tuple definitions.
 
-The Groebner kernel packs each exponent into one int and encodes each
-order key as one int; these properties check that the packed forms agree
-with the tuples of `orders.py` over the whole exponent budget, and that
-an exponent past the budget is refused instead of wrapping.
+The Groebner kernel packs each exponent into one int, encodes each order
+key as one int, and carries a term as one int K holding both; these
+properties check that the packed forms agree with the tuples of
+`orders.py` over the whole exponent budget, and that an exponent past
+the budget is refused instead of wrapping.
 """
 
 from operator import mul
@@ -13,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from extremalcurves import PrimeField, curve_ring
 from extremalcurves.groebner import IdealBasis, _divides, eliminate
-from extremalcurves.orders import (CAPACITY, EXP_LIMIT, GUARD,
-                                   BlockEliminationOrder,
+from extremalcurves.orders import (CAPACITY, EXP_LIMIT, GUARD, KEY_SHIFT,
+                                   MASK, BlockEliminationOrder,
                                    GrevlexOrder, WeightRefinedOrder,
                                    exp_from_var, exp_mul, int_key_weights,
-                                   pack_exponent,
+                                   pack_exponent, packed_key_weights,
                                    packed_lcm, unpack_exponent)
 
 ORDERS = [GrevlexOrder(4),
@@ -45,6 +46,10 @@ def exponents(arity=CAPACITY, slot=_SLOT):
 
 def _int_key(order, e):
     return sum(map(mul, int_key_weights(order), e))
+
+
+def _packed_key(order, e):
+    return sum(map(mul, packed_key_weights(order), e))
 
 
 def _sign(a, b):
@@ -130,8 +135,11 @@ def test_int_key_orders_as_tuple_key(order, data):
         w[k] = q
         others.append(tuple(w))
     for v in others:
-        assert (_sign(_int_key(order, u), _int_key(order, v))
-                == _sign(order.key(u), order.key(v)))
+        expected = _sign(order.key(u), order.key(v))
+        assert _sign(_int_key(order, u), _int_key(order, v)) == expected
+        # K sorts as the key does, and its low bits are the exponent
+        assert _sign(_packed_key(order, u), _packed_key(order, v)) == expected
+        assert _packed_key(order, v) & MASK == pack_exponent(v)
 
 
 @pytest.mark.parametrize("d", [8, 20])
@@ -157,6 +165,14 @@ def test_int_key_is_linear(order, data):
     assert _int_key(order, exp_mul(a, b)) == (_int_key(order, a)
                                              + _int_key(order, b))
     assert _int_key(order, (0,) * CAPACITY) == 0
+    # K too: a monomial shift is one int add
+    assert _packed_key(order, exp_mul(a, b)) == (_packed_key(order, a)
+                                                + _packed_key(order, b))
+    assert _packed_key(order, (0,) * CAPACITY) == 0
+    for e in (a, b, exp_mul(a, b)):
+        if max(e) <= EXP_LIMIT:
+            assert _packed_key(order, e) & MASK == pack_exponent(e)
+            assert _packed_key(order, e) >> KEY_SHIFT == _int_key(order, e)
 
 
 def test_exponent_past_budget_is_refused():

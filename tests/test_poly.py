@@ -14,7 +14,7 @@ from extremalcurves.orders import (CAPACITY, EXP_LIMIT, ZERO_EXP,
                                    BlockEliminationOrder, GrevlexOrder,
                                    WeightRefinedOrder, int_key_weights,
                                    monomial_exponents)
-from extremalcurves.poly import Polynomial, _univariate_gcd
+from extremalcurves.poly import Polynomial, _read_printed, _univariate_gcd
 
 import oracles
 
@@ -412,20 +412,49 @@ _NOISE = st.sampled_from(list("+-*/^ xyzwq0129") + ["\u00e9", "\t"])
 
 
 @st.composite
-def _malformed_text(draw, names):
-    """Well-formed text with one to three characters inserted, replaced
-    or deleted."""
-    chars = list(draw(_grammar_text(names)))
+def _edited(draw, texts):
+    """Text drawn from `texts` with one to three characters inserted,
+    replaced or deleted, or its end cut off inside a term."""
+    chars = list(draw(texts))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(chars)))
-        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "cut"]))
         if edit == "insert" or at == len(chars):
             chars.insert(at, draw(_NOISE))
         elif edit == "replace":
             chars[at] = draw(_NOISE)
-        else:
+        elif edit == "delete":
             del chars[at]
+        else:
+            del chars[at + 1:]
     return "".join(chars)
+
+
+def _monomial_text(names, e):
+    return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(names, e)
+                    if k)
+
+
+def _printed_text(ring):
+    """Text in the printed form: `str()` of a drawn polynomial, with a
+    leading '-' and QQ fractions; or the c*mono form of the bench's ideal
+    files, terms in any order, 1* kept, constants bare, joined by " + "."""
+    names = ring.var_names()
+    exponent = st.tuples(*[st.integers(0, 3)] * ring.arity).map(
+        lambda e: e + ZERO_EXP[ring.arity:])
+    if ring.field == QQ:
+        coeff = st.fractions(-20, 20, max_denominator=12)
+        magnitude = st.fractions(0, 20, max_denominator=12).map(str)
+    else:
+        coeff = st.integers(-2 * ring.field.p, 2 * ring.field.p)
+        magnitude = st.integers(0, ring.field.p - 1).map(str)
+    printed = st.dictionaries(exponent, coeff, max_size=6).map(
+        lambda terms: str(Polynomial.from_dict(ring, terms)))
+    term = st.tuples(magnitude, exponent).map(
+        lambda t: f"{t[0]}*{_monomial_text(names, t[1])}"
+        if any(t[1]) else t[0])
+    bench = st.lists(term, min_size=1, max_size=6).map(" + ".join)
+    return printed | bench
 
 
 def _outcome(parse, ring, text):
@@ -435,15 +464,36 @@ def _outcome(parse, ring, text):
         return type(err), str(err)
 
 
-@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["gf", "qq"])
+@pytest.mark.parametrize("field", [PrimeField(32003), PrimeField(7), QQ],
+                         ids=["gf", "gf7", "qq"])
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_parser_matches_token_reference(field, data):
+    # general text, the printed form, and either with a few characters
+    # edited: a printed-form reader that took "x^2*" as x^2 fails here
     ring = curve_ring(field)
     names = "".join(ring.var_names())
-    text = data.draw(_grammar_text(names) | _malformed_text(names))
+    printed = _printed_text(ring)
+    text = data.draw(_grammar_text(names) | _edited(_grammar_text(names))
+                     | printed | _edited(printed))
     assert _outcome(parse_polynomial, ring, text) == \
         _outcome(oracles.token_parse_polynomial, ring, text)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), PrimeField(7), QQ],
+                         ids=["gf", "gf7", "qq"])
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_printed_form_is_read_one_match_a_term(field, data):
+    # the printed form never reaches the general reader; whitespace
+    # joints, letters out of slot order or repeated, and other separators
+    # than " + " and " - " do
+    ring = curve_ring(field)
+    assert _read_printed(ring, data.draw(_printed_text(ring))) \
+        is not None
+    for text in ("3x y - 1/2 w^2", "y*x", "x^2 *y", "x*x", "- x", "x +y",
+                 "x^2*", "x + t"):
+        assert _read_printed(ring, text) is None
 
 
 def test_str_parse_roundtrip_random(ring):
