@@ -280,9 +280,19 @@ def cmd_probe(args):
     return EXIT_OK if report.ok else EXIT_PIPELINE
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit EXIT_INVALID, not argparse's
+    2, which names the boundary branch here; its subparsers are of this
+    class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extremalcurves",
         description="Degenerate space curves to extremal curves and certify "
                     "the limits.")

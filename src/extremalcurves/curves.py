@@ -60,10 +60,14 @@ class CoordinateChange:
 
 def transform_ideal(ideal_basis, change):
     """Image of an ideal under a coordinate change: a new `IdealBasis` of
-    each generator's image under `Polynomial.substitute_linear`."""
-    return IdealBasis(ideal_basis.ring,
-                      [g.substitute_linear(change.matrix)
-                       for g in ideal_basis.generators])
+    each generator's image under `Polynomial.substitute_linear`.  An
+    invertible linear change keeps the Hilbert function, so the input's
+    HilbertData, when known, is handed on."""
+    moved = IdealBasis(ideal_basis.ring,
+                       [g.substitute_linear(change.matrix)
+                        for g in ideal_basis.generators])
+    moved._hilbert = ideal_basis._hilbert
+    return moved
 
 
 @dataclass(frozen=True)

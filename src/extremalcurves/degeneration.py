@@ -10,9 +10,11 @@ a posteriori, so an unlucky draw is detected and retried.
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .orders import CAPACITY, ZERO_EXP, WeightRefinedOrder
-from .poly import BinaryForm, Polynomial, binary_forms_coprime
+from .poly import (BinaryForm, Polynomial, _terms_to_string,
+                   binary_forms_coprime)
 from .groebner import ideal_quotient_poly, initial_ideal, saturate_irrelevant
 from .hilbert import (_divide_one_minus_t, _one_minus_power, _poly_mul_int,
                       _trim, hilbert)
@@ -393,21 +395,37 @@ def emit_family(ideal_basis, weights):
     fibre at t = 0 is the initial form and the fibre at t = 1 is g: a term
     of weight k picks up t^(m - k), where m, the weight degree of g, is
     the weight of its lead (the refined order compares weights first).
+
+    The text is written in the grevlex order of x, y, z, w, t without a
+    sort.  The terms of g come in blocks of equal weight, by descending
+    weight, each block in grevlex order, which breaks the weight ties.
+    The ideal is homogeneous, so g has one degree D, and the term of
+    weight k becomes one of degree D + m - k: a heavier block has lower
+    degree, and grevlex, which compares degrees first, puts it later.
+    Inside a block the degree and the power of t are fixed, and grevlex
+    in five variables compares what is left as grevlex in four.  So the
+    family's terms are g's blocks in reverse, each in its own order.
     """
+    if not ideal_basis.homogeneous:
+        raise ValueError("the family needs a homogeneous ideal")
     ring = ideal_basis.ring
     refined = WeightRefinedOrder(weights, ring.arity)
-    grade = refined.weight_degree
-    ext = ring.extended(ring.arity + 1)
+    weights = refined.weights
     t_slot = ring.arity
     out = []
     for g in ideal_basis.groebner(refined).elements:
-        m = grade(g.lead_exponent)
-        terms = {}
+        m = sum(map(mul, weights, g.lead_exponent))
+        blocks = []     # equal-weight blocks, by descending weight
+        power = None
         for e, c in g.terms:
-            le = list(e)
-            le[t_slot] = m - grade(e)
-            terms[tuple(le)] = c
-        out.append(str(Polynomial.from_dict(ext, terms)))
+            k = m - sum(map(mul, weights, e))
+            if k != power:
+                power = k
+                block = []
+                blocks.append(block)
+            block.append((e[:t_slot] + (k,) + e[t_slot + 1:], c))
+        out.append(_terms_to_string(ring.field, [
+            term for block in reversed(blocks) for term in block]))
     return out
 
 

@@ -26,7 +26,10 @@ re-sorts (`_offsets`); a divides b exactly when
 the subtraction only if that slot does not borrow, and no slot borrows
 into the key above it, so b may be a whole K.  Tuples appear only at the
 edges: `_keyed` keys a Polynomial, `_from_keyed` and `divide_exact`
-unpack.
+unpack.  `initial_ideal` and `_saturate_last_variable` key the terms of
+a basis the engine produced with the same dot product, in the order
+they come and with no budget check: those terms are sorted already and
+are the basis's own terms, or divisors of them.
 
 No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents,
 and `_offsets` checks the slotwise maximum of a reducer's tail against
@@ -107,6 +110,18 @@ delta below 0, or a final numerator other than the known one, means the
 cached basis is not of this ideal, and an AssertionError says so.
 Inhomogeneous input, or input with no basis in hand, runs pair for pair.
 
+The Hilbert function is known once per ideal.  An IdealBasis keeps its
+HilbertData (`hilbert.hilbert` stores it; `_known_hilbert` reads it off
+the first cached basis when nothing is kept, and never runs Buchberger
+for it), and Buchberger's target and `saturate_irrelevant`'s both read
+that one value.  Two maps hand it on to their results, since both keep
+the Hilbert function: `initial_ideal`, a Groebner degeneration whose
+limit has the leads of the weight-order basis, and
+`curves.transform_ideal`, an invertible linear change of coordinates,
+which maps each graded piece of R/I isomorphically.  So a retried
+attempt of `specialize` finds its first basis Hilbert-driven, and the
+unsaturated limit's series is never computed.
+
 Saturation by the irrelevant ideal m uses the single-variable
 saturations I : v^infinity.  For homogeneous I under grevlex with v
 last, v divides a homogeneous polynomial exactly when it divides the
@@ -131,7 +146,7 @@ from .orders import (EXP_LIMIT, GUARD, MASK, MAX_ARITY, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder, exp_supported_within,
                      exponent_limit_error, packed_key_weights, packed_lcm,
                      term_key, unpack_exponent)
-from .hilbert import (_hilbert_function, _numerator_plus, _series_numerator,
+from .hilbert import (_hilbert_data, _hilbert_function, _numerator_plus,
                       _trim, hilbert)
 from .poly import Polynomial
 
@@ -469,18 +484,29 @@ def _produced(work_ring, keyed, reducers=None):
     return basis
 
 
+def _known_hilbert(ideal_basis):
+    """HilbertData of a homogeneous ideal when it is kept on the IdealBasis
+    or a cached basis gives it, which is then kept; else None.  Never
+    starts a Buchberger run."""
+    if not ideal_basis.homogeneous:
+        return None
+    if ideal_basis._hilbert is None:
+        for cached in ideal_basis._gb_cache.values():
+            ideal_basis._hilbert = _hilbert_data(ideal_basis.ring.arity,
+                                                 cached.lead_exponents())
+            break
+    return ideal_basis._hilbert
+
+
 def buchberger(ideal_basis, order):
     """Reduced Groebner basis of an IdealBasis in the given order;
-    Hilbert-driven when the ideal is homogeneous and caches a basis in
-    another order."""
+    Hilbert-driven when the ideal is homogeneous and its Hilbert function
+    is known (`_known_hilbert`)."""
     ring = ideal_basis.ring
     field = ring.field
     keyed = [_keyed(g, order) for g in ideal_basis.generators]
-    target = None
-    if ideal_basis.homogeneous:
-        for cached in ideal_basis._gb_cache.values():
-            target = _trim(_series_numerator(cached.lead_exponents()))
-            break
+    data = _known_hilbert(ideal_basis)
+    target = None if data is None else _trim(list(data.numerator))
     G, reducers = _buchberger_core(keyed, order, field, target)
     return _produced(ring.with_order(order),
                      *_reduce_basis(G, reducers, field, len(keyed)))
@@ -529,10 +555,12 @@ class IdealBasis:
     Generators are normalized monic, deduplicated and sorted; an empty
     list denotes the zero ideal.  Reduced Groebner bases are cached per
     monomial order; a new order's basis is taken from a cached one when
-    it can be (`_reused`).
+    it can be (`_reused`).  `_hilbert` keeps the HilbertData once known
+    (`hilbert.hilbert`).
     """
 
-    __slots__ = ("ring", "generators", "homogeneous", "_gb_cache")
+    __slots__ = ("ring", "generators", "homogeneous", "_gb_cache",
+                 "_hilbert")
 
     def __init__(self, ring, generators):
         gens = []
@@ -554,6 +582,7 @@ class IdealBasis:
         self.generators = tuple(gens)
         self.homogeneous = all(g.is_homogeneous for g in gens)
         self._gb_cache = {}
+        self._hilbert = None
 
     def groebner(self, order=None):
         if order is None:
@@ -625,20 +654,36 @@ def initial_ideal(ideal_basis, weights):
 
     Generated by the initial forms of a reduced Groebner basis in the
     weight-refined order, whose leads have the top weight of their
-    elements; shares the Hilbert function of the input.  Those forms are
-    the reduced grevlex basis of the initial ideal (Sturmfels, Groebner
-    Bases and Convex Polytopes, Prop. 1.8): each keeps its element's lead,
-    since its terms tie in weight and grevlex breaks the tie, and its other
-    terms are standard.  The result comes with that basis cached.
+    elements.  Those forms are the reduced grevlex basis of the initial
+    ideal (Sturmfels, Groebner Bases and Convex Polytopes, Prop. 1.8):
+    each keeps its element's lead, since its terms tie in weight and
+    grevlex breaks the tie, and its other terms are standard.  The result
+    comes with that basis cached.
+
+    An element's terms come sorted by weight first, so its initial form
+    is the prefix of terms of its lead's weight, already in grevlex order;
+    only that prefix is walked and keyed.  The initial ideal is a Groebner
+    degeneration of the input, so it shares the input's Hilbert function,
+    and the input's HilbertData, when known, is handed on.
     """
     ring = ideal_basis.ring
     if not ideal_basis.homogeneous:
         raise ValueError("initial ideals require a homogeneous input ideal")
     refined = WeightRefinedOrder(weights, ring.arity)
     grevlex = GrevlexOrder(ring.arity)
-    forms = [_keyed(g.initial_form(weights), grevlex)
-             for g in ideal_basis.groebner(refined).elements]
-    return _with_basis(ring, _produced(ring.with_order(grevlex), forms))
+    weights, key = refined.weights, packed_key_weights(grevlex)
+    forms = []
+    for g in ideal_basis.groebner(refined).elements:
+        top = sum(map(mul, weights, g.lead_exponent))
+        form = []
+        for e, c in g.terms:
+            if sum(map(mul, weights, e)) != top:
+                break
+            form.append((sum(map(mul, key, e)), c))
+        forms.append(form)
+    result = _with_basis(ring, _produced(ring.with_order(grevlex), forms))
+    result._hilbert = ideal_basis._hilbert
+    return result
 
 
 def eliminate(ideal_basis, front):
@@ -733,17 +778,22 @@ def ideal_quotient(a, b):
 def _saturate_last_variable(ideal_basis):
     """I : v^infinity for the last grevlex variable of a homogeneous ideal,
     in one pass: I's reduced grevlex basis divided by powers of v and
-    interreduced, cached; the input itself when nothing divides."""
+    interreduced, cached; the input itself when nothing divides.
+
+    The power of v that divides an element is the one in its lead (the
+    module docstring).  Each element's terms are already sorted in
+    grevlex, so they are keyed in place, with the shift folded in."""
     ring = ideal_basis.ring
     grevlex = GrevlexOrder(ring.arity)
     last = ring.arity - 1
     gb = ideal_basis.groebner(grevlex).elements
-    powers = [min(e[last] for e, _ in g.terms) for g in gb]
+    powers = [g.lead_exponent[last] for g in gb]
     if not any(powers):
         return ideal_basis
     # dividing by v^k shifts every K by k units
-    unit = packed_key_weights(grevlex)[last]
-    divided = [[(key - k * unit, c) for key, c in _keyed(g, grevlex)]
+    key = packed_key_weights(grevlex)
+    unit = key[last]
+    divided = [[(sum(map(mul, key, e)) - k * unit, c) for e, c in g.terms]
                for g, k in zip(gb, powers)]
     reduced, _ = _reduce_basis(divided, [_as_reducer(g) for g in divided],
                                ring.field, len(divided))

@@ -6,21 +6,40 @@ polynomial, projective dimension, and (for curves) degree and arithmetic
 genus are read off the reduced series.  A monomial ideal that grows one
 generator at a time keeps its numerator by N(J + (m)) = N(J) -
 t^deg(m) N(J : m) (`_numerator_plus`), and `_hilbert_function` reads the
-Hilbert function in one degree off a numerator.
+Hilbert function in one degree off a numerator.  `_minimalize` tests
+divisibility on packed exponents, one guarded subtraction a pair
+(`orders.GUARD`).
+
+With reduced numerator Q(t) = sum_i q_i t^i and dimension D, the Hilbert
+polynomial is HP(n) = sum_i q_i binomial(n - i + D, D).  Each
+D! binomial(n + s, D) = (n + s)(n + s - 1)...(n + s - D + 1) is an
+integer polynomial in n (`_falling_in_n`, cached), so HP is summed in
+integers and divided by D! once.
+
+An IdealBasis keeps its HilbertData once known: `hilbert` stores what it
+computes, and the maps that keep the Hilbert function (`initial_ideal`,
+`transform_ideal`) hand it on to their results.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
-from .orders import GrevlexOrder
+from .orders import GUARD, GrevlexOrder, pack_exponent
 
 
 def _minimalize(exps):
-    out = []
+    """The minimal exponents among `exps`, by ascending degree, ties in
+    the order given: a proper divisor has lower degree, so it is kept
+    before any multiple of it is met."""
+    out, packed = [], []
     for m in sorted(exps, key=sum):
-        if all(any(g[i] > m[i] for i in range(len(m))) for g in out):
+        p = pack_exponent(m)
+        guarded = p | GUARD
+        if all((guarded - g) & GUARD != GUARD for g in packed):
             out.append(m)
+            packed.append(p)
     return out
 
 
@@ -140,38 +159,46 @@ class HilbertData:
         """dim_k (R/I)_n, exact in every degree n."""
         return _hilbert_function(self.numerator, self.arity, n)
 
-    def hp_value(self, n):
-        value = sum(c * Fraction(n) ** k
-                    for k, c in enumerate(self.hp_coefficients))
-        if value.denominator != 1:
-            raise AssertionError("Hilbert polynomial value is not integral")
-        return int(value)
 
-
-def _binomial_in_n(shift, k):
-    """Coefficients of binomial(n + shift, k) as a polynomial in n."""
-    num = [Fraction(1)]
+@lru_cache(maxsize=None)
+def _falling_in_n(shift, k):
+    """Coefficients, ascending in n, of k! binomial(n + shift, k), the
+    falling product (n + shift)(n + shift - 1)...(n + shift - k + 1)."""
+    out = (1,)
     for r in range(k):
-        # multiply by (n + shift - r)
-        term = [Fraction(shift - r), Fraction(1)]
-        out = [Fraction(0)] * (len(num) + 1)
-        for i, c in enumerate(num):
-            out[i] += c * term[0]
-            out[i + 1] += c * term[1]
-        num = out
-    fact = 1
-    for r in range(1, k + 1):
-        fact *= r
-    return [c / fact for c in num]
+        c = shift - r       # multiply by n + c
+        out = tuple(a * c + b for a, b in zip(out + (0,), (0,) + out))
+    return out
+
+
+def _hilbert_polynomial(reduced, dimension):
+    """Coefficients, ascending in n, of sum_i q_i binomial(n - i + D, D)
+    for the reduced numerator q and dimension D >= 0."""
+    total = [0] * (dimension + 1)
+    for i, q in enumerate(reduced):
+        if q:
+            for k, c in enumerate(_falling_in_n(dimension - i, dimension)):
+                total[k] += q * c
+    fact = factorial(dimension)
+    return tuple(Fraction(c, fact) for c in total)
 
 
 def hilbert(ideal_basis):
-    """HilbertData of a homogeneous ideal."""
+    """HilbertData of a homogeneous ideal, read off its reduced grevlex
+    basis the first time and kept on the IdealBasis after."""
     if not ideal_basis.homogeneous:
         raise ValueError("Hilbert data requires a homogeneous ideal")
-    arity = ideal_basis.ring.arity
-    gb = ideal_basis.groebner(GrevlexOrder(arity))
-    numerator = _series_numerator(gb.lead_exponents())
+    if ideal_basis._hilbert is None:
+        arity = ideal_basis.ring.arity
+        gb = ideal_basis.groebner(GrevlexOrder(arity))
+        ideal_basis._hilbert = _hilbert_data(arity, gb.lead_exponents())
+    return ideal_basis._hilbert
+
+
+def _hilbert_data(arity, leads):
+    """HilbertData of R/I from the leads of a Groebner basis of I in any
+    order: the monomials outside in(I) are a basis of R/I (Macaulay)."""
+    numerator = _series_numerator(leads)
     reduced = list(numerator)
     removed = 0
     while reduced and sum(reduced) == 0:
@@ -185,17 +212,12 @@ def hilbert(ideal_basis):
     if depth == 0:
         # Artinian quotient: projectively empty, zero Hilbert polynomial
         return HilbertData(arity, tuple(numerator), -1, ())
-    hp = [Fraction(0)] * depth
-    for i, q in enumerate(reduced):
-        if q:
-            part = _binomial_in_n(depth - 1 - i, depth - 1)
-            for k, c in enumerate(part):
-                hp[k] += q * c
+    hp = _hilbert_polynomial(reduced, dimension)
     # HP(n) = sum_i q_i binom(n - i + dim, dim): its top coefficient is
     # Q(1) / dim!, and for dim = 1 its constant term is sum_i (1 - i) q_i
     genus = None
     if dimension == 1:
         genus = 1 - sum((1 - i) * q for i, q in enumerate(reduced))
-    return HilbertData(arity, tuple(numerator), dimension, tuple(hp),
+    return HilbertData(arity, tuple(numerator), dimension, hp,
                        sum(reduced), genus)
 

@@ -14,9 +14,18 @@ basis and compares a rebuilt ideal with the input, where the certificate
 reads the grevlex basis alone.  `dense_monoid_surface` builds the monoid
 surface from the dense kernel over the whole template, where the search
 reads only the kernel's nonzero entries.
+
+Five references keep earlier forms of rewritten helpers: `minimalize`
+tests divisibility slot by slot on exponent tuples; `hilbert_polynomial`
+sums Fraction binomials; `initial_forms` grades every term with
+`Polynomial.initial_form` and keys the result; `min_power_saturation`
+reads each power of v as a minimum over all terms and interreduces by
+the merge reference; `sorted_family` builds each family element as a
+dict and sorts it with `Polynomial.from_dict`.
 """
 
 import re
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
 
@@ -24,9 +33,9 @@ from extremalcurves import linalg
 from extremalcurves.curves import Invariants, _extremal_generators
 from extremalcurves.degeneration import (_monoid_forms, _rao_dims,
                                          monoid_template)
-from extremalcurves.groebner import (IdealBasis, _extension,
+from extremalcurves.groebner import (IdealBasis, _extension, _keyed,
                                      _normal_form_keyed, _spoly, eliminate)
-from extremalcurves.orders import (ZERO_EXP, WeightRefinedOrder,
+from extremalcurves.orders import (ZERO_EXP, GrevlexOrder, WeightRefinedOrder,
                                    exp_from_var, exp_mul, packed_key_weights,
                                    packed_lcm, unpack_exponent)
 from extremalcurves.poly import ParseError, Polynomial, binary_forms_coprime
@@ -597,3 +606,89 @@ def weight_basis_extremal_check(ideal_basis, d, g):
     if _rao_dims(inv.a, inv.l) != inv.rho_table():
         return False, "rao-table", None, None
     return True, None, f_form, g_form
+
+
+def minimalize(exps):
+    """Reference minimal generators of a monomial ideal: by ascending
+    degree, an exponent is kept when no kept one is at most it in every
+    slot."""
+    out = []
+    for m in sorted(exps, key=sum):
+        if all(any(g[i] > m[i] for i in range(len(m))) for g in out):
+            out.append(m)
+    return out
+
+
+def _binomial_in_n(shift, k):
+    """Coefficients of binomial(n + shift, k) as a polynomial in n."""
+    num = [Fraction(1)]
+    for r in range(k):
+        # multiply by (n + shift - r)
+        out = [Fraction(0)] * (len(num) + 1)
+        for i, c in enumerate(num):
+            out[i] += c * (shift - r)
+            out[i + 1] += c
+        num = out
+    fact = 1
+    for r in range(1, k + 1):
+        fact *= r
+    return [c / fact for c in num]
+
+
+def hilbert_polynomial(reduced, dimension):
+    """Reference coefficients, ascending in n, of
+    sum_i q_i binomial(n - i + D, D), each binomial in Fractions."""
+    hp = [Fraction(0)] * (dimension + 1)
+    for i, q in enumerate(reduced):
+        if q:
+            for k, c in enumerate(_binomial_in_n(dimension - i, dimension)):
+                hp[k] += q * c
+    return tuple(hp)
+
+
+def initial_forms(ideal_basis, weights):
+    """Reference keyed grevlex forms of the initial ideal's basis, by
+    ascending lead: the initial form of each weight-order basis element,
+    with every term graded, keyed by `_keyed`."""
+    arity = ideal_basis.ring.arity
+    gb = ideal_basis.groebner(WeightRefinedOrder(weights, arity))
+    forms = [_keyed(g.initial_form(weights), GrevlexOrder(arity))
+             for g in gb.elements]
+    return sorted(forms, key=lambda terms: terms[0][0])
+
+
+def min_power_saturation(ideal_basis):
+    """Reference term lists, by ascending lead, of the reduced grevlex
+    basis of I : v^infinity for the last variable v: each element of I's
+    reduced grevlex basis divided by the least power of v among its terms,
+    then interreduced by `merge_interreduce`."""
+    ring = ideal_basis.ring
+    last = ring.arity - 1
+    gb = ideal_basis.groebner(GrevlexOrder(ring.arity))
+    divided = []
+    for g in gb.elements:
+        k = min(e[last] for e, _ in g.terms)
+        divided.append([(e[:last] + (e[last] - k,) + e[last + 1:], c)
+                        for e, c in g.terms])
+    return merge_interreduce(divided, gb.order.key, ring.field)
+
+
+def sorted_family(ideal_basis, weights):
+    """Reference text of the flat family: each weight-order basis element
+    with t^(m - weight) on every term, gathered in a dict and sorted in
+    the grevlex order of x, y, z, w, t by `Polynomial.from_dict`."""
+    ring = ideal_basis.ring
+    refined = WeightRefinedOrder(weights, ring.arity)
+    grade = refined.weight_degree
+    ext = ring.extended(ring.arity + 1)
+    t_slot = ring.arity
+    out = []
+    for g in ideal_basis.groebner(refined).elements:
+        m = grade(g.lead_exponent)
+        terms = {}
+        for e, c in g.terms:
+            le = list(e)
+            le[t_slot] = m - grade(e)
+            terms[tuple(le)] = c
+        out.append(str(Polynomial.from_dict(ext, terms)))
+    return out

@@ -117,6 +117,39 @@ def test_main_builds_the_parser_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["specialize"], ["nosuch"], ["rho", "4", "0", "--range", "-3..0"],
+    ["rho", "4", "zero"], ["specialize", "x.ideal", "--bogus"],
+], ids=["no-command", "no-path", "unknown-command", "negative-range-no-equals",
+        "non-integer", "unknown-option"])
+def test_usage_errors_are_invalid_input(argv, capsys):
+    # exit 2 names the boundary branch; argparse's message is kept
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: extremalcurves")
+    assert re.search(r"^extremalcurves[\w -]*: error: ", err, re.M)
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["-h"], ["rho", "--help"]):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: extremalcurves")
+
+
+def test_console_usage_error_exits_invalid():
+    result = subprocess.run(
+        [sys.executable, "-m", "extremalcurves.cli", "specialize"],
+        capture_output=True, text=True)
+    assert result.returncode == EXIT_INVALID
+    assert "error: the following arguments are required: path" in (
+        result.stderr)
+
+
 def test_specialize_rational_quartic_json(tmp_path):
     out_json = tmp_path / "report.json"
     code, out = run_cli(["specialize", str(DATA / "rational_quartic.ideal"),

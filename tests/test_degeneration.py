@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +32,7 @@ from extremalcurves.orders import ZERO_EXP, WeightRefinedOrder
 
 import oracles
 from test_cli import DATA
+from test_groebner import DIVISION_FIELDS, FIELD_IDS, random_weight_bases
 from test_poly import random_poly
 
 
@@ -1002,6 +1004,20 @@ def test_family_reparametrization_puts_initial_form_at_zero(gf, ring):
     assert family.monic() == expected.monic()
 
 
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_family_blocks_match_the_sorted_reference(field):
+    # the text is written from the weight blocks in reverse, with no sort
+    for basis, weights in random_weight_bases(field, "family"):
+        assert emit_family(basis, weights) == oracles.sorted_family(
+            basis, weights)
+
+
+def test_family_needs_a_homogeneous_ideal(ring):
+    x, z = ring.gen(0), ring.gen(2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        emit_family(ideal(x + z * z), (1, 0, 0, 0))
+
+
 def test_family_single_weight(gf, ring):
     x, z = ring.gen(0), ring.gen(2)
     lines = emit_family(ideal(x + z), (1, 0, 0, 0))
@@ -1082,6 +1098,33 @@ def test_first_attempt_runs_on_the_input(gf, monkeypatch):
     change = CoordinateChange.random(gf, _attempt_rng(0, 1))
     assert (report.transformed.generators
             == transform_ideal(curve.ideal, change).generators)
+
+
+@pytest.mark.parametrize("name", ["rational-quartic", "quintic-g2"])
+def test_certified_attempt_zero_takes_two_hilbert_series(name, monkeypatch):
+    # the input's series, kept on it for its weight-order basis and handed
+    # to the limit, and the saturation's; never the unsaturated limit's
+    moved, _ = random_coordinate_change(fixture(name, PrimeField()), 0)
+    basis = IdealBasis(moved.ring, moved.ideal.generators)
+    curve = CurveIdeal(basis, moved.degree, moved.genus)
+    module = sys.modules["extremalcurves.hilbert"]
+    real = module._hilbert_data
+    series = []
+
+    def recorded(arity, leads):
+        series.append(sorted(leads))
+        return real(arity, leads)
+
+    monkeypatch.setattr(module, "_hilbert_data", recorded)
+    monkeypatch.setattr(groebner_module, "_hilbert_data", recorded)
+    report = specialize(curve, seed=0, max_retries=0)
+    monkeypatch.undo()
+    unsaturated = initial_ideal(basis, report.omega)
+    assert report.retries == 0
+    assert unsaturated.groebner().elements != (
+        report.limit.groebner().elements)
+    assert series == [sorted(basis.groebner().lead_exponents()),
+                      sorted(report.limit.groebner().lead_exponents())]
 
 
 def test_specialize_rational_quartic(gf):

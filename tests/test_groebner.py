@@ -848,6 +848,45 @@ def test_initial_ideals_come_with_their_grevlex_basis(field, monkeypatch):
             monkeypatch.undo()
 
 
+def random_weight_bases(field, label, count=6):
+    """Seeded (ideal, weights) pairs: moved curves and random homogeneous
+    ideals, under (d, 2, 1, 1), (1, 0, 0, 0) and a random weight."""
+    ring = curve_ring(field)
+    rng = random.Random(f"{field}:{label}")
+    ideals = [random_coordinate_change(fixture(name, field), 0)[0].ideal
+              for name in ("rational-quartic", "quintic-g2")]
+    ideals += [random_homogeneous_ideal(ring, rng, count=rng.randint(2, 4))
+               for _ in range(count)]
+    cases = []
+    for basis in ideals:
+        for weights in ((rng.randint(3, 9), 2, 1, 1), (1, 0, 0, 0),
+                        tuple(rng.randint(0, 4) for _ in range(3)) + (1,)):
+            cases.append((basis, weights))
+    return cases
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_initial_forms_match_the_graded_reference(field):
+    grevlex = GrevlexOrder(4)
+    for basis, weights in random_weight_bases(field, "initial-forms"):
+        limit = initial_ideal(basis, weights)
+        assert [groebner._keyed(g, grevlex)
+                for g in limit.groebner().elements] == (
+                    oracles.initial_forms(basis, weights))
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_saturation_by_lead_powers_matches_the_min_reference(field):
+    divided = 0
+    for basis, weights in random_weight_bases(field, "saturation"):
+        limit = initial_ideal(basis, weights)
+        sat = groebner._saturate_last_variable(limit)
+        divided += sat is not limit
+        assert [list(g.terms) for g in sat.groebner().elements] == (
+            oracles.min_power_saturation(limit))
+    assert divided
+
+
 @pytest.mark.parametrize("case", ["twisted-cubic-times-m", "conic-times-m"])
 def test_saturation_comes_with_its_grevlex_basis(ring, case, monkeypatch):
     sat = saturate_irrelevant(SATURATION_CASES[case][0](ring))
@@ -962,7 +1001,10 @@ def test_hilbert_driven_runs_reduce_no_pair_to_zero(ring, monkeypatch):
 
 
 # the cached basis of one ideal planted in another's cache: its leads move
-# under (1, 0, 0, 0), so Buchberger runs towards the wrong Hilbert function
+# under (1, 0, 0, 0), so Buchberger runs towards the wrong Hilbert function.
+# Each ideal is built afresh from its generators, so that nothing else is
+# known about it: a moved curve carries its true HilbertData, which the
+# target would read before the planted basis
 WRONG_TARGETS = {
     "quartic-under-cubic": (extremal_40_ideal, twisted_cubic_ideal),
     "cubic-under-quartic": (twisted_cubic_ideal, extremal_40_ideal),
@@ -973,7 +1015,8 @@ WRONG_TARGETS = {
 @pytest.mark.parametrize("case", WRONG_TARGETS)
 def test_hilbert_driven_run_refuses_a_wrong_target(ring, case):
     make_basis, make_other = WRONG_TARGETS[case]
-    basis, other = make_basis(ring), make_other(ring)
+    basis = IdealBasis(ring, make_basis(ring).generators)
+    other = make_other(ring)
     basis._gb_cache[GrevlexOrder(4)] = other.groebner()
     order = WeightRefinedOrder((1, 0, 0, 0))
     assert basis._reused(order) is None

@@ -1,17 +1,24 @@
 import random
+import sys
 from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from extremalcurves import PrimeField, curve_ring, hilbert, ideal
+import pytest
+
+from extremalcurves import (PolyRing, PrimeField, curve_ring, fixture,
+                            hilbert, ideal, initial_ideal)
+from extremalcurves.curves import CoordinateChange, transform_ideal
 from extremalcurves.groebner import GrevlexOrder, IdealBasis
-from extremalcurves.hilbert import (_hilbert_function, _numerator_plus,
+from extremalcurves.hilbert import (_divide_one_minus_t, _hilbert_data,
+                                    _hilbert_function, _hilbert_polynomial,
+                                    _minimalize, _numerator_plus,
                                     _series_numerator, _trim)
 from extremalcurves.orders import CAPACITY
 
 import oracles
-from test_groebner import (extremal_40_ideal, random_homogeneous_ideal,
-                           twisted_cubic_ideal)
+from test_groebner import (DIVISION_FIELDS, FIELD_IDS, extremal_40_ideal,
+                           random_homogeneous_ideal, twisted_cubic_ideal)
 
 
 def _counted_dims(basis, upto):
@@ -39,7 +46,8 @@ def test_plane_has_dimension_two(ring):
     assert hd.dimension == 2
     assert hd.degree == 1
     for n in range(6):
-        assert hd.hp_value(n) == (n + 2) * (n + 1) // 2
+        value = sum(c * n ** k for k, c in enumerate(hd.hp_coefficients))
+        assert value == (n + 2) * (n + 1) // 2
         assert hd.hilbert_function(n) == (n + 2) * (n + 1) // 2
 
 
@@ -129,3 +137,104 @@ def test_degree_and_genus_are_read_off_the_polynomial(gens):
         assert hd.genus == 1 - hd.hp_coefficients[0]
     else:
         assert hd.genus is None
+
+
+# monomial ideals in the first `arity` slots, t (the fifth) included
+@st.composite
+def _monomial_ideals(draw):
+    arity = draw(st.integers(1, CAPACITY))
+    slot = st.integers(0, 4)
+    exps = draw(st.lists(st.tuples(*[slot] * arity), min_size=0,
+                         max_size=10))
+    return arity, [e + (0,) * (CAPACITY - arity) for e in exps]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_monomial_ideals())
+def test_minimalize_matches_the_slotwise_reference(case):
+    _, exps = case
+    assert _minimalize(exps) == oracles.minimalize(exps)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_monomial_ideals())
+def test_hilbert_polynomial_matches_the_fraction_reference(case):
+    arity, exps = case
+    reduced = list(_series_numerator(exps))
+    depth = arity
+    while reduced and sum(reduced) == 0:
+        reduced = _divide_one_minus_t(reduced)
+        depth -= 1
+    if not reduced or depth == 0:
+        return
+    expected = oracles.hilbert_polynomial(reduced, depth - 1)
+    assert _hilbert_polynomial(reduced, depth - 1) == expected
+    ring = PolyRing(PrimeField(), arity)
+    hd = hilbert(IdealBasis(ring, [ring.monomial(e) for e in exps]))
+    assert (hd.dimension, hd.hp_coefficients) == (depth - 1, expected)
+
+
+def _carry_cases(field):
+    """Curves, moved and not, and seeded random homogeneous ideals, each
+    with the degree d of its (d, 2, 1, 1) weight."""
+    ring = curve_ring(field)
+    rng = random.Random(f"{field}:carry")
+    cases = [(twisted_cubic_ideal(ring), 3), (extremal_40_ideal(ring), 4)]
+    for name in ("rational-quartic", "quintic-g2"):
+        curve = fixture(name, field)
+        cases.append((curve.ideal, curve.degree))
+    cases += [(random_homogeneous_ideal(ring, rng, count=3),
+               rng.randint(3, 9)) for _ in range(3)]
+    return cases
+
+
+def _recomputed(basis):
+    """HilbertData from the reduced grevlex basis of the same generators,
+    with nothing known about them."""
+    return hilbert(IdealBasis(basis.ring, basis.generators))
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_initial_ideal_carries_the_inputs_hilbert_data(field):
+    for basis, d in _carry_cases(field):
+        hd = hilbert(basis)
+        for weights in ((1, 0, 0, 0), (d, 2, 1, 1)):
+            limit = initial_ideal(basis, weights)
+            assert limit._hilbert is hd
+            assert _hilbert_data(4, limit.groebner().lead_exponents()) == hd
+            assert _recomputed(limit) == hd
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_transform_ideal_carries_the_inputs_hilbert_data(field):
+    for case, (basis, _) in enumerate(_carry_cases(field)):
+        hd = hilbert(basis)
+        rng = random.Random(f"{field}:{case}:move")
+        for _ in range(2):
+            moved = transform_ideal(basis, CoordinateChange.random(field, rng))
+            assert moved._hilbert is hd
+            # the moved basis is found Hilbert-driven towards hd
+            assert _hilbert_data(4, moved.groebner().lead_exponents()) == hd
+            assert _recomputed(moved) == hd
+
+
+def test_nothing_known_is_carried_as_nothing(ring):
+    basis = twisted_cubic_ideal(ring)
+    assert initial_ideal(basis, (3, 2, 1, 1))._hilbert is None
+    assert transform_ideal(basis, CoordinateChange.random(
+        ring.field, random.Random(5)))._hilbert is None
+
+
+def test_hilbert_data_is_computed_once(ring, monkeypatch):
+    module = sys.modules["extremalcurves.hilbert"]
+    calls = []
+    real = module._hilbert_data
+
+    def counted(arity, leads):
+        calls.append(leads)
+        return real(arity, leads)
+
+    monkeypatch.setattr(module, "_hilbert_data", counted)
+    basis = twisted_cubic_ideal(ring)
+    assert hilbert(basis) is hilbert(basis)
+    assert len(calls) == 1
