@@ -25,17 +25,21 @@ re-sorts (`_offsets`); a divides b exactly when
 ((b | GUARD) - a) & GUARD == GUARD, since each slot's guard bit survives
 the subtraction only if that slot does not borrow, and no slot borrows
 into the key above it, so b may be a whole K.  Tuples appear only at the
-edges: `_keyed` keys a Polynomial, `_from_keyed` and `divide_exact`
-unpack.  `initial_ideal` and `_saturate_last_variable` key the terms of
-a basis the engine produced with the same dot product, in the order
-they come and with no budget check: those terms are sorted already and
-are the basis's own terms, or divisors of them.
+edges: `_keyed` keys a Polynomial from outside, `_rekeyed` one the engine
+produced, and `_from_keyed` and `divide_exact` unpack.  `initial_ideal`
+and `_saturate_last_variable` key the terms of a basis the engine
+produced with the same dot product, in the order they come: those terms
+are sorted already and are the basis's own terms, or divisors of them.
 
-No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents,
-and `_offsets` checks the slotwise maximum of a reducer's tail against
-each shift, because under the block orders of `eliminate` a tail term
-can exceed its lead in some variable.  Either way a ValueError names the
-limit; nothing wraps into the next slot.
+No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents
+(the generators, `normal_form`'s argument and `divide_exact`'s
+operands), and `_offsets` checks the slotwise maximum of a reducer's
+tail against each shift, because under the block orders of `eliminate`
+a tail term can exceed its lead in some variable.  Either way a
+ValueError names the limit; nothing wraps into the next slot.  So every
+exponent of a basis the engine produced is within the limit already, and
+`_rekeyed`, which keys one again in another order (a cached basis for a
+new order, `GroebnerBasis.reducers`), scans for none.
 
 Division reduces the remainder in place, as in heap division (Monagan &
 Pearce 2009) and geobuckets (Yan 1998).  A `_Remainder` keeps the terms
@@ -86,13 +90,26 @@ bases of an ideal I let one serve where Buchberger would run:
 - `_saturate_last_variable` divides a Groebner basis of I : v^infinity
   out of I's (below) and interreduces it, so it caches the reduced basis.
 - When every element of a cached reduced basis keeps its lead under
-  another order, it is that order's reduced basis too (`_reused`).  Its
-  leads generate a monomial ideal L inside in(I), so the monomials outside
+  another order, it is that order's reduced basis too.  Its leads
+  generate a monomial ideal L inside in(I), so the monomials outside
   in(I) are among those outside L; both sets are bases of R/I (Macaulay),
   and a basis inside another is the same, so L = in(I).  Its terms are
   still standard, so it is reduced.
 A basis reached so passes the same VERIFY_PRODUCED_BASES check as one
 computed (`_produced`).
+
+A basis in hand also seeds a new one.  `IdealBasis._computed` keys the
+first cached reduced basis once in the new order.  When no lead moves,
+that is the answer, by the third fact.  When some lead moves, the same
+keyed lists are Buchberger's inputs in place of the generators: they
+generate I, Buchberger works from any generating set (Traverso's, below,
+too), and the reduced basis it ends with is unique, so the answer does
+not change.  The seeds are most often far smaller than the generators:
+a dense generator of a curve read in general coordinates reduces to a
+few terms.  The cache is trusted here, as the third fact trusts it: a
+basis planted from another ideal would seed a run towards that ideal's
+basis, and the Hilbert target below, read off the same basis, would
+agree with it.
 
 A basis in hand bounds the work of a new one.  Every monomial order gives
 a homogeneous ideal I the same Hilbert function, since the monomials
@@ -107,7 +124,8 @@ still missing from L.  Each nonzero remainder of a degree-k pair adds
 one, its lead, so it lowers delta by exactly 1.  Once delta is 0, every
 remaining degree-k pair would reduce to zero, and they are dropped.  A
 delta below 0, or a final numerator other than the known one, means the
-cached basis is not of this ideal, and an AssertionError says so.
+known Hilbert function is not this ideal's, and an AssertionError says
+so.
 Inhomogeneous input, or input with no basis in hand, runs pair for pair.
 
 The Hilbert function is known once per ideal.  An IdealBasis keeps its
@@ -151,15 +169,23 @@ from .hilbert import (_hilbert_data, _hilbert_function, _numerator_plus,
 from .poly import Polynomial
 
 def _keyed(poly, order):
-    """(K, coeff) terms of a Polynomial, sorted descending; ValueError,
-    naming the largest slot of the first term past EXP_LIMIT, if any."""
+    """(K, coeff) terms of a Polynomial from outside the engine, sorted
+    descending; ValueError, naming the largest slot of the first term past
+    EXP_LIMIT, if any."""
     terms = poly.terms
     if max(chain.from_iterable(map(itemgetter(0), terms)),
            default=0) > EXP_LIMIT:
         raise exponent_limit_error(next(
             top for top in (max(e) for e, _ in terms) if top > EXP_LIMIT))
+    return _rekeyed(poly, order)
+
+
+def _rekeyed(poly, order):
+    """(K, coeff) terms, sorted descending, of a Polynomial the engine
+    produced, with no budget check: its exponents passed EXP_LIMIT on the
+    way in (`_keyed`) or in `_offsets`."""
     weights = packed_key_weights(order)
-    lst = [(sum(map(mul, weights, e)), c) for (e, c) in terms]
+    lst = [(sum(map(mul, weights, e)), c) for (e, c) in poly.terms]
     lst.sort(reverse=True)      # Ks are distinct, so only they compare
     return lst
 
@@ -415,7 +441,11 @@ def _tail_reducible(tail, leads):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis; elements monic, sorted by ascending lead."""
+    """Reduced Groebner basis; elements monic, sorted by ascending lead.
+
+    The engine builds it; one built by hand keeps every exponent within
+    EXP_LIMIT, since `reducers` keys the elements with no budget check.
+    """
 
     __slots__ = ("ring", "elements", "_reducers")
 
@@ -431,7 +461,7 @@ class GroebnerBasis:
     def reducers(self):
         if self._reducers is None:
             order = self.ring.order
-            self._reducers = [_as_reducer(_keyed(g, order))
+            self._reducers = [_as_reducer(_rekeyed(g, order))
                               for g in self.elements]
         return self._reducers
 
@@ -498,13 +528,16 @@ def _known_hilbert(ideal_basis):
     return ideal_basis._hilbert
 
 
-def buchberger(ideal_basis, order):
+def buchberger(ideal_basis, order, keyed=None):
     """Reduced Groebner basis of an IdealBasis in the given order;
     Hilbert-driven when the ideal is homogeneous and its Hilbert function
-    is known (`_known_hilbert`)."""
+    is known (`_known_hilbert`).  The run starts from `keyed`, the elements
+    of the first cached basis keyed in `order` (`IdealBasis._computed`),
+    or from the generators when it is None."""
     ring = ideal_basis.ring
     field = ring.field
-    keyed = [_keyed(g, order) for g in ideal_basis.generators]
+    if keyed is None:
+        keyed = [_keyed(g, order) for g in ideal_basis.generators]
     data = _known_hilbert(ideal_basis)
     target = None if data is None else _trim(list(data.numerator))
     G, reducers = _buchberger_core(keyed, order, field, target)
@@ -554,8 +587,9 @@ class IdealBasis:
 
     Generators are normalized monic, deduplicated and sorted; an empty
     list denotes the zero ideal.  Reduced Groebner bases are cached per
-    monomial order; a new order's basis is taken from a cached one when
-    it can be (`_reused`).  `_hilbert` keeps the HilbertData once known
+    monomial order; a new order's basis starts from the first cached one
+    (`_computed`): that basis itself when every lead stays, else its
+    elements seed Buchberger.  `_hilbert` keeps the HilbertData once known
     (`hilbert.hilbert`).
     """
 
@@ -589,26 +623,23 @@ class IdealBasis:
             order = GrevlexOrder(self.ring.arity)
         gb = self._gb_cache.get(order)
         if gb is None:
-            gb = self._reused(order)
-            if gb is None:
-                gb = buchberger(self, order)
-            self._gb_cache[order] = gb
+            gb = self._gb_cache[order] = self._computed(order)
         return gb
 
-    def _reused(self, order):
-        """A cached reduced basis whose every element keeps its lead under
-        `order`, re-sorted in `order` (the third reuse fact in the module
-        docstring); else None."""
-        for cached in self._gb_cache.values():
-            keyed = []
-            for g in cached.elements:
-                terms = _keyed(g, order)
-                if unpack_exponent(terms[0][0] & MASK) != g.lead_exponent:
-                    break
-                keyed.append(terms)
-            else:
-                return _produced(self.ring.with_order(order), keyed)
-        return None
+    def _computed(self, order):
+        """Reduced basis in an order not cached, from one pass over the
+        first cached reduced basis, keyed in `order`: that basis re-sorted
+        when every element keeps its lead, else Buchberger seeded with its
+        keyed elements (the reuse facts in the module docstring); from the
+        generators when nothing is cached."""
+        cached = next(iter(self._gb_cache.values()), None)
+        if cached is None:
+            return buchberger(self, order)
+        keyed = [_rekeyed(g, order) for g in cached.elements]
+        if all(unpack_exponent(terms[0][0] & MASK) == g.lead_exponent
+               for terms, g in zip(keyed, cached.elements)):
+            return _produced(self.ring.with_order(order), keyed)
+        return buchberger(self, order, keyed)
 
     def contains(self, f):
         return self.groebner().contains(f)

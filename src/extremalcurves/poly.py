@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .fields import ContextMismatchError
 from .orders import (CAPACITY, EXP_LIMIT, MAX_ARITY, SLOT_BITS, VAR_NAMES,
-                     ZERO_EXP, GrevlexOrder, WeightRefinedOrder, exp_from_var,
+                     ZERO_EXP, GrevlexOrder, exp_from_var,
                      exp_mul, exp_supported_within, exponent_limit_error,
                      pack_exponent, term_key, unpack_exponent)
 from . import linalg
@@ -235,16 +235,6 @@ class Polynomial:
         if lc == self.ring.field.one:
             return self
         return self.scale(self.ring.field.inv(lc))
-
-    def initial_form(self, weights):
-        """Sum of the terms of maximal weight degree."""
-        if not self.terms:
-            raise ValueError("initial form of the zero polynomial is undefined")
-        grade = WeightRefinedOrder(weights, self.ring.arity).weight_degree
-        wdegs = [grade(e) for e, _ in self.terms]
-        top = max(wdegs)
-        kept = tuple(t for t, d in zip(self.terms, wdegs) if d == top)
-        return Polynomial(self.ring, kept)
 
     def in_ring(self, ring):
         """Reinterpret in a compatible ring (same field, enough arity)."""

@@ -18,7 +18,7 @@ reads only the kernel's nonzero entries.
 Five references keep earlier forms of rewritten helpers: `minimalize`
 tests divisibility slot by slot on exponent tuples; `hilbert_polynomial`
 sums Fraction binomials; `initial_forms` grades every term with
-`Polynomial.initial_form` and keys the result; `min_power_saturation`
+`initial_form` and keys the result; `min_power_saturation`
 reads each power of v as a minimum over all terms and interreduces by
 the merge reference; `sorted_family` builds each family element as a
 dict and sorts it with `Polynomial.from_dict`.
@@ -646,13 +646,25 @@ def hilbert_polynomial(reduced, dimension):
     return tuple(hp)
 
 
+def initial_form(f, weights):
+    """Reference initial form of a nonzero polynomial: the sum of its terms
+    of maximal weight degree, every term graded."""
+    if not f.terms:
+        raise ValueError("initial form of the zero polynomial is undefined")
+    grade = WeightRefinedOrder(weights, f.ring.arity).weight_degree
+    wdegs = [grade(e) for e, _ in f.terms]
+    top = max(wdegs)
+    return Polynomial(f.ring, tuple(t for t, d in zip(f.terms, wdegs)
+                                    if d == top))
+
+
 def initial_forms(ideal_basis, weights):
     """Reference keyed grevlex forms of the initial ideal's basis, by
-    ascending lead: the initial form of each weight-order basis element,
-    with every term graded, keyed by `_keyed`."""
+    ascending lead: the initial form of each weight-order basis element
+    by `initial_form`, keyed by `_keyed`."""
     arity = ideal_basis.ring.arity
     gb = ideal_basis.groebner(WeightRefinedOrder(weights, arity))
-    forms = [_keyed(g.initial_form(weights), GrevlexOrder(arity))
+    forms = [_keyed(initial_form(g, weights), GrevlexOrder(arity))
              for g in gb.elements]
     return sorted(forms, key=lambda terms: terms[0][0])
 

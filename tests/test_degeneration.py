@@ -266,7 +266,8 @@ def test_monoid_surface_on_extremal_curve(gf, ring):
     assert surface.g_form == BinaryForm.monomial(gf, 3, 3)
     assert surface.f_form == BinaryForm.monomial(gf, 1, 0)
     # the initial form of the equation is the extremal mixed generator
-    assert surface.equation.initial_form((4, 2, 1, 1)) == surface.equation
+    assert oracles.initial_form(surface.equation,
+                                (4, 2, 1, 1)) == surface.equation
 
 
 def test_monoid_surface_on_moved_quartic(gf):
@@ -279,7 +280,7 @@ def test_monoid_surface_on_moved_quartic(gf):
     assert moved.ideal.contains(surface.equation)
     assert not surface.g_form.is_zero
     w_vec = (4, 2, 1, 1)
-    init = surface.equation.initial_form(w_vec)
+    init = oracles.initial_form(surface.equation, w_vec)
     x, y = moved.ring.gen(0), moved.ring.gen(1)
     expected = (x * surface.g_form.to_polynomial(moved.ring)
                 - y ** 3 * surface.f_form.to_polynomial(moved.ring))
@@ -716,9 +717,9 @@ def test_initial_ideal_finds_the_monoid_stage_basis(gf, monkeypatch):
     orders = []
     buchberger = groebner_module.buchberger
 
-    def recording(ideal_basis, order):
+    def recording(ideal_basis, order, *seeds):
         orders.append(order)
-        return buchberger(ideal_basis, order)
+        return buchberger(ideal_basis, order, *seeds)
 
     monkeypatch.setattr(groebner_module, "buchberger", recording)
     assert check_disjoint_line(moved.ideal)
@@ -1075,9 +1076,9 @@ def test_first_attempt_runs_on_the_input(gf, monkeypatch):
     calls = []
     buchberger = groebner_module.buchberger
 
-    def recording(ideal_basis, order):
+    def recording(ideal_basis, order, *seeds):
         calls.append((ideal_basis, order))
-        return buchberger(ideal_basis, order)
+        return buchberger(ideal_basis, order, *seeds)
 
     def no_move(*args):
         raise AssertionError("attempt 0 moved the input")

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremalcurves import (QQ, BinaryForm, ContextMismatchError, Invariants,
-                            PolyRing, PrimeField, binary_forms_coprime,
-                            complete_intersection, curve_ring, divide_exact,
+from extremalcurves import (QQ, BinaryForm, ContextMismatchError,
+                            CurveIdeal, Invariants, PolyRing, PrimeField,
+                            binary_forms_coprime, complete_intersection,
+                            condition_star_probe, curve_ring, divide_exact,
                             eliminate, extremal_curve, fixture, hilbert,
                             ideal, ideal_equal, ideal_intersect,
                             ideal_quotient, ideal_quotient_poly,
@@ -141,7 +142,7 @@ def test_weight_vector_of_wrong_length_is_a_context_mismatch(ring):
         with pytest.raises(ContextMismatchError):
             WeightRefinedOrder(weights, f.ring.arity)
         with pytest.raises(ContextMismatchError):
-            f.initial_form(weights)
+            oracles.initial_form(f, weights)
 
 
 def test_initial_ideal_requires_homogeneous(ring):
@@ -789,10 +790,19 @@ def _fresh(ideal_basis, order):
 
 
 def _refuse_buchberger(monkeypatch):
-    def refuse(ideal_basis, order):
+    def refuse(ideal_basis, order, *seeds):
         raise AssertionError("a basis in hand was computed again")
 
     monkeypatch.setattr(groebner, "buchberger", refuse)
+
+
+def _cached_lead_moves(ideal_basis, order):
+    """Whether an element of the first cached basis has another lead under
+    `order`, so that a request for `order` runs Buchberger, seeded by that
+    basis."""
+    cached = next(iter(ideal_basis._gb_cache.values()))
+    return any(max((e for e, _ in g.terms), key=order.key) != g.lead_exponent
+               for g in cached.elements)
 
 
 def _fixed_points(field):
@@ -899,9 +909,9 @@ def test_reuse_only_where_the_leads_stay(ring, monkeypatch):
     rng = random.Random(29)
     calls = []
 
-    def counted(ideal_basis, order):
+    def counted(ideal_basis, order, *seeds):
         calls.append(order)
-        return buchberger(ideal_basis, order)
+        return buchberger(ideal_basis, order, *seeds)
 
     buchberger = groebner.buchberger
     orders = [WeightRefinedOrder((5, 2, 1, 1)),
@@ -954,7 +964,7 @@ def test_hilbert_driven_bases_match_fresh_ones(field, case):
         order = make_order(rng.randint(3, 12))
         basis.groebner(cached)
         expected = _fresh(basis, order)
-        ran += basis._reused(order) is None
+        ran += _cached_lead_moves(basis, order)
         assert basis.groebner(order).elements == expected.elements
 
 
@@ -990,7 +1000,7 @@ def test_hilbert_driven_runs_reduce_no_pair_to_zero(ring, monkeypatch):
     basis = _moved_ci33(ring)
     basis.groebner()
     order = WeightRefinedOrder((9, 2, 1, 1))
-    assert basis._reused(order) is None
+    assert _cached_lead_moves(basis, order)
     expected = _fresh(basis, order)
     zeros = _zero_remainders(monkeypatch)
     _fresh(basis, order)
@@ -1000,11 +1010,12 @@ def test_hilbert_driven_runs_reduce_no_pair_to_zero(ring, monkeypatch):
     assert not zeros
 
 
-# the cached basis of one ideal planted in another's cache: its leads move
-# under (1, 0, 0, 0), so Buchberger runs towards the wrong Hilbert function.
-# Each ideal is built afresh from its generators, so that nothing else is
-# known about it: a moved curve carries its true HilbertData, which the
-# target would read before the planted basis
+# the HilbertData of one ideal planted on another, whose cache is empty: the
+# (1, 0, 0, 0) run starts from the generators and runs towards the wrong
+# Hilbert function.  Each ideal is built afresh from its generators, so that
+# nothing else is known about it: a moved curve carries its true HilbertData.
+# A planted cached basis would seed the run with the other ideal's elements,
+# and the run would end at that ideal's basis, true to the planted target
 WRONG_TARGETS = {
     "quartic-under-cubic": (extremal_40_ideal, twisted_cubic_ideal),
     "cubic-under-quartic": (twisted_cubic_ideal, extremal_40_ideal),
@@ -1016,12 +1027,57 @@ WRONG_TARGETS = {
 def test_hilbert_driven_run_refuses_a_wrong_target(ring, case):
     make_basis, make_other = WRONG_TARGETS[case]
     basis = IdealBasis(ring, make_basis(ring).generators)
-    other = make_other(ring)
-    basis._gb_cache[GrevlexOrder(4)] = other.groebner()
-    order = WeightRefinedOrder((1, 0, 0, 0))
-    assert basis._reused(order) is None
+    basis._hilbert = hilbert(make_other(ring))
+    assert not basis._gb_cache
     with pytest.raises(AssertionError, match="Hilbert-driven"):
-        basis.groebner(order)
+        basis.groebner(WeightRefinedOrder((1, 0, 0, 0)))
+
+
+def _recorded_core(monkeypatch):
+    """Record the keyed inputs and the order of every `_buchberger_core`
+    run."""
+    runs = []
+    core = groebner._buchberger_core
+
+    def recording(keyed_inputs, order, *rest):
+        runs.append((order, keyed_inputs))
+        return core(keyed_inputs, order, *rest)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", recording)
+    return runs
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_a_moved_lead_seeds_buchberger_with_the_cached_basis(field,
+                                                             monkeypatch):
+    # a moved complete intersection of two cubics: two dense generators,
+    # whose grevlex basis has more elements and other leads
+    ring = curve_ring(field)
+    basis = _moved_ci33(ring)
+    cached = basis.groebner()
+    order = WeightRefinedOrder((1, 0, 0, 0))
+    assert _cached_lead_moves(basis, order)
+    expected = _fresh(basis, order)
+    runs = _recorded_core(monkeypatch)
+    assert basis.groebner(order).elements == expected.elements
+    assert runs == [(order, [groebner._keyed(g, order)
+                             for g in cached.elements])]
+
+
+def test_probe_of_a_loaded_curve_starts_from_its_grevlex_basis(ring,
+                                                               monkeypatch):
+    # loaded as `extremalcurves probe` loads a file: the generators alone,
+    # nothing cached and no Hilbert data; the dense moved generators have
+    # far more terms than the reduced grevlex basis
+    moved, _ = random_coordinate_change(fixture("extremal:8:5", ring.field), 0)
+    curve = CurveIdeal.from_ideal(IdealBasis(ring, moved.ideal.generators))
+    grevlex = curve.ideal.groebner()
+    runs = _recorded_core(monkeypatch)
+    assert condition_star_probe(curve).ok
+    seeds = [keyed for order, keyed in runs
+             if order == WeightRefinedOrder((1, 0, 0, 0))]
+    assert len(seeds) == 1
+    assert sum(map(len, seeds[0])) <= sum(len(g.terms) for g in grevlex)
 
 
 @pytest.mark.parametrize("p", [32003, 7])
