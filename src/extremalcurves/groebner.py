@@ -32,14 +32,14 @@ produced with the same dot product, in the order they come: those terms
 are sorted already and are the basis's own terms, or divisors of them.
 
 No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents
-(the generators, `normal_form`'s argument and `divide_exact`'s
-operands), and `_offsets` checks the slotwise maximum of a reducer's
-tail against each shift, because under the block orders of `eliminate`
-a tail term can exceed its lead in some variable.  Either way a
-ValueError names the limit; nothing wraps into the next slot.  So every
-exponent of a basis the engine produced is within the limit already, and
-`_rekeyed`, which keys one again in another order (a cached basis for a
-new order, `GroebnerBasis.reducers`), scans for none.
+(the generators, `normal_form`'s argument, `divide_exact`'s operands
+and the elements of a GroebnerBasis, which may be built by hand), and
+`_offsets` checks the slotwise maximum of a reducer's tail against each
+shift, because under the block orders of `eliminate` a tail term can
+exceed its lead in some variable.  Either way a ValueError names the
+limit; nothing wraps into the next slot.  So every exponent of a basis
+the engine cached is within the limit already, and `_rekeyed`, which
+keys one again in a new order (`IdealBasis._computed`), scans for none.
 
 Division reduces the remainder in place, as in heap division (Monagan &
 Pearce 2009) and geobuckets (Yan 1998).  A `_Remainder` keeps the terms
@@ -441,11 +441,7 @@ def _tail_reducible(tail, leads):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis; elements monic, sorted by ascending lead.
-
-    The engine builds it; one built by hand keeps every exponent within
-    EXP_LIMIT, since `reducers` keys the elements with no budget check.
-    """
+    """Reduced Groebner basis; elements monic, sorted by ascending lead."""
 
     __slots__ = ("ring", "elements", "_reducers")
 
@@ -461,7 +457,7 @@ class GroebnerBasis:
     def reducers(self):
         if self._reducers is None:
             order = self.ring.order
-            self._reducers = [_as_reducer(_rekeyed(g, order))
+            self._reducers = [_as_reducer(_keyed(g, order))
                               for g in self.elements]
         return self._reducers
 

@@ -1215,6 +1215,15 @@ def test_monomial_normal_forms_reject_foreign_exponents(ring):
         basis.normal_form(ring.monomial((0, 40000, 0, 0, 0)))
 
 
+def test_a_basis_built_by_hand_keeps_the_exponent_budget(ring):
+    x, y, z, w = ring.gens()
+    # x^65536 would carry into y's slot, so the lead would read as y^2
+    # and y^2*w would reduce to z*w
+    basis = GroebnerBasis(ring, ((y * x ** 65536 - z).monic(),))
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        basis.normal_form(y ** 2 * w)
+
+
 def test_ideal_equality_is_presentation_independent(ring):
     x, y, z, w = ring.gens()
     a = ideal(x * z - y * y, x * w - y * z, y * w - z * z)
