@@ -27,9 +27,9 @@ the subtraction only if that slot does not borrow, and no slot borrows
 into the key above it, so b may be a whole K.  Tuples appear only at the
 edges: `_keyed` keys a Polynomial from outside, `_rekeyed` one the engine
 produced, and `_from_keyed` and `divide_exact` unpack.  `initial_ideal`
-and `_saturate_last_variable` key the terms of a basis the engine
-produced with the same dot product, in the order they come: those terms
-are sorted already and are the basis's own terms, or divisors of them.
+and `saturate_variable` key the terms of a basis the engine produced
+with the same dot product, in the order they come: those terms are
+sorted already and are the basis's own terms, or divisors of them.
 
 No slot may exceed EXP_LIMIT.  `_keyed` rejects larger input exponents
 (the generators, `normal_form`'s argument, `divide_exact`'s operands
@@ -76,8 +76,8 @@ that could act:
   only a kept lead below it and found after it can act, and its normal
   form is taken only when one of those divides a tail term; most tails
   are standard already.
-Inputs, and the divided basis of `_saturate_last_variable`, were reduced
-by nothing, so every kept lead below theirs is tested.  The reducers
+Inputs, and the divided basis of `saturate_variable`, were reduced by
+nothing, so every kept lead below theirs is tested.  The reducers
 built on the way are handed to the GroebnerBasis, so a basis from
 `buchberger` is not keyed again when it divides.
 
@@ -87,8 +87,8 @@ bases of an ideal I let one serve where Buchberger would run:
   reduced basis of I are the reduced grevlex basis of in_w(I) (Sturmfels,
   Groebner Bases and Convex Polytopes, Prop. 1.8), so `initial_ideal`
   returns its ideal with that basis cached.
-- `_saturate_last_variable` divides a Groebner basis of I : v^infinity
-  out of I's (below) and interreduces it, so it caches the reduced basis.
+- `saturate_variable` divides a Groebner basis of I : v^infinity out of
+  I's (below) and interreduces it, so it caches the reduced basis.
 - When every element of a cached reduced basis keeps its lead under
   another order, it is that order's reduced basis too.  Its leads
   generate a monomial ideal L inside in(I), so the monomials outside
@@ -129,10 +129,12 @@ so.
 Inhomogeneous input, or input with no basis in hand, runs pair for pair.
 
 The Hilbert function is known once per ideal.  An IdealBasis keeps its
-HilbertData (`hilbert.hilbert` stores it; `_known_hilbert` reads it off
-the first cached basis when nothing is kept, and never runs Buchberger
-for it), and Buchberger's target and `saturate_irrelevant`'s both read
-that one value.  Two maps hand it on to their results, since both keep
+HilbertData, and `hilbert.hilbert` is its one reader: it reads the data
+off the first cached basis when nothing is kept, and computes the
+grevlex basis only when nothing is cached either.  Buchberger's target
+and `saturate_irrelevant`'s both read that one value; `buchberger` asks
+for it only when it is kept or a basis is cached, so it never starts a
+run for it.  Two maps hand it on to their results, since both keep
 the Hilbert function: `initial_ideal`, a Groebner degeneration whose
 limit has the leads of the weight-order basis, and
 `curves.transform_ideal`, an invertible linear change of coordinates,
@@ -141,18 +143,25 @@ attempt of `specialize` finds its first basis Hilbert-driven, and the
 unsaturated limit's series is never computed.
 
 Saturation by the irrelevant ideal m uses the single-variable
-saturations I : v^infinity.  For homogeneous I under grevlex with v
-last, v divides a homogeneous polynomial exactly when it divides the
-lead term, so dividing each element of the reduced basis by its largest
-power of v gives a Groebner basis of I : v^infinity (Bayer & Stillman
-1987).  One pass suffices: those quotients are a Groebner basis whose
-leads v does not divide, so no element of the reduced basis of
-I : v^infinity is divisible by v and a second pass would divide
-nothing.  Each I : v^infinity is saturated and contains I^sat, and two
-saturated ideals, one inside the other, are equal exactly when their
-Hilbert polynomials agree; I^sat has the Hilbert polynomial of I.  So
-`saturate_irrelevant` returns the first I : v^infinity with I's Hilbert
-polynomial, and only when none has it intersects all of them.
+saturations I : v^infinity, each in one pass for every variable.  Take
+grevlex when v is last, else the weight order with weight 0 on v and 1
+on every other variable, refined by grevlex.  In either, the lead of a
+homogeneous polynomial has the least power of v among its terms: a
+term's weight is its degree minus its power of v (grevlex with v last
+breaks a degree tie the same way).  So v^k divides a homogeneous
+polynomial exactly when it divides the lead, and dividing each element
+of I's reduced basis by the power of v in its lead gives a Groebner
+basis of I : v^infinity (Bayer & Stillman 1987).  One pass suffices:
+those quotients are a Groebner basis whose leads v does not divide, so
+no element of the reduced basis of I : v^infinity is divisible by v and
+a second pass would divide nothing.  Under the weight order, the result's
+grevlex basis is then seeded from the divided basis and found
+Hilbert-driven (above).  Each I : v^infinity is saturated and contains
+I^sat, and two saturated ideals, one inside the other, are equal exactly
+when their Hilbert polynomials agree; I^sat has the Hilbert polynomial
+of I.  So `saturate_irrelevant` returns the first I : v^infinity with
+I's Hilbert polynomial, and only when none has it intersects all of
+them.
 """
 
 from heapq import heapify, heappop, heappush
@@ -164,8 +173,7 @@ from .orders import (EXP_LIMIT, GUARD, MASK, MAX_ARITY, BlockEliminationOrder,
                      GrevlexOrder, WeightRefinedOrder, exp_supported_within,
                      exponent_limit_error, packed_key_weights, packed_lcm,
                      term_key, unpack_exponent)
-from .hilbert import (_hilbert_data, _hilbert_function, _numerator_plus,
-                      _trim, hilbert)
+from .hilbert import _hilbert_function, _numerator_plus, _trim, hilbert
 from .poly import Polynomial
 
 def _keyed(poly, order):
@@ -510,32 +518,21 @@ def _produced(work_ring, keyed, reducers=None):
     return basis
 
 
-def _known_hilbert(ideal_basis):
-    """HilbertData of a homogeneous ideal when it is kept on the IdealBasis
-    or a cached basis gives it, which is then kept; else None.  Never
-    starts a Buchberger run."""
-    if not ideal_basis.homogeneous:
-        return None
-    if ideal_basis._hilbert is None:
-        for cached in ideal_basis._gb_cache.values():
-            ideal_basis._hilbert = _hilbert_data(ideal_basis.ring.arity,
-                                                 cached.lead_exponents())
-            break
-    return ideal_basis._hilbert
-
-
 def buchberger(ideal_basis, order, keyed=None):
     """Reduced Groebner basis of an IdealBasis in the given order;
-    Hilbert-driven when the ideal is homogeneous and its Hilbert function
-    is known (`_known_hilbert`).  The run starts from `keyed`, the elements
-    of the first cached basis keyed in `order` (`IdealBasis._computed`),
-    or from the generators when it is None."""
+    Hilbert-driven when the ideal is homogeneous and its HilbertData is
+    kept or a basis is cached, so that `hilbert` gives it without a run.
+    The run starts from `keyed`, the elements of the first cached basis
+    keyed in `order` (`IdealBasis._computed`), or from the generators when
+    it is None."""
     ring = ideal_basis.ring
     field = ring.field
     if keyed is None:
         keyed = [_keyed(g, order) for g in ideal_basis.generators]
-    data = _known_hilbert(ideal_basis)
-    target = None if data is None else _trim(list(data.numerator))
+    target = None
+    if ideal_basis.homogeneous and (ideal_basis._hilbert is not None
+                                    or ideal_basis._gb_cache):
+        target = _trim(list(hilbert(ideal_basis).numerator))
     G, reducers = _buchberger_core(keyed, order, field, target)
     return _produced(ring.with_order(order),
                      *_reduce_basis(G, reducers, field, len(keyed)))
@@ -802,57 +799,50 @@ def ideal_quotient(a, b):
     return result
 
 
-def _saturate_last_variable(ideal_basis):
-    """I : v^infinity for the last grevlex variable of a homogeneous ideal,
-    in one pass: I's reduced grevlex basis divided by powers of v and
-    interreduced, cached; the input itself when nothing divides.
-
-    The power of v that divides an element is the one in its lead (the
-    module docstring).  Each element's terms are already sorted in
-    grevlex, so they are keyed in place, with the shift folded in."""
-    ring = ideal_basis.ring
-    grevlex = GrevlexOrder(ring.arity)
-    last = ring.arity - 1
-    gb = ideal_basis.groebner(grevlex).elements
-    powers = [g.lead_exponent[last] for g in gb]
-    if not any(powers):
-        return ideal_basis
-    # dividing by v^k shifts every K by k units
-    key = packed_key_weights(grevlex)
-    unit = key[last]
-    divided = [[(sum(map(mul, key, e)) - k * unit, c) for e, c in g.terms]
-               for g, k in zip(gb, powers)]
-    reduced, _ = _reduce_basis(divided, [_as_reducer(g) for g in divided],
-                               ring.field, len(divided))
-    return _with_basis(ring, _produced(ring.with_order(grevlex), reduced))
-
-
 def saturate_variable(ideal_basis, slot):
-    """I : v^infinity for one variable of a homogeneous ideal; a result
-    other than the input comes generated by its cached reduced basis."""
+    """I : v^infinity for one variable v of a homogeneous ideal, in one
+    pass (the module docstring): I's reduced basis in grevlex when v is
+    last, else in the order of weight 0 on v and 1 on the rest, each
+    element divided by the power of v in its lead, keyed in place with
+    the shift folded in, and interreduced.  The input itself when nothing
+    divides; else the ideal generated by its reduced grevlex basis,
+    cached: the divided basis with its reducers when v is last, else the
+    basis seeded from it."""
     if not ideal_basis.homogeneous:
         raise ValueError("variable saturation requires a homogeneous ideal")
     ring = ideal_basis.ring
-    last = ring.arity - 1
-    if slot == last:
-        return _saturate_last_variable(ideal_basis)
-    swapped = IdealBasis(ring, [g.swap_variables(slot, last)
-                                for g in ideal_basis.generators])
-    sat = _saturate_last_variable(swapped)
-    if sat is swapped:
+    if not 0 <= slot < ring.arity:
+        raise ValueError(f"variable slot {slot} outside the ring")
+    grevlex = GrevlexOrder(ring.arity)
+    order = grevlex if slot == ring.arity - 1 else WeightRefinedOrder(
+        [int(i != slot) for i in range(ring.arity)])
+    gb = ideal_basis.groebner(order).elements
+    powers = [g.lead_exponent[slot] for g in gb]
+    if not any(powers):
         return ideal_basis
-    back = [g.swap_variables(slot, last) for g in sat.generators]
-    return _with_basis(ring, IdealBasis(ring, back).groebner())
+    # dividing by v^k shifts every K by k units
+    key = packed_key_weights(order)
+    unit = key[slot]
+    divided = [[(sum(map(mul, key, e)) - k * unit, c) for e, c in g.terms]
+               for g, k in zip(gb, powers)]
+    sat = _with_basis(ring, _produced(ring.with_order(order), *_reduce_basis(
+        divided, [_as_reducer(g) for g in divided], ring.field, len(divided))))
+    if order == grevlex:
+        return sat
+    result = _with_basis(ring, sat.groebner(grevlex))
+    result._hilbert = sat._hilbert
+    return result
 
 
 def saturate_irrelevant(ideal_basis):
     """Saturation with respect to the irrelevant maximal ideal.
 
-    The variables are tried from the last.  An input that one of them
-    leaves unchanged is returned as it is; the first I : v^infinity with
-    the Hilbert polynomial of I is returned as `saturate_variable` gives
-    it, generated by its reduced grevlex basis with that basis cached;
-    when there is none, the intersection of all of them.
+    The variables are tried from the last, each saturated in one pass
+    (`saturate_variable`).  An input that one of them leaves unchanged is
+    returned as it is; the first I : v^infinity with the Hilbert
+    polynomial of I is returned as `saturate_variable` gives it,
+    generated by its reduced grevlex basis with that basis cached; when
+    there is none, the intersection of all of them.
     """
     if not ideal_basis.homogeneous:
         raise ValueError("saturation requires a homogeneous ideal")

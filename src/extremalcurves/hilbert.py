@@ -16,9 +16,11 @@ D! binomial(n + s, D) = (n + s)(n + s - 1)...(n + s - D + 1) is an
 integer polynomial in n (`_falling_in_n`, cached), so HP is summed in
 integers and divided by D! once.
 
-An IdealBasis keeps its HilbertData once known: `hilbert` stores what it
-computes, and the maps that keep the Hilbert function (`initial_ideal`,
-`transform_ideal`) hand it on to their results.
+An IdealBasis keeps its HilbertData once known, and `hilbert` is its one
+reader: it stores what it reads off the first cached basis, in whatever
+order, or off the grevlex basis when nothing is cached.  The maps that
+keep the Hilbert function (`initial_ideal`, `transform_ideal`) hand it
+on to their results.
 """
 
 from dataclasses import dataclass
@@ -184,13 +186,17 @@ def _hilbert_polynomial(reduced, dimension):
 
 
 def hilbert(ideal_basis):
-    """HilbertData of a homogeneous ideal, read off its reduced grevlex
-    basis the first time and kept on the IdealBasis after."""
+    """HilbertData of a homogeneous ideal, kept on the IdealBasis once
+    known.  It is read off the first cached basis, in whatever order (the
+    leads of any order give it, `_hilbert_data`); only when nothing is
+    cached is the reduced grevlex basis computed for it."""
     if not ideal_basis.homogeneous:
         raise ValueError("Hilbert data requires a homogeneous ideal")
     if ideal_basis._hilbert is None:
         arity = ideal_basis.ring.arity
-        gb = ideal_basis.groebner(GrevlexOrder(arity))
+        gb = next(iter(ideal_basis._gb_cache.values()), None)
+        if gb is None:
+            gb = ideal_basis.groebner(GrevlexOrder(arity))
         ideal_basis._hilbert = _hilbert_data(arity, gb.lead_exponents())
     return ideal_basis._hilbert
 

@@ -248,17 +248,6 @@ class Polynomial:
                     "polynomial uses variables outside the target ring")
         return Polynomial.from_dict(ring, dict(self.terms))
 
-    def swap_variables(self, i, j):
-        """Exchange two variable slots (a coordinate permutation)."""
-        if i == j:
-            return self
-        acc = {}
-        for e, c in self.terms:
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            acc[tuple(le)] = c
-        return Polynomial.from_dict(self.ring, acc)
-
     def substitute_linear(self, matrix):
         """Replace each variable by its row image under an invertible matrix.
 

@@ -1117,7 +1117,6 @@ def test_certified_attempt_zero_takes_two_hilbert_series(name, monkeypatch):
         return real(arity, leads)
 
     monkeypatch.setattr(module, "_hilbert_data", recorded)
-    monkeypatch.setattr(groebner_module, "_hilbert_data", recorded)
     report = specialize(curve, seed=0, max_retries=0)
     monkeypatch.undo()
     unsaturated = initial_ideal(basis, report.omega)
@@ -1187,6 +1186,46 @@ def test_specialize_names_each_failed_stage(gf, ring):
     assert "attempt 0: disjointness" in str(err.value)
     assert "attempt 5: shape (limit failed the membership check)" in str(
         err.value)
+
+
+def _failing_surface_search(monkeypatch, retryable):
+    """Make the first monoid-surface search fail, retryable or not; later
+    searches run as usual.  Returns the message of the failure."""
+    message = "no monoid surface in these coordinates"
+    real = degeneration_module._find_monoid_surface
+    calls = []
+
+    def failing(moved, d, nu):
+        calls.append(moved)
+        if len(calls) == 1:
+            raise MonoidSurfaceError(message, retryable)
+        return real(moved, d, nu)
+
+    monkeypatch.setattr(degeneration_module, "_find_monoid_surface", failing)
+    return message
+
+
+def test_a_retryable_surface_failure_moves_to_the_next_attempt(gf,
+                                                               monkeypatch):
+    # a moved curve passes the line test at attempt 0, so the surface
+    # search is its first failure; attempt 1 draws new coordinates
+    moved, _ = random_coordinate_change(fixture("rational-quartic", gf), 0)
+    message = _failing_surface_search(monkeypatch, retryable=True)
+    report = specialize(moved, seed=0)
+    assert report.extremal and report.retries == 1
+    assert report.diagnostics == ((0, "surface", message),)
+
+
+def test_a_final_surface_failure_stops_with_the_diagnostics_so_far(
+        gf, monkeypatch):
+    # the quartic in its own coordinates meets z = w = 0 at attempt 0, and
+    # the search at attempt 1 fails for good: no attempt 2 is made
+    message = _failing_surface_search(monkeypatch, retryable=False)
+    with pytest.raises(SpecializationError, match=message) as err:
+        specialize(fixture("rational-quartic", gf), seed=42)
+    assert err.value.diagnostics == (
+        (0, "disjointness", "the curve meets the line z = w = 0"),)
+    assert isinstance(err.value.__cause__, MonoidSurfaceError)
 
 
 @pytest.mark.parametrize("name", ["rational-quartic", "twisted-cubic"])

@@ -33,6 +33,11 @@ def extremal_40_ideal(ring):
     return ideal(x * x, x * y, y ** 4, x * w ** 3 - y ** 3 * z)
 
 
+# the fields the division kernel and the saturation routes are checked in
+DIVISION_FIELDS = [PrimeField(32003), PrimeField(7), QQ]
+FIELD_IDS = ["gf", "gf7", "qq"]
+
+
 def random_homogeneous_ideal(ring, rng, count=2, max_degree=3):
     gens = []
     while len(gens) < count:
@@ -270,6 +275,30 @@ def test_saturate_irrelevant_preserves_hilbert_polynomial(ring):
     assert before.dimension == after.dimension
 
 
+@pytest.mark.parametrize("slot", [-1, 4])
+def test_saturate_variable_rejects_a_slot_outside_the_ring(ring, slot):
+    with pytest.raises(ValueError, match="outside the ring"):
+        saturate_variable(twisted_cubic_ideal(ring), slot)
+
+
+def test_union_with_a_line_in_w_saturates_by_a_weight_order(ring):
+    # no component of C, in general coordinates, lies in z = 0 or w = 0,
+    # and the line L = (z, w) lies in both, so I : w^infinity and
+    # I : z^infinity are C alone and lack the Hilbert polynomial of C u L;
+    # y, not last, is the first variable whose saturation has it, through
+    # the weight-order route
+    moved, _ = random_coordinate_change(fixture("extremal:6:3", ring.field), 0)
+    x, y, z, w = ring.gens()
+    union = ideal_intersect(moved.ideal, ideal(z, w))
+    basis = _times_irrelevant(union)
+    target = hilbert(basis).hp_coefficients
+    for slot in (3, 2):
+        assert hilbert(saturate_variable(basis, slot)).hp_coefficients != target
+    sat = saturate_irrelevant(basis)
+    assert sat.generators == union.groebner().elements
+    assert hilbert(sat).hp_coefficients == target
+
+
 def test_saturated_ideal_is_fixed(ring):
     basis = twisted_cubic_ideal(ring)
     assert saturate_irrelevant(basis) is basis
@@ -362,11 +391,14 @@ def test_quotient_intersect_bruteforce_agreement(ring):
                 oracles.quotient_graded_dim(list(quot.generators), n)
 
 
-def test_saturation_routes_agree(ring):
-    # the grevlex divide-out route and the auxiliary-variable route are
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_saturation_routes_agree(field):
+    # the divide-out route and the auxiliary-variable route are
     # independent algorithms; they must produce the same saturation.  Each
     # random ideal I also enters as I * m^2, which no variable leaves
-    # saturated, so every slot takes the divide branch there
+    # saturated, so every slot takes the divide branch there: slot 3 under
+    # grevlex, the others under their weight orders
+    ring = curve_ring(field)
     rng = random.Random(67)
     m_squared = [ring.monomial(e) for e in oracles.monomials(4, 2)]
     for _ in range(8):
@@ -431,8 +463,6 @@ def test_divide_exact_roundtrip(ring):
 # which the kernel only detects when it reduces a coefficient.  The id
 # "block7" names the block order with the non-contiguous front (y, w); it
 # kept its name when the engine went from seven slots to five.
-DIVISION_FIELDS = [PrimeField(32003), PrimeField(7), QQ]
-FIELD_IDS = ["gf", "gf7", "qq"]
 DIVISION_ORDERS = [lambda d: GrevlexOrder(4),
                    lambda d: WeightRefinedOrder((d, 2, 1, 1)),
                    lambda d: BlockEliminationOrder((1, 3), 5)]
@@ -766,9 +796,10 @@ def test_produced_bases_hold_their_reducers(field, monkeypatch):
             assert gb._reducers is not None
             assert gb.reducers() == _keyed_reducers(gb)
     for case in ("twisted-cubic-times-m", "conic-times-m"):
-        sat = groebner._saturate_last_variable(
-            SATURATION_CASES[case][0](ring))
-        assert sat.groebner().reducers() == _keyed_reducers(sat.groebner())
+        # the divided basis keeps the reducers its interreduction built
+        gb = saturate_variable(SATURATION_CASES[case][0](ring), 3).groebner()
+        assert gb._reducers is not None
+        assert gb.reducers() == _keyed_reducers(gb)
     curves = _fixed_points(field)
     _refuse_buchberger(monkeypatch)
     for curve in curves:
@@ -890,7 +921,7 @@ def test_saturation_by_lead_powers_matches_the_min_reference(field):
     divided = 0
     for basis, weights in random_weight_bases(field, "saturation"):
         limit = initial_ideal(basis, weights)
-        sat = groebner._saturate_last_variable(limit)
+        sat = saturate_variable(limit, 3)
         divided += sat is not limit
         assert [list(g.terms) for g in sat.groebner().elements] == (
             oracles.min_power_saturation(limit))
