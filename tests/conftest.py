@@ -35,3 +35,18 @@ def ring(gf):
 @pytest.fixture
 def qring():
     return curve_ring(QQ)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """List that grows by one at each `groebner.eliminate` call while the
+    test runs, those made by `ideal_intersect` included."""
+    calls = []
+    real = _groebner.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_groebner, "eliminate", counted)
+    return calls

@@ -9,6 +9,10 @@ substitutions from products of powers of the variables' images.  The
 tests compare engine output against these.  `saturate_poly` is the
 textbook saturation by elimination; it shares the engine's Buchberger but
 not its divide-out route to I : v^infinity, which is held to it.
+`ideal_quotient_by_intersections` is the colon by every generator, each
+intersected in; it shares the engine's colon by one polynomial and its
+intersection, but not the skip of a generator the running result
+already satisfies.
 `weight_basis_extremal_check` reads the extremal shape off the (d, 2, 1, 1)
 basis and compares a rebuilt ideal with the input, where the certificate
 reads the grevlex basis alone.  `dense_monoid_surface` builds the monoid
@@ -34,7 +38,8 @@ from extremalcurves.curves import Invariants, _extremal_generators
 from extremalcurves.degeneration import (_monoid_forms, _rao_dims,
                                          monoid_template)
 from extremalcurves.groebner import (IdealBasis, _extension, _keyed,
-                                     _normal_form_keyed, _spoly, eliminate)
+                                     _normal_form_keyed, _spoly, eliminate,
+                                     ideal_intersect, ideal_quotient_poly)
 from extremalcurves.orders import (ZERO_EXP, GrevlexOrder, WeightRefinedOrder,
                                    exp_from_var, exp_mul, packed_key_weights,
                                    packed_lcm, unpack_exponent)
@@ -525,6 +530,18 @@ def saturate_poly(ideal_basis, f):
     gens.append(ext.one() - t * f.in_ring(ext))
     elim = eliminate(IdealBasis(ext, gens), front=(ring.arity,))
     return IdealBasis(ring, elim.generators)
+
+
+def ideal_quotient_by_intersections(a, b):
+    """Reference colon a : b: the colon by every generator h of b, each
+    intersected into the running result, stopping at the zero ideal."""
+    result = None
+    for h in b.generators:
+        q = ideal_quotient_poly(a, h)
+        result = q if result is None else ideal_intersect(result, q)
+        if result.is_zero:
+            break
+    return result
 
 
 def product_substitute_linear(poly, matrix):

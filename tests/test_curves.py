@@ -10,8 +10,10 @@ from extremalcurves import (BinaryForm, CurveIdeal, PrimeField,
                             fixture, fixture_names, from_parametrization,
                             hilbert, ideal, ideal_equal, link,
                             random_coordinate_change, saturate_irrelevant)
+from extremalcurves import curves, groebner
 from extremalcurves.curves import line_xy, quintic_genus_two
 from extremalcurves.groebner import IdealBasis, initial_ideal
+from extremalcurves.orders import GrevlexOrder, monomial_exponents
 
 import oracles
 
@@ -177,6 +179,46 @@ def test_link_degree_arithmetic(gf, ring):
     line = line_xy(gf)
     residual = link(x * w - y * z, x * z * z + y * w * w, line)
     assert residual.degree + line.degree == 2 * 3
+
+
+def test_link_runs_one_elimination_and_keeps_the_residual_basis(
+        gf, ring, eliminations, monkeypatch):
+    # the twisted cubic in a random (3, 3) complete intersection: the colon
+    # by the cubic's first quadric already lies in the colon by the other
+    # two, so the link runs one elimination, not five
+    rng = random.Random(7)
+    cubic = fixture("twisted-cubic", gf)
+
+    def random_element(degree):
+        acc = ring.zero()
+        for g in cubic.ideal.generators:
+            for e in monomial_exponents(4, degree - g.degree):
+                acc = acc + ring.monomial(e, gf.random_element(rng)) * g
+        return acc
+
+    f, g = random_element(3), random_element(3)
+    quotients, runs = [], []
+    real_quotient, real_buchberger = curves.ideal_quotient, groebner.buchberger
+
+    def quotient(a, b):
+        quotients.append(real_quotient(a, b))
+        return quotients[-1]
+
+    def buchberger(ideal_basis, order, keyed=None):
+        runs.append((len(quotients), order))
+        return real_buchberger(ideal_basis, order, keyed)
+
+    monkeypatch.setattr(curves, "ideal_quotient", quotient)
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    residual = link(f, g, cubic)
+    assert (residual.degree, residual.genus) == (6, 3)
+    assert len(eliminations) == 1
+    # the colon comes with its reduced grevlex basis, so saturation and
+    # the Hilbert series start no grevlex run on it
+    (colon,) = quotients
+    assert colon.generators == colon.groebner().elements
+    assert not [order for after, order in runs
+                if after and order == GrevlexOrder(4)]
 
 
 def test_link_requires_containment(gf, ring):

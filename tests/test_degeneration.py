@@ -1347,13 +1347,20 @@ def test_specialize_recovers_from_bad_projection_point(gf, ring):
     assert probe.double_plane and probe.z_degree == 3
 
 
-def test_specialize_along_a_liaison_chain(gf, ring):
+def test_specialize_along_a_liaison_chain(gf, ring, eliminations):
     # twisted cubic -> (6,3) via CI(3,3) -> (6,3) via CI(3,4) -> (3,0);
     # the intermediate curves run the full pipeline, the last hop lands
-    # back on the boundary branch
-    from extremalcurves import link
+    # back on the boundary branch; each hop runs one elimination, since
+    # the colon by the curve's first generator satisfies the others
+    from extremalcurves import link as link_once
     from extremalcurves.orders import monomial_exponents
     rng = random.Random(12345)
+
+    def link(f, g, curve):
+        before = len(eliminations)
+        residual = link_once(f, g, curve)
+        assert len(eliminations) == before + 1
+        return residual
 
     def random_element(ideal_basis, degree):
         acc = ring.zero()

@@ -38,10 +38,11 @@ DIVISION_FIELDS = [PrimeField(32003), PrimeField(7), QQ]
 FIELD_IDS = ["gf", "gf7", "qq"]
 
 
-def random_homogeneous_ideal(ring, rng, count=2, max_degree=3):
+def random_homogeneous_ideal(ring, rng, count=2, max_degree=3, min_degree=1):
     gens = []
     while len(gens) < count:
-        f = random_poly(ring, rng, rng.randint(1, max_degree), terms=3)
+        f = random_poly(ring, rng, rng.randint(min_degree, max_degree),
+                        terms=3)
         if not f.is_zero:
             gens.append(f)
     return IdealBasis(ring, gens)
@@ -211,6 +212,51 @@ def test_quotient_extremal_by_x_matches_bruteforce(ring):
 def test_quotient_by_unit_is_identity(ring):
     basis = twisted_cubic_ideal(ring)
     assert ideal_equal(ideal_quotient(basis, ideal(ring.one())), basis)
+
+
+def test_quotient_skips_a_generator_the_colon_satisfies(ring, eliminations):
+    x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
+    a, b = ideal(x * z, y * z), ideal(x, y)
+    # the first colon gives (z), and z times the other generator lies in a
+    q = ideal_quotient(a, b)
+    assert len(eliminations) == 1
+    assert q.generators == (z,) == q.groebner().elements
+    assert oracles.ideal_quotient_by_intersections(a, b).generators == (z,)
+    assert len(eliminations) == 1 + 3
+
+
+def test_quotient_intersects_a_generator_the_colon_misses(ring, eliminations):
+    x, y = ring.gen(0), ring.gen(1)
+    a, b = ideal(x * y), ideal(x, y)
+    # b's generators ascend, y first: a : y = (x), and x * x is not in a,
+    # so the colon by x runs and is intersected in
+    q = ideal_quotient(a, b)
+    assert len(eliminations) == 3
+    assert q.generators == (x * y,) == q.groebner().elements
+    assert oracles.ideal_quotient_by_intersections(a, b).generators == \
+        (x * y,)
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=FIELD_IDS)
+def test_quotient_matches_the_intersection_reference(field, eliminations):
+    ring = curve_ring(field)
+    rng = random.Random(61)
+    counts = []
+    for _ in range(10):
+        a = random_homogeneous_ideal(ring, rng, count=rng.randint(1, 3),
+                                     max_degree=3, min_degree=2)
+        b = random_homogeneous_ideal(ring, rng, count=rng.randint(2, 3),
+                                     max_degree=2)
+        del eliminations[:]
+        quot = ideal_quotient(a, b)
+        fast = len(eliminations)
+        expected = oracles.ideal_quotient_by_intersections(a, b)
+        assert quot.generators == expected.generators
+        counts.append((fast, len(eliminations) - fast))
+    # both routes are drawn: a skipped generator and a colon that ran
+    assert any(fast < slow for fast, slow in counts)
+    assert any(fast > 1 for fast, slow in counts)
+    assert all(fast <= slow for fast, slow in counts)
 
 
 def test_quotient_zero_divisor_rejected(ring):
